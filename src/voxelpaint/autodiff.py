@@ -12,7 +12,6 @@ finite-difference test harnesses can run the same code at full precision.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeError
 
@@ -226,6 +225,42 @@ def _check_5d(x: Tensor, name: str) -> None:
         raise ShapeError(f"{name} must be 5-D [N,C,D,H,W], got {x.shape}")
 
 
+def _taps(padded: tuple[int, ...], kernel: tuple[int, ...]):
+    """Output extent, window length and per-tap flat offsets of a valid correlation.
+
+    On the flattened padded grid [Dp*Hp*Wp], the input window of tap
+    (a,b,c) is the contiguous run of ``span`` elements starting at
+    a*Hp*Wp + b*Wp + c; output voxel (z,y,x) sits at z*Hp*Wp + y*Wp + x.
+    """
+    _, hp, wp = padded
+    d, h, w = (e - k + 1 for e, k in zip(padded, kernel))
+    span = (d - 1) * hp * wp + (h - 1) * wp + w
+    offsets = [(tap, tap[0] * hp * wp + tap[1] * wp + tap[2]) for tap in np.ndindex(*kernel)]
+    return (d, h, w), span, offsets
+
+
+def _tap_conv(xp: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Valid cross-correlation of [N,Cin,Dp,Hp,Wp] with [Cout,Cin,kd,kh,kw].
+
+    One GEMM per kernel tap, each reading its window as a strided view of
+    the flattened input and accumulating on the padded output grid, which
+    is cropped at the end. No im2col buffer: working memory is O(output).
+    """
+    n, cin, dp, hp, wp = xp.shape
+    cout = weight.shape[0]
+    (d, h, w), span, offsets = _taps((dp, hp, wp), weight.shape[2:])
+    flat = xp.reshape(n, cin, dp * hp * wp)
+    # [kd,kh,kw,Cout,Cin]: each tap's matrix contiguous, as BLAS needs
+    wt = np.ascontiguousarray(weight.transpose(2, 3, 4, 0, 1))
+    dtype = np.result_type(xp, weight)
+    acc = np.zeros((n, cout, d * hp * wp), dtype=dtype)
+    prod = np.empty((n, cout, span), dtype=dtype)
+    for tap, off in offsets:
+        np.matmul(wt[tap], flat[:, :, off:off + span], out=prod)
+        acc[:, :, :span] += prod
+    return np.ascontiguousarray(acc.reshape(n, cout, d, hp, wp)[:, :, :, :h, :w])
+
+
 # -- network primitives -----------------------------------------------------
 
 
@@ -253,9 +288,7 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
         raise ShapeError(f"conv3d input {x.shape} too small for kernel {k} with padding {p}")
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
-    win = sliding_window_view(xp, (k, k, k), axis=(2, 3, 4))  # [N,Cin,D',H',W',k,k,k]
-    out = np.tensordot(win, weight.data, axes=([1, 5, 6, 7], [1, 2, 3, 4]))  # [N,D',H',W',Cout]
-    out = np.ascontiguousarray(np.moveaxis(out, -1, 1))
+    out = _tap_conv(xp, weight.data)
     if bias is not None:
         out += bias.data.reshape(1, cout, 1, 1, 1)
 
@@ -265,17 +298,54 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3, 4)))
         if weight.requires_grad:
-            gw = np.tensordot(win, g, axes=([0, 2, 3, 4], [0, 2, 3, 4]))  # [Cin,k,k,k,Cout]
-            _accumulate(weight, np.moveaxis(gw, -1, 0))
+            n = g.shape[0]
+            _, hp, wp = xp.shape[2:]
+            (d, h, w), span, offsets = _taps(xp.shape[2:], (k, k, k))
+            # g laid out on the padded grid that the forward accumulated on
+            ggrid = np.zeros((n, cout, d, hp, wp), dtype=g.dtype)
+            ggrid[..., :h, :w] = g
+            gflat = ggrid.reshape(n, cout, -1)[:, :, :span]
+            flat = xp.reshape(n, cin, -1)
+            gw = np.empty_like(weight.data)
+            for (a, b, c), off in offsets:
+                win = flat[:, :, off:off + span].transpose(0, 2, 1)
+                gw[:, :, a, b, c] = np.matmul(gflat, win).sum(axis=0)
+            _accumulate(weight, gw)
         if x.requires_grad:
             q = k - 1 - p
             gp = np.pad(g, ((0, 0), (0, 0), (q, q), (q, q), (q, q)))
-            gwin = sliding_window_view(gp, (k, k, k), axis=(2, 3, 4))  # [N,Cout,D,H,W,k,k,k]
-            wf = weight.data[:, :, ::-1, ::-1, ::-1]
-            gx = np.tensordot(gwin, wf, axes=([1, 5, 6, 7], [0, 2, 3, 4]))  # [N,D,H,W,Cin]
-            _accumulate(x, np.ascontiguousarray(np.moveaxis(gx, -1, 1)))
+            wf = weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+            _accumulate(x, _tap_conv(gp, wf))
 
     return _node(out, parents, backward)
+
+
+def blur3d(x: Tensor, taps: np.ndarray) -> Tensor:
+    """Separable valid correlation of each [N,C] slice with 1-D ``taps``.
+
+    Equivalent to a conv3d with the outer-product kernel taps x taps x taps,
+    run as three passes of the conv3d tap kernel, along D, then H, then W:
+    3k instead of k^3 multiply-adds per voxel. Output spatial extent is
+    D - k + 1 per axis.
+    """
+    _check_5d(x, "blur3d input")
+    taps = np.asarray(taps, dtype=x.data.dtype)
+    k = taps.size
+    if min(x.data.shape[2:]) < k:
+        raise ShapeError(f"blur3d input {x.shape} too small for {k} taps")
+
+    def blur(v, t):
+        n, c = v.shape[:2]
+        v = v.reshape(n * c, 1, *v.shape[2:])
+        for shape in ((1, 1, k, 1, 1), (1, 1, 1, k, 1), (1, 1, 1, 1, k)):
+            v = _tap_conv(v, t.reshape(shape))
+        return v.reshape(n, c, *v.shape[2:])
+
+    def backward(g):
+        q = k - 1
+        _accumulate(x, blur(np.pad(g, ((0, 0), (0, 0), (q, q), (q, q), (q, q))), taps[::-1]))
+
+    return _node(blur(x.data, taps), (x,), backward)
 
 
 def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -78,19 +77,7 @@ def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str |
     if missing:
         raise ConfigError(f"{command!r} section lacks required keys: {missing}")
     resolved["command"] = command
-    resolved["threads"] = _thread_cap()
     return resolved
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("VOXELPAINT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"VOXELPAINT_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"VOXELPAINT_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _echo_config(resolved: dict) -> None:

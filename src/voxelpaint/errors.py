@@ -29,7 +29,7 @@ class NiftiError(VoxelPaintError):
     """NIfTI-1 parse or serialize failure.
 
     ``code`` is one of: bad_header, bad_magic, bad_datatype, bad_dims,
-    truncated.
+    truncated, non_finite.
     """
 
     def __init__(self, code: str, message: str):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, conv3d
+from .autodiff import Tensor, blur3d
 from .errors import DataError, ShapeError
 
 
@@ -113,15 +113,17 @@ def ssim3d(pred: Tensor | np.ndarray, gt: Tensor | np.ndarray,
     if min(x.data.shape[2:]) < w:
         raise ShapeError(f"volume {x.data.shape[2:]} is smaller than the {w}^3 window")
 
-    window = Tensor(gaussian_window(w, params.sigma, dtype=x.data.dtype)[None, None])
+    # the window is the outer product of 1-D Gaussian taps, so its marginal
+    # along one axis is those taps, and each moment map is three 1-D passes
+    taps = gaussian_window(w, params.sigma).sum(axis=(1, 2))
     c1 = x.data.dtype.type(params.c1)
     c2 = x.data.dtype.type(params.c2)
 
-    mu_x = conv3d(x, window)
-    mu_y = conv3d(y, window)
-    xx = conv3d(x * x, window)
-    yy = conv3d(y * y, window)
-    xy = conv3d(x * y, window)
+    mu_x = blur3d(x, taps)
+    mu_y = blur3d(y, taps)
+    xx = blur3d(x * x, taps)
+    yy = blur3d(y * y, taps)
+    xy = blur3d(x * y, taps)
     var_x = xx - mu_x * mu_x
     var_y = yy - mu_y * mu_y
     cov = xy - mu_x * mu_y

@@ -50,7 +50,8 @@ def read_nifti(path) -> Volume:
     """Parse one scan into a raw-domain Volume.
 
     Raises NiftiError with code bad_header, bad_magic, bad_datatype,
-    bad_dims, or truncated.
+    bad_dims, truncated, or non_finite (a NaN or infinite voxel, which
+    would poison normalization and every loss downstream).
     """
     path = Path(path)
     raw = _read_bytes(path)
@@ -86,6 +87,10 @@ def read_nifti(path) -> Volume:
     voxels = flat.reshape(dz, dy, dx).transpose(2, 1, 0).astype(np.float32)
     if slope != 0.0:
         voxels = voxels * np.float32(slope) + np.float32(inter)
+    finite = np.isfinite(voxels)
+    if not finite.all():
+        bad = finite.size - np.count_nonzero(finite)
+        raise NiftiError("non_finite", f"{path}: {bad} voxel(s) are NaN or infinite")
     return Volume(voxels, domain="raw", affine_bytes=raw[_OFF_AFFINE:_END_AFFINE])
 
 

@@ -140,6 +140,39 @@ def conv3d_oracle(x, weight, bias=None, padding=0):
     return out
 
 
+def conv3d_vjp_oracle(x, weight, g, padding=0):
+    """Nested-loop vector-Jacobian product of conv3d_oracle, in float64.
+
+    Scatters every upstream value g[n, oc, z, y, x] back along the taps that
+    produced it; returns (grad_input, grad_weight).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    weight = np.asarray(weight, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    n, ci, d, hh, ww = x.shape
+    co, _, k, _, _ = weight.shape
+    p = padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(weight)
+    od, oh, ow = g.shape[2:]
+    for nn in range(n):
+        for oc in range(co):
+            for z in range(od):
+                for y in range(oh):
+                    for xx in range(ow):
+                        up = g[nn, oc, z, y, xx]
+                        for ic in range(ci):
+                            for dz in range(k):
+                                for dy in range(k):
+                                    for dx in range(k):
+                                        gxp[nn, ic, z + dz, y + dy, xx + dx] += (
+                                            up * weight[oc, ic, dz, dy, dx])
+                                        gw[oc, ic, dz, dy, dx] += (
+                                            up * xp[nn, ic, z + dz, y + dy, xx + dx])
+    return gxp[:, :, p:p + d, p:p + hh, p:p + ww], gw
+
+
 # ---------------------------------------------------------------------------
 # Brute-force SSIM oracle
 # ---------------------------------------------------------------------------

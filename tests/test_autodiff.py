@@ -1,12 +1,15 @@
 """Tensor engine: forward semantics, backward correctness, primitive edge cases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import (away_from_zero, conv3d_oracle, gradcheck, leaf,
+from conftest import (away_from_zero, conv3d_oracle, conv3d_vjp_oracle, gradcheck, leaf,
                       separated_pool_input)
 from voxelpaint.autodiff import (
     Tensor,
+    blur3d,
     concat_channels,
     conv3d,
     dropout,
@@ -140,6 +143,35 @@ def test_gradcheck_conv3d_padding1():
     assert worst <= RTOL, f"conv3d p=1 gradcheck rel err {worst:.3e}"
 
 
+@pytest.mark.parametrize("k,p", [(1, 0), (3, 0), (3, 1)])
+def test_gradcheck_conv3d_non_cubic_extents(k, p):
+    # Hp != Wp != Dp exercises every term of the flat tap offset a*Hp*Wp + b*Wp + c.
+    rng = np.random.default_rng(100 + 10 * k + p)
+    x = leaf(rng, (2, 2, 4, 5, 6))
+    w = leaf(rng, (3, 2, k, k, k), scale=0.5)
+    b = leaf(rng, (3,), scale=0.5)
+    probe = leaf(rng, conv3d(x, w, b, padding=p).shape)
+
+    def build():
+        return (conv3d(x, w, b, padding=p) * probe).mean()
+
+    worst = gradcheck(build, [x, w, b], rng, n_samples=20, h=H)
+    assert worst <= RTOL, f"conv3d k={k} p={p} gradcheck rel err {worst:.3e}"
+
+
+def test_gradcheck_blur3d_non_cubic():
+    rng = np.random.default_rng(19)
+    x = leaf(rng, (2, 1, 7, 6, 8))
+    taps = np.array([0.2, 0.5, 0.3])  # asymmetric: the backward must flip them
+    probe = leaf(rng, (2, 1, 5, 4, 6))
+
+    def build():
+        return (blur3d(x, taps) * probe).mean()
+
+    worst = gradcheck(build, [x], rng, n_samples=20, h=H)
+    assert worst <= RTOL, f"blur3d gradcheck rel err {worst:.3e}"
+
+
 def test_gradcheck_instance_norm():
     rng = np.random.default_rng(14)
     x = leaf(rng, (2, 3, 4, 4, 4))
@@ -219,6 +251,34 @@ def test_conv3d_matches_oracle_with_bias():
     out = conv3d(Tensor(x), Tensor(w), Tensor(b), padding=1).data
     oracle = conv3d_oracle(x, w, b, padding=1)
     assert np.max(np.abs(out - oracle)) <= 1e-5
+
+
+@pytest.mark.parametrize("k,p", [(1, 0), (3, 0), (3, 1)])
+def test_conv3d_backward_matches_vjp_oracle(k, p):
+    rng = np.random.default_rng(40 + 10 * k + p)
+    x = Tensor(rng.uniform(-1, 1, (2, 2, 4, 5, 6)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (3, 2, k, k, k)).astype(np.float32), requires_grad=True)
+    out = conv3d(x, w, padding=p)
+    g = rng.uniform(-1, 1, out.shape).astype(np.float32)
+    (out * Tensor(g)).sum().backward()
+    gx_ref, gw_ref = conv3d_vjp_oracle(x.data, w.data, g, padding=p)
+    assert x.grad.dtype == np.float32 and w.grad.dtype == np.float32
+    assert np.max(np.abs(x.grad - gx_ref)) <= 1e-5
+    assert np.max(np.abs(w.grad - gw_ref)) <= 1e-5
+
+
+def test_conv3d_forward_memory_stays_linear_in_output():
+    # An im2col buffer would hold k^3 = 27 copies of the input.
+    rng = np.random.default_rng(20)
+    x = Tensor(rng.standard_normal((1, 16, 24, 24, 24)).astype(np.float32))
+    w = Tensor(rng.standard_normal((16, 16, 3, 3, 3)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        out = conv3d(x, w, padding=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * out.data.nbytes, f"peak {peak / out.data.nbytes:.1f}x the output"
 
 
 def test_conv3d_validation():

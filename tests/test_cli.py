@@ -9,7 +9,7 @@ import pytest
 from conftest import make_input_dir, write_config
 from voxelpaint import cli
 from voxelpaint.dataset import load_manifest
-from voxelpaint.nifti import read_nifti
+from voxelpaint.nifti import read_nifti, write_nifti
 
 
 @pytest.fixture(scope="session")
@@ -37,6 +37,13 @@ def cli_workspace(tmp_path_factory):
     assert cli.main(["train", "--config", str(config)]) == 0
     return {"root": root, "input_dir": input_dir, "dataset_dir": dataset_dir,
             "train_dir": train_dir}
+
+
+def poison_scan(path):
+    """Overwrite one voxel of a NIfTI scan with NaN, keeping everything else."""
+    volume = read_nifti(path)
+    volume.voxels[tuple(d // 2 for d in volume.dims)] = np.nan
+    write_nifti(volume, path)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +108,6 @@ def test_resolved_config_is_echoed_and_saved(tmp_path, capsys):
     saved = json.loads((out_dir / "resolved_config.json").read_text())
     assert saved["command"] == "prepare"
     assert saved["seed"] == 5
-    assert saved["threads"] == 1
     assert saved["margin"] == 1
     # the same JSON goes to stdout before the command runs
     assert '"command": "prepare"' in capsys.readouterr().out
@@ -131,18 +137,6 @@ def test_out_flag_overrides_out_dir(tmp_path):
     assert cli.main(["prepare", "--config", config, "--out", str(other)]) == 0
     assert (other / "manifest.json").exists()
     assert not (tmp_path / "ignored").exists()
-
-
-def test_thread_cap_env(tmp_path, monkeypatch):
-    config = write_config(tmp_path / "c.json", {
-        "report": {"summary": str(tmp_path / "missing.json")}})
-    monkeypatch.setenv("VOXELPAINT_THREADS", "not-a-number")
-    assert cli.main(["report", "--config", config]) == 3
-    monkeypatch.setenv("VOXELPAINT_THREADS", "0")
-    assert cli.main(["report", "--config", config]) == 3
-    # a valid cap gets past config loading (then fails on the missing summary)
-    monkeypatch.setenv("VOXELPAINT_THREADS", "2")
-    assert cli.main(["report", "--config", config]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +171,23 @@ def test_prepare_skips_case_without_tumor_mask(tmp_path, capsys):
     manifest = load_manifest(out_dir)
     assert [e.case_id for e in manifest.samples] == ["case00"]
     assert manifest.skipped == [{"case_id": "caseXX", "reason": "missing tumor mask"}]
+    assert "1 case(s) skipped" in capsys.readouterr().out
+
+
+def test_prepare_skips_case_with_non_finite_scan(tmp_path, capsys):
+    input_dir = make_input_dir(tmp_path, n_cases=2, seed=450)
+    poison_scan(input_dir / "case01-t1n.nii.gz")
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", {
+        "prepare": {"input_dir": str(input_dir), "out_dir": str(out_dir),
+                    "margin": 1, "variants": 1, "max_attempts": 400},
+    })
+    assert cli.main(["prepare", "--config", config]) == 0
+    manifest = load_manifest(out_dir)
+    assert [e.case_id for e in manifest.samples] == ["case00"]
+    assert [s["case_id"] for s in manifest.skipped] == ["case01"]
+    assert "NaN or infinite" in manifest.skipped[0]["reason"]
+    assert not list(out_dir.glob("case01-*"))
     assert "1 case(s) skipped" in capsys.readouterr().out
 
 
@@ -299,6 +310,19 @@ def test_infer_without_samples_exits_2(cli_workspace, tmp_path):
     assert cli.main(["infer", "--config", config]) == 2
 
 
+def test_infer_non_finite_scan_exits_3(cli_workspace, tmp_path, capsys):
+    dataset_dir = tmp_path / "dataset"
+    shutil.copytree(cli_workspace["dataset_dir"], dataset_dir)
+    entry = load_manifest(dataset_dir).samples[0]
+    poison_scan(dataset_dir / entry.directory / f"{entry.sample_id}-t1n-voided.nii.gz")
+    config = write_config(tmp_path / "c.json", {
+        "infer": {"dataset_dir": str(dataset_dir),
+                  "checkpoints": [str(cli_workspace["train_dir"] / "fold0-best.vxpt")],
+                  "out_dir": str(tmp_path / "pred"), "crop_dims": [16, 16, 16]}})
+    assert cli.main(["infer", "--config", config]) == 3
+    assert "NaN or infinite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -356,6 +380,21 @@ def test_evaluate_missing_prediction_exits_2(cli_workspace, tmp_path):
                      "gt_dir": str(cli_workspace["dataset_dir"]),
                      "out_dir": str(tmp_path / "eval")}})
     assert cli.main(["evaluate", "--config", config]) == 2
+
+
+def test_evaluate_non_finite_prediction_exits_3(cli_workspace, tmp_path, capsys):
+    dataset_dir = cli_workspace["dataset_dir"]
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    for entry in load_manifest(dataset_dir).samples:
+        shutil.copyfile(dataset_dir / entry.directory / f"{entry.sample_id}-t1n.nii.gz",
+                        pred_dir / f"{entry.sample_id}-t1n-inpainted.nii.gz")
+    poison_scan(pred_dir / f"{entry.sample_id}-t1n-inpainted.nii.gz")
+    config = write_config(tmp_path / "c.json", {
+        "evaluate": {"pred_dir": str(pred_dir), "gt_dir": str(dataset_dir),
+                     "out_dir": str(tmp_path / "eval")}})
+    assert cli.main(["evaluate", "--config", config]) == 3
+    assert "NaN or infinite" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,19 @@ def test_ssim_gradient_matches_finite_differences():
     assert worst <= 1e-3, f"ssim gradcheck rel err {worst:.3e}"
 
 
+def test_ssim_gradient_non_cubic_volume():
+    # separable passes along D, H and W each see a different extent
+    rng = np.random.default_rng(35)
+    gt = rng.random((11, 8, 9))
+    pred = Tensor(rng.random((11, 8, 9))[None, None], requires_grad=True)
+
+    def build():
+        return ssim3d(pred, gt)
+
+    worst = gradcheck(build, [pred], rng, n_samples=20, h=1e-3)
+    assert worst <= 1e-3, f"ssim gradcheck rel err {worst:.3e}"
+
+
 # ---------------------------------------------------------------------------
 # Masked MAE
 # ---------------------------------------------------------------------------

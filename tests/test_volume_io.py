@@ -243,6 +243,17 @@ def test_nifti_malformed_headers(tmp_path, corrupt, code):
     assert exc.value.code == code
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nifti_rejects_non_finite_voxels(tmp_path, bad):
+    data = np.ones((5, 4, 3), dtype=np.float32)
+    data[2, 1, 0] = bad
+    path = tmp_path / "bad.nii"
+    path.write_bytes(make_nifti_bytes(data=data))
+    with pytest.raises(NiftiError) as exc:
+        read_nifti(path)
+    assert exc.value.code == "non_finite"
+
+
 def test_nifti_truncated_header_and_data(tmp_path):
     path = tmp_path / "short.nii"
     path.write_bytes(make_nifti_bytes()[:100])
