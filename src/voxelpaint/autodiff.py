@@ -5,17 +5,35 @@ layout. Every forward op that touches a gradient-requiring tensor records
 a closure on its output; Tensor.backward() on a scalar result replays the
 closures in reverse topological order and accumulates into .grad buffers.
 
+Inside ``with no_grad():`` no graph is built: op outputs carry neither
+parents nor closures, so intermediates are freed as soon as the forward
+pass drops them.
+
 Buffers are float32 by default. float64 graphs are supported so that
 finite-difference test harnesses can run the same code at full precision.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .errors import ShapeError
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block, for forward passes nobody differentiates."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -193,7 +211,7 @@ class Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward

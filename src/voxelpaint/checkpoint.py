@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .unet import UNet, UNetConfig, build_unet
+from .util import atomic_open
 
 MAGIC = b"VXPT"
 VERSION = 1
@@ -34,7 +35,7 @@ def save_checkpoint(model: UNet, metadata: dict, path) -> None:
         "dropout_rate": model.config.dropout_rate,
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(blob)))
         fh.write(blob)

@@ -24,7 +24,7 @@ from .metrics import (aggregate_stats, evaluate_case, region_max_intensity,
                       render_report_table, summary_to_dict, write_cases_csv)
 from .nifti import read_nifti, read_nifti_mask, write_nifti
 from .trainer import TrainConfig, infer_case, prepare_sample, train_fold
-from .util import derive_seed, make_rng
+from .util import atomic_open, derive_seed, make_rng
 
 COMMANDS = ("prepare", "train", "infer", "evaluate", "report")
 
@@ -186,7 +186,8 @@ def cmd_train(cfg: dict) -> int:
                   f"at epoch {result.best_epoch} -> {result.checkpoint_path}")
     payload = [{"fold": r.fold, "best_epoch": r.best_epoch, "best_val_loss": r.best_val_loss,
                 "checkpoint": r.checkpoint_path} for r in results]
-    (out_dir / "train_result.json").write_text(json.dumps(payload, indent=2) + "\n")
+    with atomic_open(out_dir / "train_result.json") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
@@ -256,7 +257,8 @@ def cmd_evaluate(cfg: dict) -> int:
 
     summary = summary_to_dict(aggregate_stats(cases))
     write_cases_csv(cases, out_dir / "cases.csv")
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    with atomic_open(out_dir / "summary.json") as fh:
+        fh.write(json.dumps(summary, indent=2) + "\n")
     print(render_report_table(summary), end="")
     return 0
 

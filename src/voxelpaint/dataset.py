@@ -9,6 +9,10 @@ A prepared sample lives in its own directory named by the sample id
     {sid}-mask-unhealthy.nii.gz  expert tumor mask
     {sid}-mask.nii.gz            combined mask
 
+Scans are stored as float32 and masks as uint8 (0/1), each gzipped at
+deflate level 1; the reader also accepts float32 masks, as written by
+earlier versions.
+
 The manifest (manifest.json) records the seed, the successful samples,
 and any skipped cases with reasons.
 """
@@ -22,6 +26,7 @@ from pathlib import Path
 from .errors import DataError
 from .masks import TrainingSample
 from .nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
+from .util import atomic_open
 
 COMPONENTS = ("t1n", "t1n-voided", "mask-healthy", "mask-unhealthy", "mask")
 MANIFEST_NAME = "manifest.json"
@@ -88,7 +93,8 @@ def save_manifest(manifest: Manifest, dataset_dir) -> Path:
         "samples": [vars(e) for e in manifest.samples],
         "skipped": manifest.skipped,
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DataError, ShapeError
 from .losses import SsimParams, ssim3d
+from .util import atomic_open
 from .volume import MaskVolume, Volume
 
 
@@ -166,7 +167,7 @@ def summary_to_dict(summary: EvaluationSummary) -> dict:
 
 
 def write_cases_csv(cases: list[CaseMetrics], path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["case", "ssim", "psnr", "mse", "rmse", "region_voxels"])
         for c in cases:

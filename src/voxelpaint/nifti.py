@@ -5,7 +5,8 @@ volumes (magic "n+1\\0"), datatypes uint8/int16/float32, a single frame,
 optional gzip compression chosen by the ".gz" suffix. scl_slope and
 scl_inter are applied on read when the slope is nonzero. Orientation
 and affine header fields are carried through untouched and never
-interpreted.
+interpreted. Scans are written as float32 and masks as uint8, gzipped at
+deflate level 1.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NiftiError
+from .util import atomic_open
 from .volume import MaskVolume, Volume
 
 HEADER_SIZE = 348
@@ -37,6 +39,10 @@ _END_AFFINE = 328
 _OFF_MAGIC = 344
 
 _DTYPES = {2: np.dtype("u1"), 4: np.dtype("<i2"), 16: np.dtype("<f4")}
+
+# deflate level for .nii.gz output: on a 240x240x155 scan level 1 writes
+# about 13x faster than level 9 for files about 20 % larger
+GZIP_LEVEL = 1
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -102,32 +108,39 @@ def read_nifti_mask(path, role: str) -> MaskVolume:
 
 def write_nifti(volume: Volume, path) -> None:
     """Serialize as float32 with identity scaling; gzip when path ends .gz."""
-    path = Path(path)
-    header = bytearray(HEADER_SIZE)
-    struct.pack_into("<i", header, _OFF_SIZEOF_HDR, HEADER_SIZE)
-    dx, dy, dz = volume.dims
-    struct.pack_into("<8h", header, _OFF_DIM, 3, dx, dy, dz, 1, 1, 1, 1)
-    struct.pack_into("<h", header, _OFF_DATATYPE, 16)
-    struct.pack_into("<h", header, _OFF_BITPIX, 32)
-    struct.pack_into("<8f", header, _OFF_PIXDIM, 1, 1, 1, 1, 0, 0, 0, 0)
-    struct.pack_into("<f", header, _OFF_VOX_OFFSET, VOX_OFFSET)
-    struct.pack_into("<2f", header, _OFF_SCL_SLOPE, 1.0, 0.0)
-    if volume.affine_bytes is not None and len(volume.affine_bytes) == _END_AFFINE - _OFF_AFFINE:
-        header[_OFF_AFFINE:_END_AFFINE] = volume.affine_bytes
-    header[_OFF_MAGIC:_OFF_MAGIC + 4] = MAGIC
-
-    body = bytes(header)
-    body += b"\x00" * (VOX_OFFSET - HEADER_SIZE)
-    body += np.ascontiguousarray(volume.voxels.transpose(2, 1, 0), dtype="<f4").tobytes()
-    if str(path).endswith(".gz"):
-        # fileobj + fixed mtime: no filename or timestamp in the gzip header,
-        # so identical volumes serialize to identical bytes anywhere
-        with open(path, "wb") as out:
-            with gzip.GzipFile(filename="", fileobj=out, mode="wb", mtime=0) as fh:
-                fh.write(body)
-    else:
-        path.write_bytes(body)
+    _write(path, volume.voxels, 16, volume.affine_bytes)
 
 
 def write_nifti_mask(mask: MaskVolume, path) -> None:
-    write_nifti(Volume(mask.bits.astype(np.float32)), path)
+    """Serialize as uint8 0/1 voxels; gzip when path ends .gz."""
+    _write(path, mask.bits, 2, None)
+
+
+def _write(path, voxels: np.ndarray, datatype: int, affine_bytes: bytes | None) -> None:
+    """Write [x, y, z] voxels as the given datatype, atomically."""
+    dtype = _DTYPES[datatype]
+    header = bytearray(VOX_OFFSET)  # the 348-byte header, then 4 zero extension bytes
+    struct.pack_into("<i", header, _OFF_SIZEOF_HDR, HEADER_SIZE)
+    dx, dy, dz = voxels.shape
+    struct.pack_into("<8h", header, _OFF_DIM, 3, dx, dy, dz, 1, 1, 1, 1)
+    struct.pack_into("<h", header, _OFF_DATATYPE, datatype)
+    struct.pack_into("<h", header, _OFF_BITPIX, 8 * dtype.itemsize)
+    struct.pack_into("<8f", header, _OFF_PIXDIM, 1, 1, 1, 1, 0, 0, 0, 0)
+    struct.pack_into("<f", header, _OFF_VOX_OFFSET, VOX_OFFSET)
+    struct.pack_into("<2f", header, _OFF_SCL_SLOPE, 1.0, 0.0)
+    if affine_bytes is not None and len(affine_bytes) == _END_AFFINE - _OFF_AFFINE:
+        header[_OFF_AFFINE:_END_AFFINE] = affine_bytes
+    header[_OFF_MAGIC:_OFF_MAGIC + 4] = MAGIC
+    data = np.ascontiguousarray(voxels.transpose(2, 1, 0), dtype=dtype)  # x fastest on disk
+
+    with atomic_open(path, "wb") as out:
+        if str(path).endswith(".gz"):
+            # fileobj + fixed mtime: no filename or timestamp in the gzip header,
+            # so identical volumes serialize to identical bytes anywhere
+            with gzip.GzipFile(filename="", fileobj=out, mode="wb",
+                               compresslevel=GZIP_LEVEL, mtime=0) as fh:
+                fh.write(header)
+                fh.write(data)
+        else:
+            out.write(header)
+            out.write(data)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Tensor, no_grad
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, DataError, NumericError
 from .losses import LossWeights, SsimParams, composite_loss
@@ -180,8 +180,9 @@ def validation_loss(model: UNet, samples: list[PreparedSample], config: TrainCon
     if not samples:
         raise DataError("validation fold is empty")
     total = 0.0
-    for s in samples:
-        total += _loss_for(model, [s], config, training=False, rng=None).item()
+    with no_grad():
+        for s in samples:
+            total += _loss_for(model, [s], config, training=False, rng=None).item()
     return total / len(samples)
 
 
@@ -282,9 +283,10 @@ def infer_case(models: UNet | list[UNet], volume: Volume, combined: MaskVolume,
     x = Tensor(cropped.voxels[None, None])
     m = Tensor(mask_c.bits[None, None].astype(np.float32))
     acc: np.ndarray | None = None
-    for model in models:
-        pred = model.forward(x, m, training=False).data[0, 0]
-        acc = pred if acc is None else acc + pred
+    with no_grad():
+        for model in models:
+            pred = model.forward(x, m, training=False).data[0, 0]
+            acc = pred if acc is None else acc + pred
     mean_pred = acc / np.float32(len(models))
     clipped = np.clip(mean_pred, -1.0, 1.0)
     raw = denormalize(clipped, vmax)

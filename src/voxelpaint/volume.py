@@ -6,10 +6,7 @@ Voxel arrays are indexed [x, y, z]. Intensity domains are tagged:
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -118,36 +115,3 @@ def stitch(original: Volume, prediction: Volume, mask: MaskVolume, spec: CropSpe
     region[mask.bits] = prediction.voxels[mask.bits]
     return Volume(out, domain=original.domain, max_intensity=original.max_intensity,
                   affine_bytes=original.affine_bytes)
-
-
-# -- raw sidecar fixtures ----------------------------------------------------
-#
-# "<name>.vraw" is u32 dx,dy,dz then float32 voxels, all little-endian,
-# x varying fastest. "<name>.vjson" holds {dims, domain, max_intensity}.
-
-
-def write_raw(volume: Volume, base_path) -> None:
-    base = Path(base_path)
-    dx, dy, dz = volume.dims
-    with open(base.with_suffix(".vraw"), "wb") as fh:
-        fh.write(struct.pack("<III", dx, dy, dz))
-        fh.write(np.ascontiguousarray(volume.voxels.transpose(2, 1, 0), dtype="<f4").tobytes())
-    meta = {"dims": [dx, dy, dz], "domain": volume.domain, "max_intensity": volume.max_intensity}
-    base.with_suffix(".vjson").write_text(json.dumps(meta, indent=2) + "\n")
-
-
-def read_raw(base_path) -> Volume:
-    base = Path(base_path)
-    raw = base.with_suffix(".vraw").read_bytes()
-    if len(raw) < 12:
-        raise DataError(f"{base}.vraw is too short for a header")
-    dx, dy, dz = struct.unpack("<III", raw[:12])
-    count = dx * dy * dz
-    if len(raw) != 12 + 4 * count:
-        raise DataError(f"{base}.vraw holds {len(raw) - 12} data bytes, expected {4 * count}")
-    flat = np.frombuffer(raw, dtype="<f4", offset=12)
-    voxels = flat.reshape(dz, dy, dx).transpose(2, 1, 0).copy()
-    meta = json.loads(base.with_suffix(".vjson").read_text())
-    if tuple(meta["dims"]) != (dx, dy, dz):
-        raise DataError(f"{base}.vjson dims {meta['dims']} disagree with .vraw {(dx, dy, dz)}")
-    return Volume(voxels, domain=meta["domain"], max_intensity=meta.get("max_intensity"))

@@ -15,6 +15,7 @@ from voxelpaint.autodiff import (
     dropout,
     instance_norm,
     maxpool3d,
+    no_grad,
     prelu,
     relu,
     upsample3d_nearest,
@@ -38,6 +39,20 @@ def test_tensor_casts_non_float_to_f32():
 def test_tensor_keeps_f64():
     t = Tensor(np.ones(3, dtype=np.float64))
     assert t.dtype == np.float64
+
+
+def test_no_grad_drops_graph_and_restores_on_exit():
+    w = Tensor(np.ones((2, 2), np.float32), requires_grad=True)
+    with no_grad():
+        y = relu(w * 2.0)
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("leaves the block early")
+    z = (w * 2.0).sum()
+    assert z.requires_grad
+    z.backward()
+    assert np.array_equal(w.grad, np.full((2, 2), 2.0, np.float32))
 
 
 def test_backward_requires_scalar():

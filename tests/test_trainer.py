@@ -1,9 +1,13 @@
 """Fold planning, normalization, sample prep, training loop, inference."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from conftest import build_case, build_prepared_samples
+from voxelpaint import trainer
+from voxelpaint.autodiff import Tensor, no_grad
 from voxelpaint.errors import ConfigError, DataError, NumericError
 from voxelpaint.checkpoint import load_checkpoint
 from voxelpaint.masks import make_training_sample
@@ -268,3 +272,37 @@ def test_infer_case_requires_models_and_matching_dims():
         infer_case(_fresh_model(), t1n,
                    MaskVolume(np.zeros((8, 8, 8), bool), role="combined"),
                    (8, 8, 8))
+
+
+# ---------------------------------------------------------------------------
+# No-grad evaluation
+# ---------------------------------------------------------------------------
+
+def test_no_grad_forward_builds_no_graph_and_matches():
+    (_, s), = build_prepared_samples(count=1)
+    model = _fresh_model()
+    x, m = Tensor(s.voided), Tensor(s.mask)
+    graph = model.forward(x, m, training=False)
+    with no_grad():
+        bare = model.forward(x, m, training=False)
+    assert graph.requires_grad and graph._parents
+    assert not bare.requires_grad
+    assert bare._parents == () and bare._backward is None
+    assert bare.data.tobytes() == graph.data.tobytes()
+    # leaving the block restores graph building
+    assert model.forward(x, m, training=False).requires_grad
+
+
+def test_validation_loss_and_inference_match_graph_building_path(monkeypatch):
+    samples = [s for _, s in build_prepared_samples(count=3)]
+    cfg = _quick_config()
+    t1n, _, tumor, healthy = build_case(4700)
+    combined = MaskVolume(tumor.bits | healthy.bits, role="combined")
+    models = [_fresh_model(seed=1), _fresh_model(seed=2)]
+
+    loss = validation_loss(models[0], samples, cfg)
+    inpainted = infer_case(models, t1n, combined, (16, 16, 16))
+    monkeypatch.setattr(trainer, "no_grad", contextlib.nullcontext)
+    assert validation_loss(models[0], samples, cfg) == loss
+    assert infer_case(models, t1n, combined, (16, 16, 16)).voxels.tobytes() == \
+        inpainted.voxels.tobytes()

@@ -1,6 +1,7 @@
-"""Volume containers, center crop, stitching, raw sidecars, NIfTI parsing."""
+"""Volume containers, center crop, stitching, NIfTI reading and writing."""
 
 import gzip
+import hashlib
 import struct
 
 import numpy as np
@@ -16,9 +17,7 @@ from voxelpaint.volume import (
     crop_center,
     crop_mask,
     make_crop_spec,
-    read_raw,
     stitch,
-    write_raw,
 )
 
 
@@ -126,39 +125,8 @@ def test_stitch_preserves_metadata_and_validates():
 
 
 # ---------------------------------------------------------------------------
-# Raw sidecar files
+# NIfTI
 # ---------------------------------------------------------------------------
-
-def test_raw_round_trip_and_layout(tmp_path):
-    rng = np.random.default_rng(41)
-    vol = Volume(rng.standard_normal((3, 4, 5)).astype(np.float32),
-                 domain="unit", max_intensity=77.5)
-    write_raw(vol, tmp_path / "case")
-    back = read_raw(tmp_path / "case")
-    assert np.array_equal(back.voxels, vol.voxels)
-    assert back.domain == "unit"
-    assert back.max_intensity == 77.5
-
-    raw = (tmp_path / "case.vraw").read_bytes()
-    assert struct.unpack("<III", raw[:12]) == (3, 4, 5)
-    # x varies fastest on disk: the first 3 floats walk voxels[:, 0, 0].
-    first = np.frombuffer(raw, dtype="<f4", count=3, offset=12)
-    assert np.array_equal(first, vol.voxels[:, 0, 0])
-
-
-def test_raw_rejects_inconsistent_files(tmp_path):
-    vol = Volume(np.zeros((2, 2, 2), np.float32))
-    write_raw(vol, tmp_path / "c")
-    data = (tmp_path / "c.vraw").read_bytes()
-    (tmp_path / "c.vraw").write_bytes(data[:-4])
-    with pytest.raises(DataError):
-        read_raw(tmp_path / "c")
-    (tmp_path / "c.vraw").write_bytes(data)
-    meta = (tmp_path / "c.vjson").read_text().replace("[\n    2,", "[\n    3,")
-    (tmp_path / "c.vjson").write_text(meta)
-    with pytest.raises(DataError):
-        read_raw(tmp_path / "c")
-
 
 def test_nifti_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(42)
@@ -190,11 +158,52 @@ def test_nifti_x_fastest_on_disk(tmp_path):
 
 def test_nifti_mask_round_trip(tmp_path):
     rng = np.random.default_rng(43)
-    bits = rng.random((4, 4, 4)) < 0.5
+    bits = rng.random((5, 4, 3)) < 0.5
     write_nifti_mask(MaskVolume(bits, role="healthy"), tmp_path / "m.nii.gz")
     back = read_nifti_mask(tmp_path / "m.nii.gz", role="healthy")
     assert np.array_equal(back.bits, bits)
     assert back.role == "healthy"
+    with gzip.open(tmp_path / "m.nii.gz", "rb") as fh:
+        raw = fh.read()
+    assert struct.unpack_from("<2h", raw, 70) == (2, 8)  # datatype uint8, bitpix 8
+    assert len(raw) == 352 + bits.size
+    on_disk = np.frombuffer(raw, dtype="u1", offset=352).reshape(3, 4, 5).transpose(2, 1, 0)
+    assert np.array_equal(on_disk, bits.astype(np.uint8))
+
+
+def test_nifti_float32_mask_from_older_writer_still_reads(tmp_path):
+    # earlier versions stored masks as gzipped float32 0.0/1.0 voxels
+    rng = np.random.default_rng(45)
+    bits = rng.random((5, 4, 3)) < 0.5
+    data = bits.astype(np.float32).transpose(2, 1, 0)
+    with gzip.GzipFile(tmp_path / "old.nii.gz", "wb", mtime=0) as fh:
+        fh.write(make_nifti_bytes((5, 4, 3), datatype=16, data=data))
+    back = read_nifti_mask(tmp_path / "old.nii.gz", role="healthy")
+    assert np.array_equal(back.bits, bits)
+
+
+def test_nifti_gzip_header_is_fixed_and_fastest_level(tmp_path):
+    # magic, deflate, no flags, mtime 0, XFL 4 (fastest level), OS 255 (unknown)
+    expected = bytes.fromhex("1f8b08000000000004ff")
+    write_nifti(Volume(np.ones((3, 4, 5), np.float32)), tmp_path / "v.nii.gz")
+    write_nifti_mask(MaskVolume(np.ones((3, 4, 5), bool)), tmp_path / "m.nii.gz")
+    assert (tmp_path / "v.nii.gz").read_bytes()[:10] == expected
+    assert (tmp_path / "m.nii.gz").read_bytes()[:10] == expected
+
+
+def test_nifti_gzip_level_leaves_voxel_bytes_unchanged(tmp_path):
+    # Level 1 decompresses to exactly the bytes the earlier level-9 writer
+    # produced (the digest was taken from that writer) and the plain file holds.
+    vox = (np.arange(24 * 20 * 16, dtype=np.float32).reshape(24, 20, 16)
+           * np.float32(0.37)) % np.float32(901.0)
+    vol = Volume(vox, affine_bytes=bytes(range(76)))
+    write_nifti(vol, tmp_path / "v.nii")
+    write_nifti(vol, tmp_path / "v.nii.gz")
+    with gzip.open(tmp_path / "v.nii.gz", "rb") as fh:
+        unzipped = fh.read()
+    assert hashlib.sha256(unzipped).hexdigest() == (
+        "ab9255af4f4646819c4b959035caab7625495f0ea627161ed71784e6f3a833aa")
+    assert unzipped == (tmp_path / "v.nii").read_bytes()
 
 
 def test_nifti_scl_slope_applied(tmp_path):
