@@ -19,7 +19,8 @@ from .dataset import (Manifest, ManifestEntry, load_manifest, read_sample,
                       sample_id, save_manifest, write_sample)
 from .errors import (CheckpointError, ConfigError, DataError, MaskPlacementError,
                      NiftiError, NumericError, ShapeError, VoxelPaintError)
-from .masks import (MaskGenParams, MaskVolume, generate_mask_set, make_training_sample)
+from .masks import (MASKS_PER_SCAN, MaskGenParams, MaskVolume, generate_mask_set,
+                    make_training_sample)
 from .metrics import (aggregate_stats, evaluate_case, region_max_intensity,
                       render_report_table, summary_to_dict, write_cases_csv)
 from .nifti import read_nifti, read_nifti_mask, write_nifti
@@ -40,6 +41,20 @@ _SCHEMAS = {
     "evaluate": {"required": ("pred_dir", "gt_dir", "out_dir"), "optional": ()},
     "report": {"required": ("summary",), "optional": ("out_dir",)},
 }
+
+
+def _typed(section: dict, key: str, default):
+    """section[key], or default when absent, converted to default's type.
+
+    A value that does not convert raises ConfigError naming the key, so a
+    malformed config exits 3 like any other invalid config.
+    """
+    value = section.get(key, default)
+    kind = type(default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key!r}: {value!r} is not a valid {kind.__name__}") from exc
 
 
 def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str | None) -> dict:
@@ -70,7 +85,7 @@ def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str |
         raise ConfigError(f"unknown keys in {command!r} section: {sorted(unknown)}")
 
     resolved = dict(section)
-    resolved["seed"] = int(seed_flag if seed_flag is not None else payload.get("seed", 0))
+    resolved["seed"] = seed_flag if seed_flag is not None else _typed(payload, "seed", 0)
     if out_flag is not None:
         resolved["out_dir"] = out_flag
     missing = [k for k in schema["required"] if k not in resolved]
@@ -104,10 +119,9 @@ def cmd_prepare(cfg: dict) -> int:
     input_dir = _require_dir(cfg["input_dir"], "input")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    params = MaskGenParams(margin=int(cfg.get("margin", 4)),
-                           volume_fraction=float(cfg.get("volume_fraction", 1.0)),
-                           max_attempts=int(cfg.get("max_attempts", 100)))
-    variants = int(cfg.get("variants", 5))
+    params = MaskGenParams(**{key: _typed(cfg, key, getattr(MaskGenParams, key))
+                              for key in ("margin", "volume_fraction", "max_attempts")})
+    variants = _typed(cfg, "variants", MASKS_PER_SCAN)
     seed = cfg["seed"]
 
     t1n_paths = sorted(set(input_dir.glob("*-t1n.nii")) | set(input_dir.glob("*-t1n.nii.gz")))
@@ -153,21 +167,9 @@ def cmd_train(cfg: dict) -> int:
     dataset_dir = _require_dir(cfg["dataset_dir"], "dataset")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = TrainConfig(
-        epochs=int(cfg.get("epochs", 500)),
-        folds=int(cfg.get("folds", 5)),
-        lr=float(cfg.get("lr", 1e-4)),
-        beta1=float(cfg.get("beta1", 0.9)),
-        beta2=float(cfg.get("beta2", 0.999)),
-        lambda_mae=float(cfg.get("lambda_mae", 1.0)),
-        lambda_ssim=float(cfg.get("lambda_ssim", 1.0)),
-        batch_size=int(cfg.get("batch_size", 1)),
-        seed=cfg["seed"],
-        crop_dims=tuple(cfg.get("crop_dims", (208, 208, 144))),
-        base_channels=int(cfg.get("base_channels", 32)),
-        dropout_rate=float(cfg.get("dropout_rate", 0.2)),
-        mae_region=str(cfg.get("mae_region", "non_tumor")),
-    )
+    config = TrainConfig(seed=cfg["seed"],
+                         **{key: _typed(cfg, key, getattr(TrainConfig, key))
+                            for key in _SCHEMAS["train"]["optional"]})
 
     manifest = load_manifest(dataset_dir)
     if not manifest.samples:
@@ -195,10 +197,9 @@ def cmd_infer(cfg: dict) -> int:
     dataset_dir = _require_dir(cfg["dataset_dir"], "dataset")
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    crop_dims = tuple(cfg.get("crop_dims", (208, 208, 144)))
+    crop_dims = _typed(cfg, "crop_dims", TrainConfig.crop_dims)
     ckpt_paths = cfg["checkpoints"]
-    if isinstance(ckpt_paths, str):
-        ckpt_paths = [ckpt_paths]
+    ckpt_paths = [ckpt_paths] if isinstance(ckpt_paths, str) else _typed(cfg, "checkpoints", [])
     if not ckpt_paths:
         raise ConfigError("infer needs at least one checkpoint path")
     models = []

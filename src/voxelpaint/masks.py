@@ -36,44 +36,31 @@ class MaskGenParams:
 # -- morphology ---------------------------------------------------------------
 #
 # The structuring element is the Chebyshev ball (a cube of side 2r+1),
-# which factors into three 1-D sweeps. Outside the array counts as empty.
-
-
-def _sweep(bits: np.ndarray, radius: int, axis: int, combine) -> np.ndarray:
-    out = bits.copy()
-    for s in range(1, radius + 1):
-        lead = np.take(bits, range(s, bits.shape[axis]), axis=axis)
-        trail = np.take(bits, range(0, bits.shape[axis] - s), axis=axis)
-        pad = [(0, 0)] * bits.ndim
-        pad[axis] = (0, s)
-        combine(out, np.pad(lead, pad, constant_values=False))
-        pad[axis] = (s, 0)
-        combine(out, np.pad(trail, pad, constant_values=False))
-    return out
-
-
-def _dilate_with(acc, shifted):
-    np.logical_or(acc, shifted, out=acc)
-
-
-def _erode_with(acc, shifted):
-    np.logical_and(acc, shifted, out=acc)
+# which factors into one 1-D sweep per axis. One kernel serves both
+# operations: erosion is the complement of the dilated complement, and the
+# complement is padded with True so that outside the array counts as empty.
 
 
 def dilate(bits: np.ndarray, radius: int) -> np.ndarray:
     """Grow a boolean mask by a Chebyshev radius."""
-    out = np.asarray(bits, dtype=bool)
+    # a C-order copy, so that the shifted operands below share one layout
+    # (masks read from NIfTI arrive in Fortran order)
+    out = np.array(bits, dtype=bool, order="C")
     for axis in range(out.ndim):
-        out = _sweep(out, radius, axis, _dilate_with)
+        dst, src = np.moveaxis(out, axis, 0), np.moveaxis(out.copy(), axis, 0)
+        # shifts of the extent or more reach nothing
+        for s in range(1, min(radius, dst.shape[0] - 1) + 1):
+            dst[:-s] |= src[s:]
+            dst[s:] |= src[:-s]
     return out
 
 
 def erode(bits: np.ndarray, radius: int) -> np.ndarray:
     """Shrink a boolean mask by a Chebyshev radius; borders erode too."""
-    out = np.asarray(bits, dtype=bool)
-    for axis in range(out.ndim):
-        out = _sweep(out, radius, axis, _erode_with)
-    return out
+    # one ring of padding is enough: every outside voxel within the radius
+    # has a ring voxel at least as close
+    grown = dilate(np.pad(~np.asarray(bits, dtype=bool), 1, constant_values=True), radius)
+    return ~grown[(slice(1, -1),) * grown.ndim]
 
 
 # -- placement ----------------------------------------------------------------
@@ -100,26 +87,16 @@ def _shrink_to_fraction(block: np.ndarray, fraction: float) -> np.ndarray:
     return block
 
 
-def sample_healthy_mask(brain: MaskVolume, tumor: MaskVolume, params: MaskGenParams,
-                        rng: np.random.Generator) -> MaskVolume:
-    """Translate the tumor shape to a random legal spot.
+def sample_healthy_mask(brain: MaskVolume, forbidden: np.ndarray, block: np.ndarray,
+                        params: MaskGenParams, rng: np.random.Generator) -> MaskVolume:
+    """Translate the shape ``block`` to a random legal spot.
 
-    Legal means: nonempty, fully inside the brain, and disjoint from the
-    tumor dilated by the separation margin. After max_attempts failures
-    the shape is eroded one step and the attempts start over; an empty
-    shape means placement failed.
+    Legal means: nonempty, fully inside the brain, and disjoint from
+    ``forbidden`` (the tumor dilated by the separation margin). After
+    max_attempts failures the shape is eroded one step and the attempts
+    start over; an empty shape means placement failed.
     """
-    if brain.dims != tumor.dims:
-        raise ShapeError(f"brain dims {brain.dims} and tumor dims {tumor.dims} disagree")
-    if not brain.bits.any():
-        raise DataError("brain mask is empty")
-    if np.any(tumor.bits & ~brain.bits):
-        raise DataError("tumor mask leaves the brain mask")
-
     dims = brain.dims
-    forbidden = dilate(tumor.bits, params.margin)
-    block = _shrink_to_fraction(_shape_block(tumor.bits), params.volume_fraction)
-
     while block.any():
         ext = block.shape
         if all(e <= d for e, d in zip(ext, dims)):
@@ -196,13 +173,21 @@ def generate_mask_set(brain: MaskVolume, tumor: MaskVolume, params: MaskGenParam
     Each draw places, augments, clips to the brain, and re-checks the
     margin; an augmented mask that ends up empty or tumor-adjacent costs
     one attempt and is redrawn. Either all masks succeed or the scan
-    fails as a whole.
+    fails as a whole. The tumor is dilated and its shape block cut out
+    once per scan; every placement attempt reuses them.
     """
+    if brain.dims != tumor.dims:
+        raise ShapeError(f"brain dims {brain.dims} and tumor dims {tumor.dims} disagree")
+    if not brain.bits.any():
+        raise DataError("brain mask is empty")
+    if np.any(tumor.bits & ~brain.bits):
+        raise DataError("tumor mask leaves the brain mask")
     forbidden = dilate(tumor.bits, params.margin)
+    block = _shrink_to_fraction(_shape_block(tumor.bits), params.volume_fraction)
     out: list[MaskVolume] = []
     for index in range(count):
         for _ in range(params.max_attempts):
-            placed = sample_healthy_mask(brain, tumor, params, rng)
+            placed = sample_healthy_mask(brain, forbidden, block, params, rng)
             candidate = augment_mask(placed, rng)
             clipped = candidate.bits & brain.bits
             if clipped.any() and not (clipped & forbidden).any():
@@ -225,8 +210,7 @@ def void_image(image: Volume, combined: MaskVolume) -> Volume:
     fill = np.float32(-1.0 if image.domain == "signed-unit" else 0.0)
     voxels = image.voxels.copy()
     voxels[combined.bits] = fill
-    return Volume(voxels, domain=image.domain, max_intensity=image.max_intensity,
-                  affine_bytes=image.affine_bytes)
+    return Volume(voxels, domain=image.domain, affine_bytes=image.affine_bytes)
 
 
 @dataclass

@@ -109,7 +109,7 @@ def kfold_split(case_ids: list[str], k: int, seed: int) -> FoldPlan:
 def normalize_two_stage(volume: Volume) -> tuple[Volume, float]:
     """Map raw intensities to [-1, 1]: divide by the max, then 2v - 1.
 
-    Zero maps to -1 and the maximum voxel to +1. The recorded max
+    Zero maps to -1 and the maximum voxel to +1. The returned max
     inverts the mapping later.
     """
     vmax = float(volume.voxels.max())
@@ -117,8 +117,7 @@ def normalize_two_stage(volume: Volume) -> tuple[Volume, float]:
         raise DataError(f"volume max {vmax} must be positive to normalize")
     scaled = volume.voxels * np.float32(1.0 / vmax)
     signed = scaled * np.float32(2.0) - np.float32(1.0)
-    return Volume(signed, domain="signed-unit", max_intensity=vmax,
-                  affine_bytes=volume.affine_bytes), vmax
+    return Volume(signed, domain="signed-unit", affine_bytes=volume.affine_bytes), vmax
 
 
 def denormalize(voxels: np.ndarray, vmax: float) -> np.ndarray:

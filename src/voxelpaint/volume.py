@@ -20,7 +20,6 @@ MASK_ROLES = ("healthy", "unhealthy", "combined", "brain")
 class Volume:
     voxels: np.ndarray
     domain: str = "raw"
-    max_intensity: float | None = None
     affine_bytes: bytes | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -87,8 +86,7 @@ def _crop_slices(spec: CropSpec):
 
 def crop_center(volume: Volume, target_dims) -> tuple[Volume, CropSpec]:
     spec = make_crop_spec(volume.dims, target_dims)
-    cropped = Volume(volume.voxels[_crop_slices(spec)].copy(),
-                     domain=volume.domain, max_intensity=volume.max_intensity)
+    cropped = Volume(volume.voxels[_crop_slices(spec)].copy(), domain=volume.domain)
     return cropped, spec
 
 
@@ -113,5 +111,4 @@ def stitch(original: Volume, prediction: Volume, mask: MaskVolume, spec: CropSpe
     out = original.voxels.copy()
     region = out[_crop_slices(spec)]
     region[mask.bits] = prediction.voxels[mask.bits]
-    return Volume(out, domain=original.domain, max_intensity=original.max_intensity,
-                  affine_bytes=original.affine_bytes)
+    return Volume(out, domain=original.domain, affine_bytes=original.affine_bytes)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from voxelpaint.autodiff import Tensor
-from voxelpaint.masks import MaskGenParams, make_training_sample, sample_healthy_mask
+from voxelpaint.masks import (MaskGenParams, _shape_block, _shrink_to_fraction, dilate,
+                              make_training_sample, sample_healthy_mask)
 from voxelpaint.nifti import write_nifti, write_nifti_mask
 from voxelpaint.trainer import prepare_sample
 from voxelpaint.volume import MaskVolume, Volume
@@ -253,6 +254,12 @@ def ball(n, center, r):
     return d2 <= r * r
 
 
+def placement_inputs(tumor, params):
+    """The per-scan (forbidden, block) pair generate_mask_set hands to sample_healthy_mask."""
+    block = _shrink_to_fraction(_shape_block(tumor.bits), params.volume_fraction)
+    return dilate(tumor.bits, params.margin), block
+
+
 def build_case(seed, n=16, margin=1):
     """One synthetic case: scan, brain, tumor, and a sampled healthy mask."""
     rng = np.random.default_rng(seed)
@@ -265,7 +272,7 @@ def build_case(seed, n=16, margin=1):
     tumor = MaskVolume(tumor_bits, role="unhealthy")
     brain = MaskVolume(brain_bits, role="brain")
     params = MaskGenParams(margin=margin, max_attempts=100)
-    healthy = sample_healthy_mask(brain, tumor, params, rng)
+    healthy = sample_healthy_mask(brain, *placement_inputs(tumor, params), params, rng)
     return t1n, brain, tumor, healthy
 
 

@@ -9,7 +9,8 @@ import pytest
 from conftest import make_input_dir, write_config
 from voxelpaint import cli
 from voxelpaint.dataset import load_manifest
-from voxelpaint.nifti import read_nifti, write_nifti
+from voxelpaint.nifti import read_nifti, write_nifti, write_nifti_mask
+from voxelpaint.volume import MaskVolume, Volume
 
 
 @pytest.fixture(scope="session")
@@ -94,6 +95,26 @@ def test_missing_required_key_exits_3(tmp_path, capsys):
     config = write_config(tmp_path / "c.json", {"prepare": {"input_dir": "x"}})
     assert cli.main(["prepare", "--config", config]) == 3
     assert "out_dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section, top", [
+    ("train", {"epochs": "abc"}, {}),
+    ("train", {"crop_dims": 5}, {}),
+    ("infer", {"checkpoints": 5}, {}),
+    ("prepare", {"margin": None}, {}),
+    ("prepare", {}, {"seed": "x"}),
+], ids=["epochs", "crop_dims", "checkpoints", "margin", "seed"])
+def test_malformed_config_value_exits_3(tmp_path, capsys, command, section, top):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    required = {"prepare": {"input_dir": str(data_dir)},
+                "train": {"dataset_dir": str(data_dir)},
+                "infer": {"dataset_dir": str(data_dir), "checkpoints": []}}[command]
+    config = write_config(tmp_path / "c.json", {
+        **top, command: {**required, "out_dir": str(tmp_path / "out"), **section}})
+    assert cli.main([command, "--config", config]) == 3
+    key = next(iter(section or top))
+    assert f"config key {key!r}" in capsys.readouterr().err
 
 
 def test_resolved_config_is_echoed_and_saved(tmp_path, capsys):
@@ -189,6 +210,27 @@ def test_prepare_skips_case_with_non_finite_scan(tmp_path, capsys):
     assert "NaN or infinite" in manifest.skipped[0]["reason"]
     assert not list(out_dir.glob("case01-*"))
     assert "1 case(s) skipped" in capsys.readouterr().out
+
+
+def test_prepare_thin_scan_below_margin(tmp_path, capsys):
+    # three slices against the default margin of 4: the dilation radius
+    # exceeds the z extent
+    input_dir = tmp_path / "scans"
+    input_dir.mkdir()
+    rng = np.random.default_rng(460)
+    voxels = (100.0 + 900.0 * rng.random((40, 40, 3))).astype(np.float32)
+    tumor = np.zeros((40, 40, 3), dtype=bool)
+    tumor[6:10, 6:10, 1] = True
+    write_nifti(Volume(voxels), input_dir / "thin-t1n.nii.gz")
+    write_nifti_mask(MaskVolume(tumor, role="unhealthy"), input_dir / "thin-mask-unhealthy.nii.gz")
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", {
+        "prepare": {"input_dir": str(input_dir), "out_dir": str(out_dir)}})
+    assert cli.main(["prepare", "--config", config]) == 0
+    manifest = load_manifest(out_dir)
+    assert len(manifest.samples) == 5
+    assert manifest.skipped == []
+    assert "prepared 5 samples" in capsys.readouterr().out
 
 
 def test_prepare_without_scans_exits_2(tmp_path):

@@ -1,9 +1,11 @@
 """Morphology, healthy-mask placement, augmentation geometry, voiding."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from conftest import ball, build_case, dilate_oracle, erode_oracle
+from conftest import ball, build_case, dilate_oracle, erode_oracle, placement_inputs
 from voxelpaint.errors import DataError, MaskPlacementError, ShapeError
 from voxelpaint.masks import (
     MaskGenParams,
@@ -29,6 +31,11 @@ def test_dilate_matches_oracle():
         bits = rng.random((7, 8, 6)) < 0.15
         for radius in (1, 2, 3):
             assert np.array_equal(dilate(bits, radius), dilate_oracle(bits, radius))
+    # radii at and beyond an axis extent
+    for shape in ((2, 1, 1), (1, 5, 3), (3, 2, 5)):
+        bits = rng.random(shape) < 0.4
+        for radius in (2, 3, 7):
+            assert np.array_equal(dilate(bits, radius), dilate_oracle(bits, radius)), (shape, radius)
 
 
 def test_erode_matches_oracle():
@@ -37,6 +44,11 @@ def test_erode_matches_oracle():
         bits = rng.random((7, 8, 6)) < 0.7
         for radius in (1, 2):
             assert np.array_equal(erode(bits, radius), erode_oracle(bits, radius))
+    # radii at and beyond an axis extent
+    for shape in ((2, 1, 1), (1, 5, 3), (3, 2, 5), (7, 8, 6)):
+        bits = rng.random(shape) < 0.8
+        for radius in (2, 3, 7):
+            assert np.array_equal(erode(bits, radius), erode_oracle(bits, radius)), (shape, radius)
 
 
 def test_erode_shrinks_from_array_borders():
@@ -152,27 +164,32 @@ def test_sampled_mask_satisfies_all_placement_rules():
 def test_sample_healthy_mask_is_deterministic():
     _, brain, tumor, _ = build_case(3100)
     params = MaskGenParams(margin=1)
-    a = sample_healthy_mask(brain, tumor, params, np.random.default_rng(5))
-    b = sample_healthy_mask(brain, tumor, params, np.random.default_rng(5))
+    forbidden, block = placement_inputs(tumor, params)
+    a = sample_healthy_mask(brain, forbidden, block, params, np.random.default_rng(5))
+    b = sample_healthy_mask(brain, forbidden, block, params, np.random.default_rng(5))
     assert np.array_equal(a.bits, b.bits)
 
 
 def test_sample_healthy_mask_volume_fraction():
     _, brain, tumor, _ = build_case(3200)
     params = MaskGenParams(margin=1, volume_fraction=0.5)
-    healthy = sample_healthy_mask(brain, tumor, params, np.random.default_rng(6))
+    healthy = sample_healthy_mask(brain, *placement_inputs(tumor, params), params,
+                                  np.random.default_rng(6))
     assert 0 < healthy.count() <= tumor.count()
 
 
-def test_sample_healthy_mask_validates_inputs():
+def test_generate_mask_set_validates_inputs():
     brain = MaskVolume(np.zeros((8, 8, 8), bool), role="brain")
     tumor = MaskVolume(np.zeros((8, 8, 8), bool), role="unhealthy")
     with pytest.raises(DataError):
-        sample_healthy_mask(brain, tumor, MaskGenParams(), np.random.default_rng(0))
+        generate_mask_set(brain, tumor, MaskGenParams(), np.random.default_rng(0))
     brain2 = MaskVolume(ball(8, (3.5,) * 3, 2.0), role="brain")
     outside = MaskVolume(~brain2.bits, role="unhealthy")
     with pytest.raises(DataError):
-        sample_healthy_mask(brain2, outside, MaskGenParams(), np.random.default_rng(0))
+        generate_mask_set(brain2, outside, MaskGenParams(), np.random.default_rng(0))
+    small = MaskVolume(np.zeros((8, 8, 7), bool), role="unhealthy")
+    with pytest.raises(ShapeError):
+        generate_mask_set(brain2, small, MaskGenParams(), np.random.default_rng(0))
 
 
 def test_placement_fails_when_brain_equals_forbidden_zone():
@@ -181,8 +198,10 @@ def test_placement_fails_when_brain_equals_forbidden_zone():
     bits = ball(10, (4.5,) * 3, 3.0)
     brain = MaskVolume(bits, role="brain")
     tumor = MaskVolume(bits.copy(), role="unhealthy")
+    params = MaskGenParams(margin=2)
     with pytest.raises(MaskPlacementError):
-        sample_healthy_mask(brain, tumor, MaskGenParams(margin=2), np.random.default_rng(1))
+        sample_healthy_mask(brain, *placement_inputs(tumor, params), params,
+                            np.random.default_rng(1))
 
 
 def test_erosion_fallback_places_shrunken_shape():
@@ -198,7 +217,8 @@ def test_erosion_fallback_places_shrunken_shape():
     brain = MaskVolume(brain_bits, role="brain")
     tumor = MaskVolume(tumor_bits, role="unhealthy")
     params = MaskGenParams(margin=1, max_attempts=100)
-    healthy = sample_healthy_mask(brain, tumor, params, np.random.default_rng(2))
+    healthy = sample_healthy_mask(brain, *placement_inputs(tumor, params), params,
+                                  np.random.default_rng(2))
     assert 0 < healthy.count() < tumor.count()
     # Only the eroded 10 x 10 x 3 block fits, and only inside slab B.
     assert healthy.count() == 10 * 10 * 3
@@ -226,6 +246,20 @@ def test_generate_mask_set_deterministic():
     b = generate_mask_set(brain, tumor, params, np.random.default_rng(8), count=3)
     for ma, mb in zip(a, b):
         assert np.array_equal(ma.bits, mb.bits)
+
+
+# sha256 of the concatenated mask bits, computed before per-scan placement
+# work moved out of sample_healthy_mask; any change to the RNG stream or to
+# a placement shows here
+@pytest.mark.parametrize("seed, margin, fraction, count, rng_seed, digest", [
+    (3300, 1, 1.0, 5, 7, "b7e64f333112e58ab2bcad3fe11b1fed91d54cbbccfaee513aca5638bb20e53e"),
+    (3400, 2, 0.5, 3, 8, "057ed097fbc8964ab639a17ccaa3021daf25299953752bad3461e2651e9b2692"),
+])
+def test_generate_mask_set_pinned_output(seed, margin, fraction, count, rng_seed, digest):
+    _, brain, tumor, _ = build_case(seed)
+    params = MaskGenParams(margin=margin, volume_fraction=fraction)
+    masks = generate_mask_set(brain, tumor, params, np.random.default_rng(rng_seed), count=count)
+    assert hashlib.sha256(b"".join(m.bits.tobytes() for m in masks)).hexdigest() == digest
 
 
 def test_augment_mask_deterministic_and_role_preserving():

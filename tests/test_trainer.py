@@ -74,7 +74,6 @@ def test_normalize_maps_to_signed_unit():
     assert vmax == 1000.0
     assert normed.domain == "signed-unit"
     assert np.allclose(normed.voxels.ravel(), [-1.0, 0.0, 1.0])
-    assert normed.max_intensity == 1000.0
 
 
 def test_normalize_round_trip_within_relative_tolerance():

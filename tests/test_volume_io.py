@@ -61,11 +61,10 @@ def test_crop_spec_floor_on_odd_differences():
 
 def test_crop_center_extracts_expected_block():
     data = np.arange(5 * 6 * 7, dtype=np.float32).reshape(5, 6, 7)
-    vol = Volume(data, domain="raw", max_intensity=123.0)
+    vol = Volume(data, domain="raw")
     cropped, spec = crop_center(vol, (3, 4, 5))
     sx, sy, sz = spec.starts
     assert np.array_equal(cropped.voxels, data[sx:sx + 3, sy:sy + 4, sz:sz + 5])
-    assert cropped.max_intensity == 123.0
     assert cropped.domain == "raw"
 
 
@@ -110,13 +109,11 @@ def test_stitch_replaces_only_masked_voxels_randomized():
 
 
 def test_stitch_preserves_metadata_and_validates():
-    original = Volume(np.zeros((6, 6, 6), np.float32), max_intensity=9.0,
-                      affine_bytes=bytes(range(76)))
+    original = Volume(np.zeros((6, 6, 6), np.float32), affine_bytes=bytes(range(76)))
     spec = make_crop_spec((6, 6, 6), (4, 4, 4))
     pred = Volume(np.ones((4, 4, 4), np.float32))
     mask = MaskVolume(np.ones((4, 4, 4), bool), role="combined")
     out = stitch(original, pred, mask, spec)
-    assert out.max_intensity == 9.0
     assert out.affine_bytes == bytes(range(76))
     with pytest.raises(ShapeError):
         stitch(original, Volume(np.ones((3, 3, 3), np.float32)), mask, spec)
