@@ -43,18 +43,32 @@ _SCHEMAS = {
 }
 
 
-def _typed(section: dict, key: str, default):
+def _typed(section: dict, key: str, default, element=None):
     """section[key], or default when absent, converted to default's type.
 
-    A value that does not convert raises ConfigError naming the key, so a
-    malformed config exits 3 like any other invalid config.
+    A tuple or list value is converted element by element, to ``element``
+    or else to the type of default's first element; a string is not taken
+    for a sequence, and only a string converts to str. A value that does
+    not convert raises ConfigError naming the key, so a malformed config
+    exits 3 like any other invalid config.
     """
     value = section.get(key, default)
     kind = type(default)
     try:
-        return kind(value)
+        if kind in (tuple, list):
+            if isinstance(value, str):
+                raise TypeError("a string is not a sequence")
+            item = element or type(default[0])
+            return kind(_strict(item, v) for v in value)
+        return _strict(kind, value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r}: {value!r} is not a valid {kind.__name__}") from exc
+
+
+def _strict(kind, value):
+    if kind is str and not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return kind(value)
 
 
 def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str | None) -> dict:
@@ -102,7 +116,8 @@ def _echo_config(resolved: dict) -> None:
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "resolved_config.json").write_text(text + "\n")
+        with atomic_open(out / "resolved_config.json") as fh:
+            fh.write(text + "\n")
 
 
 def _require_dir(path_str: str, what: str) -> Path:
@@ -199,7 +214,7 @@ def cmd_infer(cfg: dict) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     crop_dims = _typed(cfg, "crop_dims", TrainConfig.crop_dims)
     ckpt_paths = cfg["checkpoints"]
-    ckpt_paths = [ckpt_paths] if isinstance(ckpt_paths, str) else _typed(cfg, "checkpoints", [])
+    ckpt_paths = [ckpt_paths] if isinstance(ckpt_paths, str) else _typed(cfg, "checkpoints", [], element=str)
     if not ckpt_paths:
         raise ConfigError("infer needs at least one checkpoint path")
     models = []
@@ -276,7 +291,8 @@ def cmd_report(cfg: dict) -> int:
     print(table, end="")
     out_dir = cfg.get("out_dir")
     if out_dir:
-        (Path(out_dir) / "report.txt").write_text(table)
+        with atomic_open(Path(out_dir) / "report.txt") as fh:
+            fh.write(table)
     return 0
 
 

@@ -52,14 +52,13 @@ def _read_bytes(path: Path) -> bytes:
     return path.read_bytes()
 
 
-def read_nifti(path) -> Volume:
-    """Parse one scan into a raw-domain Volume.
+def _read_stored(path: Path):
+    """Parse one file: the raw bytes, the voxels as stored in [x, y, z]
+    order (a view on the bytes), and scl_slope and scl_inter.
 
     Raises NiftiError with code bad_header, bad_magic, bad_datatype,
-    bad_dims, truncated, or non_finite (a NaN or infinite voxel, which
-    would poison normalization and every loss downstream).
+    bad_dims or truncated.
     """
-    path = Path(path)
     raw = _read_bytes(path)
     if len(raw) < HEADER_SIZE:
         raise NiftiError("truncated", f"{path} holds {len(raw)} bytes, header needs {HEADER_SIZE}")
@@ -90,20 +89,50 @@ def read_nifti(path) -> Volume:
     if len(raw) < need:
         raise NiftiError("truncated", f"{path} holds {len(raw)} bytes, voxel data needs {need}")
     flat = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    voxels = flat.reshape(dz, dy, dx).transpose(2, 1, 0).astype(np.float32)
+    return raw, flat.reshape(dz, dy, dx).transpose(2, 1, 0), slope, inter
+
+
+def _scaled(path: Path, stored: np.ndarray, slope: float, inter: float) -> np.ndarray:
+    """Stored voxels as float32 with scl_slope and scl_inter applied.
+
+    Raises NiftiError non_finite on a NaN or infinite voxel, which would
+    poison normalization and every loss downstream.
+    """
+    voxels = stored.astype(np.float32)
     if slope != 0.0:
         voxels = voxels * np.float32(slope) + np.float32(inter)
     finite = np.isfinite(voxels)
     if not finite.all():
         bad = finite.size - np.count_nonzero(finite)
         raise NiftiError("non_finite", f"{path}: {bad} voxel(s) are NaN or infinite")
-    return Volume(voxels, domain="raw", affine_bytes=raw[_OFF_AFFINE:_END_AFFINE])
+    return voxels
+
+
+def read_nifti(path) -> Volume:
+    """Parse one scan into a raw-domain Volume.
+
+    Raises NiftiError with code bad_header, bad_magic, bad_datatype,
+    bad_dims, truncated, or non_finite.
+    """
+    path = Path(path)
+    raw, stored, slope, inter = _read_stored(path)
+    return Volume(_scaled(path, stored, slope, inter), domain="raw",
+                  affine_bytes=raw[_OFF_AFFINE:_END_AFFINE])
 
 
 def read_nifti_mask(path, role: str) -> MaskVolume:
-    """Read a binary mask; any voxel above 0.5 counts as set."""
-    vol = read_nifti(path)
-    return MaskVolume(vol.voxels > 0.5, role=role)
+    """Read a binary mask; any voxel whose scaled value is above 0.5 counts as set.
+
+    Unscaled integer voxels, as this package writes them, go straight to
+    bits: for an integer, v > 0.5 is v > 0. Float voxels (masks written by
+    older versions) and scaled ones go through the float32 scan path, so
+    the threshold and the non_finite check are exactly read_nifti's.
+    """
+    path = Path(path)
+    _, stored, slope, inter = _read_stored(path)
+    if stored.dtype.kind in "iu" and (slope == 0.0 or (slope == 1.0 and inter == 0.0)):
+        return MaskVolume(stored > 0, role=role)
+    return MaskVolume(_scaled(path, stored, slope, inter) > 0.5, role=role)
 
 
 def write_nifti(volume: Volume, path) -> None:

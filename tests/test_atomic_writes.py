@@ -1,14 +1,17 @@
 """Outputs are written atomically: a failure mid-write keeps the old file."""
 
 import builtins
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from voxelpaint import util
+from voxelpaint import cli, util
 from voxelpaint.checkpoint import save_checkpoint
 from voxelpaint.dataset import Manifest, ManifestEntry, save_manifest
-from voxelpaint.metrics import CaseMetrics, write_cases_csv
+from voxelpaint.metrics import CaseMetrics, aggregate_stats, summary_to_dict, write_cases_csv
 from voxelpaint.nifti import write_nifti, write_nifti_mask
 from voxelpaint.unet import UNetConfig, build_unet
 from voxelpaint.volume import MaskVolume, Volume
@@ -47,6 +50,14 @@ def _case(ssim):
     return CaseMetrics(case_id="c0", ssim=ssim, psnr=30.0, mse=0.1, rmse=0.3, region_voxels=9)
 
 
+def _report(v, path):
+    # the summary lives elsewhere, so path's directory holds only the report
+    with tempfile.TemporaryDirectory() as tmp:
+        summary = Path(tmp) / "summary.json"
+        summary.write_text(json.dumps(summary_to_dict(aggregate_stats([_case(0.5 + 0.1 * v)]))))
+        cli.cmd_report({"summary": str(summary), "out_dir": str(path.parent)})
+
+
 # (file name, writer of version `v` of that file at the given path)
 WRITERS = [
     ("v.nii.gz", lambda v, path: write_nifti(_scan(v), path)),
@@ -57,6 +68,8 @@ WRITERS = [
     ("manifest.json", lambda v, path: save_manifest(
         Manifest(seed=v, samples=[ManifestEntry("c0", 0, "c0-m0", "c0-m0", v)]), path.parent)),
     ("cases.csv", lambda v, path: write_cases_csv([_case(0.5 + 0.1 * v)], path)),
+    ("resolved_config.json", lambda v, path: cli._echo_config({"seed": v, "out_dir": str(path.parent)})),
+    ("report.txt", _report),
 ]
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (away_from_zero, conv3d_oracle, conv3d_vjp_oracle, gradcheck, leaf,
                       separated_pool_input)
+from voxelpaint import autodiff
 from voxelpaint.autodiff import (
     Tensor,
     blur3d,
@@ -294,6 +295,93 @@ def test_conv3d_forward_memory_stays_linear_in_output():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * out.data.nbytes, f"peak {peak / out.data.nbytes:.1f}x the output"
+
+
+# -- the blocked tap walk -------------------------------------------------------
+#
+# _tap_conv and the grad-weight loop walk the flattened grid in blocks of
+# about BLOCK // (n * (cin + cout) * itemsize) columns. At test sizes the
+# default gives one block, so these tests shrink the target to 13 columns.
+# The helper checks that the forward span then splits into several blocks
+# whose width does not divide it, so block edges fall mid-row and the last
+# block is short.
+
+SHORT_BLOCK = 13
+
+
+def _short_blocks(monkeypatch, n, cin, cout, dtype, padded, kernel):
+    itemsize = np.dtype(dtype).itemsize
+    monkeypatch.setattr(autodiff, "BLOCK", SHORT_BLOCK * n * (cin + cout) * itemsize)
+    span = autodiff._taps(padded, kernel)[1]
+    cols = autodiff._block_columns(span, n, cin, cout, itemsize)
+    assert cols < span and span % cols, f"span {span} splits evenly into blocks of {cols}"
+
+
+@pytest.mark.parametrize("k,p", [(1, 0), (3, 0), (3, 1)])
+def test_conv3d_short_blocks_match_oracles(monkeypatch, k, p):
+    rng = np.random.default_rng(60 + 10 * k + p)
+    _short_blocks(monkeypatch, 2, 2, 3, np.float32, (4 + 2 * p, 5 + 2 * p, 6 + 2 * p), (k, k, k))
+    x = Tensor(rng.uniform(-1, 1, (2, 2, 4, 5, 6)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (3, 2, k, k, k)).astype(np.float32), requires_grad=True)
+    b = rng.uniform(-1, 1, 3).astype(np.float32)
+    out = conv3d(x, w, Tensor(b), padding=p)
+    assert np.max(np.abs(out.data - conv3d_oracle(x.data, w.data, b, padding=p))) <= 1e-5
+    g = rng.uniform(-1, 1, out.shape).astype(np.float32)
+    (out * Tensor(g)).sum().backward()
+    gx_ref, gw_ref = conv3d_vjp_oracle(x.data, w.data, g, padding=p)
+    assert np.max(np.abs(x.grad - gx_ref)) <= 1e-5
+    assert np.max(np.abs(w.grad - gw_ref)) <= 1e-5
+
+
+def test_gradcheck_conv3d_short_blocks(monkeypatch):
+    rng = np.random.default_rng(61)
+    _short_blocks(monkeypatch, 2, 2, 3, np.float64, (6, 7, 8), (3, 3, 3))
+    x = leaf(rng, (2, 2, 4, 5, 6))
+    w = leaf(rng, (3, 2, 3, 3, 3), scale=0.5)
+    b = leaf(rng, (3,), scale=0.5)
+    probe = leaf(rng, (2, 3, 4, 5, 6))
+
+    def build():
+        return (conv3d(x, w, b, padding=1) * probe).mean()
+
+    worst = gradcheck(build, [x, w, b], rng, n_samples=20, h=H)
+    assert worst <= RTOL, f"conv3d short-block gradcheck rel err {worst:.3e}"
+
+
+def test_gradcheck_blur3d_short_blocks(monkeypatch):
+    # blur3d runs its [N,C] slices as N*C one-channel images: n=2, cin=cout=1;
+    # the check covers the first pass, along D
+    rng = np.random.default_rng(62)
+    _short_blocks(monkeypatch, 2, 1, 1, np.float64, (7, 6, 8), (3, 1, 1))
+    x = leaf(rng, (2, 1, 7, 6, 8))
+    taps = np.array([0.2, 0.5, 0.3])
+    probe = leaf(rng, (2, 1, 5, 4, 6))
+
+    def build():
+        return (blur3d(x, taps) * probe).mean()
+
+    worst = gradcheck(build, [x], rng, n_samples=20, h=H)
+    assert worst <= RTOL, f"blur3d short-block gradcheck rel err {worst:.3e}"
+
+
+def test_conv3d_default_blocks_are_deterministic():
+    # 8+8 f32 rows: 8192 columns a block at the default, two blocks on this grid
+    rng = np.random.default_rng(63)
+    x0 = rng.standard_normal((1, 8, 24, 24, 24)).astype(np.float32)
+    w0 = rng.standard_normal((8, 8, 3, 3, 3)).astype(np.float32)
+    b0 = rng.standard_normal(8).astype(np.float32)
+    g = rng.standard_normal((1, 8, 24, 24, 24)).astype(np.float32)
+    span = autodiff._taps((26, 26, 26), (3, 3, 3))[1]
+    assert autodiff._block_columns(span, 1, 8, 8, 4) < span
+
+    def run():
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        out = conv3d(x, w, b, padding=1)
+        (out * Tensor(g)).sum().backward()
+        return out.data, x.grad, w.grad, b.grad
+
+    for first, second in zip(run(), run()):
+        assert np.array_equal(first, second)
 
 
 def test_conv3d_validation():

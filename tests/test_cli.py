@@ -103,7 +103,11 @@ def test_missing_required_key_exits_3(tmp_path, capsys):
     ("infer", {"checkpoints": 5}, {}),
     ("prepare", {"margin": None}, {}),
     ("prepare", {}, {"seed": "x"}),
-], ids=["epochs", "crop_dims", "checkpoints", "margin", "seed"])
+    ("train", {"crop_dims": [16, None, 16]}, {}),
+    ("train", {"crop_dims": "abc"}, {}),
+    ("infer", {"checkpoints": [5]}, {}),
+], ids=["epochs", "crop_dims", "checkpoints", "margin", "seed",
+        "crop_dims_element", "crop_dims_string", "checkpoints_element"])
 def test_malformed_config_value_exits_3(tmp_path, capsys, command, section, top):
     data_dir = tmp_path / "data"
     data_dir.mkdir()

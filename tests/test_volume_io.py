@@ -179,6 +179,35 @@ def test_nifti_float32_mask_from_older_writer_still_reads(tmp_path):
     assert np.array_equal(back.bits, bits)
 
 
+@pytest.mark.parametrize("datatype,stored_on,stored_off,slope,inter", [
+    (2, 1, 0, 1.0, 0.0),       # uint8 as written today
+    (2, 7, 0, 0.0, 99.0),      # slope 0: unscaled, the intercept is ignored
+    (16, 1.0, 0.0, 1.0, 0.0),  # float32 from older versions
+    (4, 1, 0, 2.0, -1.2),      # int16 scaled: 0.8 is set, -1.2 is not
+    (2, 5, 4, 0.25, -0.5),     # 0.75 is set, exactly 0.5 is not
+    (2, 0, 1, -1.0, 1.0),      # a negative slope inverts the codes
+])
+def test_nifti_mask_encodings_give_the_same_bits(tmp_path, datatype, stored_on, stored_off,
+                                                 slope, inter):
+    rng = np.random.default_rng(47)
+    bits = rng.random((5, 4, 3)) < 0.5
+    dtype = {2: np.uint8, 4: "<i2", 16: np.float32}[datatype]
+    data = np.where(bits, stored_on, stored_off).astype(dtype).transpose(2, 1, 0)
+    raw = make_nifti_bytes((5, 4, 3), datatype=datatype, data=data, slope=slope, inter=inter)
+    (tmp_path / "m.nii").write_bytes(raw)
+    assert np.array_equal(read_nifti_mask(tmp_path / "m.nii", role="healthy").bits, bits)
+    assert np.array_equal(read_nifti(tmp_path / "m.nii").voxels > 0.5, bits)
+
+
+def test_nifti_float32_mask_with_nan_is_rejected(tmp_path):
+    data = np.zeros((3, 4, 5), np.float32)
+    data[1, 2, 3] = np.nan
+    (tmp_path / "m.nii").write_bytes(make_nifti_bytes((5, 4, 3), datatype=16, data=data))
+    with pytest.raises(NiftiError) as exc:
+        read_nifti_mask(tmp_path / "m.nii", role="healthy")
+    assert exc.value.code == "non_finite"
+
+
 def test_nifti_gzip_header_is_fixed_and_fastest_level(tmp_path):
     # magic, deflate, no flags, mtime 0, XFL 4 (fastest level), OS 255 (unknown)
     expected = bytes.fromhex("1f8b08000000000004ff")
