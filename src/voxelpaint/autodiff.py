@@ -5,6 +5,12 @@ layout. Every forward op that touches a gradient-requiring tensor records
 a closure on its output; Tensor.backward() on a scalar result replays the
 closures in reverse topological order and accumulates into .grad buffers.
 
+A graph backs once. As the backward walks it, each interior node drops its
+.grad, its closure and its parents as soon as its closure has run, so the
+arrays the closure saved are freed once nothing downstream needs them; only
+leaves (parameters and other tensors built with requires_grad=True) keep
+their .grad. A second backward that reaches a spent node raises RuntimeError.
+
 Inside ``with no_grad():`` no graph is built: op outputs carry neither
 parents nor closures, so intermediates are freed as soon as the forward
 pass drops them.
@@ -47,7 +53,8 @@ class Tensor:
     """Dense array node in a reverse-mode differentiation graph.
 
     ``grad`` stays None until a backward pass deposits something; None
-    means an all-zero gradient.
+    means an all-zero gradient. ``_parents`` is None once the node's
+    backward has run (see Tensor.backward).
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -59,7 +66,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[Tensor, ...] | None = ()
         self._backward = None
 
     @property
@@ -189,7 +196,12 @@ class Tensor:
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
 
         self must hold a single value. Each graph node is visited exactly
-        once, in reverse topological order.
+        once, in reverse topological order. Interior gradients are not kept:
+        once a node's closure has run, the node drops its .grad, closure and
+        parents, and only leaves keep .grad. The graph is spent afterwards;
+        a backward that reaches any of its interior nodes again raises
+        RuntimeError before touching a gradient. A leaf may call backward()
+        on itself, which sets its .grad to one.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -204,6 +216,10 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise RuntimeError(
+                    "backward() reached a node whose graph was already backed through; "
+                    "a graph backs once, so run the forward again to build a new one")
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -211,9 +227,12 @@ class Tensor:
                     stack.append((parent, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                # parents None marks the node spent; its saved arrays go with the closure
+                node.grad = node._backward = node._parents = None
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -345,6 +364,8 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3, 4)))
         if weight.requires_grad:
+            # padded again rather than kept from the forward, so the graph holds x once
+            xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
             n = g.shape[0]
             _, hp, wp = xp.shape[2:]
             (d, h, w), span, offsets = _taps(xp.shape[2:], (k, k, k))
@@ -363,6 +384,8 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
                     gw[tap] += np.matmul(gblock, flat[:, :, off + lo:off + hi].transpose(0, 2, 1))
             gw = gw.sum(axis=3).transpose(3, 4, 0, 1, 2)
             _accumulate(weight, gw)
+            # let the padded copy and the gradient grid go before the input gradient's buffers
+            del xp, flat, ggrid, gflat, gblock
         if x.requires_grad:
             q = k - 1 - p
             gp = np.pad(g, ((0, 0), (0, 0), (q, q), (q, q), (q, q)))

@@ -48,7 +48,8 @@ def _typed(section: dict, key: str, default, element=None):
 
     A tuple or list value is converted element by element, to ``element``
     or else to the type of default's first element; a string is not taken
-    for a sequence, and only a string converts to str. A value that does
+    for a sequence, and only a string converts to str. A bool is not taken
+    for a number, nor a float with a fraction for an int. A value that does
     not convert raises ConfigError naming the key, so a malformed config
     exits 3 like any other invalid config.
     """
@@ -68,6 +69,10 @@ def _typed(section: dict, key: str, default, element=None):
 def _strict(kind, value):
     if kind is str and not isinstance(value, str):
         raise TypeError(f"{value!r} is not a string")
+    if kind in (int, float) and isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool, not a number")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
     return kind(value)
 
 

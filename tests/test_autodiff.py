@@ -104,6 +104,36 @@ def test_mean_matches_sum_over_size():
     assert np.allclose(x.grad, np.full((2, 3), 1.0 / 6.0))
 
 
+def test_second_backward_of_a_graph_raises():
+    x = Tensor(np.array([1.0, 1.0, 1.0]), requires_grad=True)
+    loss = (x * x).sum()
+    loss.backward()
+    with pytest.raises(RuntimeError, match="already backed through"):
+        loss.backward()
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_backward_through_a_spent_intermediate_raises():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    w = Tensor(np.array([3.0, 3.0]), requires_grad=True)
+    y = x * 2.0
+    (y * 3.0).sum().backward()
+    assert y.grad is None and y._parents is None
+    with pytest.raises(RuntimeError, match="already backed through"):
+        (y * w).sum().backward()
+    # the walk stops before any closure runs, so no leaf gradient moves
+    assert np.array_equal(x.grad, [6.0, 6.0]) and w.grad is None
+
+
+def test_leaf_backward_on_itself_works_and_leaves_it_usable():
+    x = Tensor(np.array(2.0), requires_grad=True)
+    x.backward()
+    assert x.grad == 1.0 and x._parents == ()
+    # a leaf is never spent: graphs built on it later still back through it
+    (x * 3.0).backward()
+    assert x.grad == 4.0
+
+
 def test_deep_chain_backward_is_iterative():
     # A graph deep enough to blow the recursion limit if backward recursed.
     x = Tensor(np.array([1.0], dtype=np.float64), requires_grad=True)

@@ -106,8 +106,14 @@ def test_missing_required_key_exits_3(tmp_path, capsys):
     ("train", {"crop_dims": [16, None, 16]}, {}),
     ("train", {"crop_dims": "abc"}, {}),
     ("infer", {"checkpoints": [5]}, {}),
+    ("train", {"epochs": 2.7}, {}),
+    ("train", {"crop_dims": [48.9, 16, 16]}, {}),
+    ("train", {"crop_dims": [16, True, 16]}, {}),
+    ("train", {"lr": True}, {}),
+    ("prepare", {}, {"seed": True}),
 ], ids=["epochs", "crop_dims", "checkpoints", "margin", "seed",
-        "crop_dims_element", "crop_dims_string", "checkpoints_element"])
+        "crop_dims_element", "crop_dims_string", "checkpoints_element",
+        "epochs_fraction", "crop_dims_fraction", "crop_dims_bool", "lr_bool", "seed_bool"])
 def test_malformed_config_value_exits_3(tmp_path, capsys, command, section, top):
     data_dir = tmp_path / "data"
     data_dir.mkdir()
@@ -119,6 +125,14 @@ def test_malformed_config_value_exits_3(tmp_path, capsys, command, section, top)
     assert cli.main([command, "--config", config]) == 3
     key = next(iter(section or top))
     assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_lossless_config_values_still_convert():
+    section = {"epochs": 2.0, "lr": 1, "crop_dims": [16.0, "24", 32], "seed": "7"}
+    assert cli._typed(section, "epochs", 500) == 2
+    assert cli._typed(section, "lr", 1e-4) == 1.0
+    assert cli._typed(section, "crop_dims", (8, 8, 8)) == (16, 24, 32)
+    assert cli._typed(section, "seed", 0) == 7
 
 
 def test_resolved_config_is_echoed_and_saved(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from voxelpaint.autodiff import Tensor
 from voxelpaint.checkpoint import load_checkpoint, save_checkpoint
 from voxelpaint.errors import CheckpointError, ConfigError, ShapeError
+from voxelpaint.losses import composite_loss
+from voxelpaint.optim import Adam
 from voxelpaint.unet import UNet, UNetConfig, build_unet
 
 
@@ -155,6 +158,58 @@ def test_forward_propagates_gradients_to_every_parameter():
     assert missing == []
     model.zero_grad()
     assert all(t.grad is None for _, t in model.parameters())
+
+
+def _graph_nodes(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_frees_interior_nodes_and_keeps_parameter_grads():
+    model = make_model(2)
+    voided, mask = _inputs(n=8, seed=6)
+    out = model.forward(voided, mask, training=True, rng=np.random.default_rng(2))
+    loss = (out * out).mean()
+    nodes = _graph_nodes(loss)
+    params = {id(t) for _, t in model.parameters()}
+    interior = [t for t in nodes if t._backward is not None]
+    assert len(interior) > 50 and not params & {id(t) for t in interior}
+    loss.backward()
+    assert all(t.grad is None and t._backward is None and t._parents is None
+               for t in interior)
+    assert all(t.grad is not None for _, t in model.parameters())
+
+
+def test_second_train_step_peaks_no_higher_than_the_first():
+    # As in trainer.train_fold: the first step's loss is still bound while
+    # the second step builds its graph.
+    model = make_model(8)
+    voided, mask = _inputs(n=24, seed=7)
+    gt = np.random.default_rng(8).uniform(-1, 1, voided.shape).astype(np.float32)
+    region = np.ones(voided.shape, bool)
+    opt = Adam(model.param_tensors())
+    peaks = []
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        for step in range(2):
+            tracemalloc.reset_peak()
+            pred = model.forward(voided, mask, training=True, rng=np.random.default_rng(step))
+            loss = composite_loss(pred, gt, region)
+            del pred  # trainer._loss_for returns only the loss
+            model.zero_grad()
+            loss.backward()
+            opt.step()
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], f"step peaks {[p / 2**20 for p in peaks]} MiB"
 
 
 # ---------------------------------------------------------------------------
