@@ -200,8 +200,10 @@ class Tensor:
         once a node's closure has run, the node drops its .grad, closure and
         parents, and only leaves keep .grad. The graph is spent afterwards;
         a backward that reaches any of its interior nodes again raises
-        RuntimeError before touching a gradient. A leaf may call backward()
-        on itself, which sets its .grad to one.
+        RuntimeError before touching a gradient. The root's own .grad is
+        seeded by adding one, like every other gradient path, so a leaf may
+        call backward() on itself and add one to what earlier backwards
+        deposited.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -226,7 +228,8 @@ class Tensor:
                 if id(parent) not in visited and parent.requires_grad:
                     stack.append((parent, False))
 
-        self.grad = np.ones_like(self.data)
+        seed = np.ones_like(self.data)
+        self.grad = seed if self.grad is None else self.grad + seed
         while order:
             node = order.pop()
             if node._backward is not None:
@@ -248,8 +251,10 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.empty_like(t.data)
+        np.copyto(t.grad, g)
+    else:
+        t.grad += g
 
 
 def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -427,32 +432,43 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
     """Normalize each (sample, channel) slice over its spatial voxels.
 
     Uses the biased variance (divisor D*H*W). gamma and beta are [C].
+
+    The statistics reduce in float64 over values centred on the mean, with
+    no full-size float64 copy: the variance of a slice offset far from zero
+    keeps its precision, and the part of the mean that float32 cannot hold
+    is carried per slice instead of being left in the output.
     """
     _check_5d(x, "instance_norm input")
-    c = x.data.shape[1]
+    n, c = x.data.shape[:2]
     if gamma.data.shape != (c,) or beta.data.shape != (c,):
         raise ShapeError(f"instance_norm needs gamma/beta of shape [{c}]")
 
-    axes = (2, 3, 4)
-    # float64 accumulation keeps the normalized mean near zero on large slices
-    mu = x.data.mean(axis=axes, keepdims=True, dtype=np.float64).astype(x.data.dtype)
-    var = x.data.var(axis=axes, keepdims=True, dtype=np.float64).astype(x.data.dtype)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.data.dtype))
-    xhat = (x.data - mu) * inv
-    gview = gamma.data.reshape(1, c, 1, 1, 1)
-    out = gview * xhat + beta.data.reshape(1, c, 1, 1, 1)
+    axes, dtype = (2, 3, 4), x.data.dtype
+    m = int(np.prod(x.data.shape[2:]))
+    mean = x.data.mean(axis=axes, dtype=np.float64)
+    xc = x.data - mean.astype(dtype).reshape(n, c, 1, 1, 1)
+    # what the float32 mean cannot hold: the centred values are xc - rest
+    rest = mean - mean.astype(dtype)
+    var = np.einsum("ncdhw,ncdhw->nc", xc, xc, dtype=np.float64) / m - rest * rest
+    inv = 1.0 / np.sqrt(var.astype(dtype) + np.asarray(eps, dtype=dtype))
+    scale = inv * gamma.data
+    out = xc * scale.reshape(n, c, 1, 1, 1)
+    out += (beta.data - rest * scale).astype(dtype).reshape(n, c, 1, 1, 1)
 
     def backward(g):
-        _accumulate(beta, g.sum(axis=(0, 2, 3, 4)))
-        _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3, 4)))
+        # per-slice sums of g and of g*xhat, xhat = (xc - rest) * inv, in float64
+        sg = g.sum(axis=axes, dtype=np.float64)
+        sgx = (np.einsum("ncdhw,ncdhw->nc", g, xc, dtype=np.float64) - rest * sg) * inv
+        _accumulate(beta, sg.sum(axis=0).astype(dtype))
+        _accumulate(gamma, sgx.sum(axis=0).astype(dtype))
         if x.requires_grad:
-            gg = g * gview
-            gx = inv * (
-                gg
-                - gg.mean(axis=axes, keepdims=True)
-                - xhat * (gg * xhat).mean(axis=axes, keepdims=True)
-            )
-            _accumulate(x, gx.astype(x.data.dtype, copy=False))
+            # inv*gamma * (g - mean(g) - xhat*mean(g*xhat))
+            b = inv * sgx / m
+            gx = xc * (-b).astype(dtype).reshape(n, c, 1, 1, 1)
+            gx += g
+            gx -= (sg / m - rest * b).astype(dtype).reshape(n, c, 1, 1, 1)
+            gx *= scale.reshape(n, c, 1, 1, 1)
+            _accumulate(x, gx)
 
     return _node(out, (x, gamma, beta), backward)
 
@@ -471,15 +487,24 @@ def prelu(x: Tensor, alpha: Tensor) -> Tensor:
     """x for x >= 0, alpha * x otherwise; alpha is one learnable scalar."""
     if alpha.data.size != 1:
         raise ShapeError(f"prelu alpha must hold one value, got shape {alpha.shape}")
-    neg = x.data < 0
     a = alpha.data.reshape(())
-    out = np.where(neg, a * x.data, x.data)
+    out = np.minimum(x.data, 0)
+    out *= a
+    out += np.maximum(x.data, 0)
 
     def backward(g):
-        if x.requires_grad:
-            _accumulate(x, g * np.where(neg, a, x.data.dtype.type(1)))
+        gn = g * (x.data < 0)
+        gx = np.empty_like(gn)
         if alpha.requires_grad:
-            _accumulate(alpha, np.asarray((g * x.data * neg).sum(), dtype=alpha.data.dtype).reshape(alpha.data.shape))
+            np.multiply(gn, x.data, out=gx)
+            _accumulate(alpha, np.asarray(gx.sum(), dtype=alpha.data.dtype).reshape(alpha.data.shape))
+        if x.requires_grad:
+            # g where x >= 0, a*g where x < 0
+            np.subtract(g, gn, out=gx)
+            gn *= a
+            gx += gn
+            del gn
+            _accumulate(x, gx)
 
     return _node(out, (x, alpha), backward)
 
@@ -508,44 +533,49 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
 def maxpool3d(x: Tensor) -> Tensor:
     """2x2x2 max pooling with stride 2.
 
-    The gradient routes to the window's argmax; ties go to the first
-    element in (kd, kh, kw) scan order.
+    The gradient routes to the first window element equal to the window's
+    max, in (kd, kh, kw) scan order, so a tie goes to the earliest slot. A
+    window holding NaN pools to NaN and routes its gradient nowhere, since
+    no slot compares equal to NaN; training stops on a non-finite loss
+    before any backward, so no training run reaches that case.
     """
     _check_5d(x, "maxpool3d input")
-    n, c, d, h, w = x.data.shape
+    d, h, w = x.data.shape[2:]
     if d % 2 or h % 2 or w % 2:
         raise ShapeError(f"maxpool3d needs even spatial extents, got {(d, h, w)}")
-    d2, h2, w2 = d // 2, h // 2, w // 2
-    r = (
-        x.data.reshape(n, c, d2, 2, h2, 2, w2, 2)
-        .transpose(0, 1, 2, 4, 6, 3, 5, 7)
-        .reshape(n, c, d2, h2, w2, 8)
-    )
-    idx = r.argmax(axis=-1)
-    out = np.take_along_axis(r, idx[..., None], axis=-1)[..., 0]
+    # slot (a,b,c) of every window, as one strided view of x
+    slots = [x.data[:, :, a::2, b::2, c::2] for a, b, c in np.ndindex(2, 2, 2)]
+    out = np.maximum(slots[0], slots[1])
+    for view in slots[2:]:
+        np.maximum(out, view, out=out)
 
     def backward(g):
-        buf = np.zeros_like(r)
-        np.put_along_axis(buf, idx[..., None], g[..., None], axis=-1)
-        gx = (
-            buf.reshape(n, c, d2, h2, w2, 2, 2, 2)
-            .transpose(0, 1, 2, 5, 3, 6, 4, 7)
-            .reshape(n, c, d, h, w)
-        )
+        gx = np.empty_like(x.data)
+        taken = np.zeros(out.shape, dtype=bool)
+        for (a, b, c), view in zip(np.ndindex(2, 2, 2), slots):
+            hit = view == out
+            np.greater(hit, taken, out=hit)  # equal here and not taken by an earlier slot
+            np.multiply(g, hit, out=gx[:, :, a::2, b::2, c::2])
+            taken |= hit
+        gx += 0  # a slot passed over by a negative g holds -0; adding +0 makes it +0
         _accumulate(x, gx)
 
-    return _node(np.ascontiguousarray(out), (x,), backward)
+    return _node(out, (x,), backward)
 
 
 def upsample3d_nearest(x: Tensor) -> Tensor:
     """Double every spatial axis by nearest-neighbor replication."""
     _check_5d(x, "upsample3d input")
     n, c, d, h, w = x.data.shape
-    out = x.data.repeat(2, axis=2).repeat(2, axis=3).repeat(2, axis=4)
+    out = np.empty((n, c, 2 * d, 2 * h, 2 * w), dtype=x.data.dtype)
+    # widen each W row once, then copy it to its four (D, H) positions
+    out.reshape(n, c, d, 2, h, 2, 2 * w)[...] = x.data.repeat(2, axis=4)[:, :, :, None, :, None]
 
     def backward(g):
-        gx = g.reshape(n, c, d, 2, h, 2, w, 2).sum(axis=(3, 5, 7))
-        _accumulate(x, gx)
+        # sum each 2x2x2 block: halve D, then H, then W
+        g = g[:, :, 0::2] + g[:, :, 1::2]
+        g = g[:, :, :, 0::2] + g[:, :, :, 1::2]
+        _accumulate(x, g[..., 0::2] + g[..., 1::2])
 
     return _node(out, (x,), backward)
 

@@ -175,6 +175,43 @@ def conv3d_vjp_oracle(x, weight, g, padding=0):
 
 
 # ---------------------------------------------------------------------------
+# Reference pooling and activation kernels (argmax routing, np.where masks)
+# ---------------------------------------------------------------------------
+
+def maxpool3d_reference(x, g):
+    """2x2x2 max pool and its gradient by argmax and put_along_axis.
+
+    Windows are gathered into a trailing axis of 8 in (kd, kh, kw) order;
+    argmax picks the first maximum, and the upstream gradient ``g`` is put
+    at that slot. Returns (pooled, grad_input) in the dtype of ``x``.
+    """
+    n, c, d, h, w = x.shape
+    win = (x.reshape(n, c, d // 2, 2, h // 2, 2, w // 2, 2)
+           .transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(n, c, d // 2, h // 2, w // 2, 8))
+    idx = win.argmax(axis=-1)[..., None]
+    pooled = np.take_along_axis(win, idx, axis=-1)[..., 0]
+    buf = np.zeros_like(win)
+    np.put_along_axis(buf, idx, np.asarray(g, dtype=x.dtype)[..., None], axis=-1)
+    gx = (buf.reshape(n, c, d // 2, h // 2, w // 2, 2, 2, 2)
+          .transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(n, c, d, h, w))
+    return pooled, gx
+
+
+def prelu_reference(x, alpha, g):
+    """PReLU forward, input gradient and alpha gradient by np.where.
+
+    Returns (out, grad_input, grad_alpha) in the dtype of ``x``; grad_alpha
+    sums g * x over the negative entries.
+    """
+    a = x.dtype.type(alpha)
+    neg = x < 0
+    out = np.where(neg, a * x, x)
+    gx = g * np.where(neg, a, x.dtype.type(1))
+    galpha = (g * x * neg).sum()
+    return out, gx, galpha
+
+
+# ---------------------------------------------------------------------------
 # Brute-force SSIM oracle
 # ---------------------------------------------------------------------------
 

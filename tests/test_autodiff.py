@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (away_from_zero, conv3d_oracle, conv3d_vjp_oracle, gradcheck, leaf,
-                      separated_pool_input)
+                      maxpool3d_reference, prelu_reference, separated_pool_input)
 from voxelpaint import autodiff
 from voxelpaint.autodiff import (
     Tensor,
@@ -131,6 +131,13 @@ def test_leaf_backward_on_itself_works_and_leaves_it_usable():
     assert x.grad == 1.0 and x._parents == ()
     # a leaf is never spent: graphs built on it later still back through it
     (x * 3.0).backward()
+    assert x.grad == 4.0
+
+
+def test_root_backward_adds_one_to_the_grad_it_holds():
+    x = Tensor(np.array(2.0), requires_grad=True)
+    (x * 3.0).backward()
+    x.backward()
     assert x.grad == 4.0
 
 
@@ -446,12 +453,64 @@ def test_instance_norm_gamma_beta_applied():
         assert np.allclose(out[0, c], ref, atol=1e-5)
 
 
+def test_instance_norm_keeps_precision_on_an_offset_slice():
+    # A slice at 1000 + N(0, 1): a one-pass E[x^2] - E[x]^2 in float32 loses
+    # its unit variance. The constant slice beside it has zero variance.
+    rng = np.random.default_rng(23)
+    data = np.full((1, 2, 32, 32, 32), 1000.0, dtype=np.float32)
+    data[0, 0] += rng.standard_normal((32, 32, 32)).astype(np.float32)
+    x = Tensor(data, requires_grad=True)
+    gamma = Tensor(np.array([1.5, 0.5], dtype=np.float32), requires_grad=True)
+    beta = Tensor(np.array([0.25, -1.0], dtype=np.float32), requires_grad=True)
+    out = instance_norm(x, gamma, beta)
+    y = (out.data[0, 0].astype(np.float64) - 0.25) / 1.5
+    assert abs(y.mean()) <= 1e-4
+    assert abs(y.var() - 1.0) <= 1e-3
+    assert np.all(np.isfinite(out.data[0, 1]))
+
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    (out * Tensor(g)).sum().backward()
+    # the instance-norm VJP written out in float64
+    x64, g64 = data.astype(np.float64), g.astype(np.float64)
+    mu = x64.mean(axis=(2, 3, 4), keepdims=True)
+    inv = 1.0 / np.sqrt(x64.var(axis=(2, 3, 4), keepdims=True) + 1e-5)
+    xhat = (x64 - mu) * inv
+    gg = g64 * gamma.data.astype(np.float64).reshape(1, 2, 1, 1, 1)
+    gx_ref = inv * (gg - gg.mean(axis=(2, 3, 4), keepdims=True)
+                    - xhat * (gg * xhat).mean(axis=(2, 3, 4), keepdims=True))
+    refs = ((x, gx_ref), (gamma, (g64 * xhat).sum(axis=(0, 2, 3, 4))),
+            (beta, g64.sum(axis=(0, 2, 3, 4))))
+    for t, ref in refs:
+        assert t.grad.dtype == np.float32
+        err = np.max(np.abs(t.grad - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-5, f"relative error {err:.2e}"
+
+
 def test_relu_and_prelu_values():
     x = Tensor(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]).reshape(1, 1, 1, 1, 5))
     assert np.allclose(relu(x).data.ravel(), [0.0, 0.0, 0.0, 0.5, 2.0])
     alpha = Tensor(np.array([0.1], dtype=np.float32))
     out = prelu(x, alpha).data.ravel()
     assert np.allclose(out, [-0.2, -0.05, 0.0, 0.5, 2.0], atol=1e-7)
+
+
+def test_prelu_matches_where_reference_on_exact_zeros():
+    rng = np.random.default_rng(24)
+    data = rng.standard_normal((2, 3, 4, 5, 6)).astype(np.float32)
+    data.flat[::7] = 0.0
+    data.flat[3::11] = -0.0
+    g = rng.standard_normal(data.shape).astype(np.float32)
+    g.flat[::5] = 0.0
+    x = Tensor(data, requires_grad=True)
+    alpha = Tensor(np.array([0.3], dtype=np.float32), requires_grad=True)
+    out = prelu(x, alpha)
+    (out * Tensor(g)).sum().backward()
+    out_ref, gx_ref, galpha_ref = prelu_reference(data, alpha.data[0], g)
+    # == compares values, so -0 and +0 count as equal
+    assert out.data.dtype == x.grad.dtype == alpha.grad.dtype == np.float32
+    assert np.all(out.data == out_ref)
+    assert np.all(x.grad == gx_ref)
+    assert alpha.grad[0] == galpha_ref
 
 
 def test_dropout_eval_and_zero_rate_are_identity():
@@ -502,6 +561,52 @@ def test_maxpool_matches_block_reduce():
                         assert out[n, c, z, y, x] == block.max()
 
 
+def _tied_pool_windows(rng):
+    """Windows of 8 values with the max tied at every slot pair, and -0/+0 ties."""
+    windows = []
+    for s, t in ((s, t) for s in range(8) for t in range(s + 1, 8)):
+        w = rng.uniform(-1.0, 0.4, 8)
+        w[s] = w[t] = 0.5
+        windows.append(w)
+        # the max is a zero, held as -0 at one slot and +0 at the other
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            w = rng.uniform(-1.0, -0.1, 8)
+            w[s], w[t] = first, second
+            windows.append(w)
+    windows.append(np.full(8, 0.75))
+    while len(windows) < 2 * 4 * 4 * 4:
+        windows.append(rng.standard_normal(8))
+    win = np.stack(windows)[rng.permutation(len(windows))].astype(np.float32)
+    win = win.reshape(1, 2, 4, 4, 4, 2, 2, 2)
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(1, 2, 8, 8, 8))
+
+
+def test_maxpool_f32_gradient_matches_argmax_reference_bit_for_bit():
+    rng = np.random.default_rng(25)
+    data = _tied_pool_windows(rng)
+    x = Tensor(data, requires_grad=True)
+    out = maxpool3d(x)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    (out * Tensor(g)).sum().backward()
+    out_ref, gx_ref = maxpool3d_reference(data, g)
+    assert np.array_equal(out.data, out_ref)
+    assert x.grad.dtype == np.float32
+    assert np.array_equal(x.grad.view(np.uint32), gx_ref.view(np.uint32))
+
+
+def test_maxpool_forward_memory_stays_within_twice_the_output():
+    # A transposed copy of the input and an int64 argmax come to about 10x.
+    rng = np.random.default_rng(26)
+    x = Tensor(rng.standard_normal((1, 8, 48, 48, 48)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        out = maxpool3d(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * out.data.nbytes, f"peak {peak / out.data.nbytes:.1f}x the output"
+
+
 def test_maxpool_requires_even_extents():
     with pytest.raises(ShapeError):
         maxpool3d(Tensor(np.ones((1, 1, 3, 4, 4))))
@@ -522,6 +627,20 @@ def test_upsample_repeats_each_voxel():
     up = upsample3d_nearest(x).data
     assert up.shape == (1, 1, 4, 4, 4)
     assert np.array_equal(up, x.data.repeat(2, 2).repeat(2, 3).repeat(2, 4))
+
+
+def test_upsample_backward_is_the_block_sum():
+    rng = np.random.default_rng(27)
+    x = Tensor(rng.standard_normal((2, 3, 3, 4, 5)).astype(np.float32), requires_grad=True)
+    out = upsample3d_nearest(x)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    (out * Tensor(g)).sum().backward()
+    blocks = g.astype(np.float64).reshape(2, 3, 3, 2, 4, 2, 5, 2)
+    ref = blocks.sum(axis=(3, 5, 7))
+    # seven float32 additions per block, each off by at most half an ulp
+    bound = 3.5 * np.finfo(np.float32).eps * np.abs(blocks).sum(axis=(3, 5, 7))
+    assert x.grad.dtype == np.float32
+    assert np.all(np.abs(x.grad - ref) <= bound)
 
 
 def test_concat_channels_order_and_backward_split():
