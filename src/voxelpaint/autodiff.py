@@ -572,10 +572,13 @@ def upsample3d_nearest(x: Tensor) -> Tensor:
     out.reshape(n, c, d, 2, h, 2, 2 * w)[...] = x.data.repeat(2, axis=4)[:, :, :, None, :, None]
 
     def backward(g):
-        # sum each 2x2x2 block: halve D, then H, then W
-        g = g[:, :, 0::2] + g[:, :, 1::2]
-        g = g[:, :, :, 0::2] + g[:, :, :, 1::2]
-        _accumulate(x, g[..., 0::2] + g[..., 1::2])
+        # sum each 2x2x2 block: the D pairs of each H half, the two H halves,
+        # then the W pairs; two quarter-size buffers at most live at once
+        p = g[:, :, 0::2, 0::2] + g[:, :, 1::2, 0::2]
+        q = g[:, :, 0::2, 1::2] + g[:, :, 1::2, 1::2]
+        p += q
+        del q
+        _accumulate(x, p[..., 0::2] + p[..., 1::2])
 
     return _node(out, (x,), backward)
 

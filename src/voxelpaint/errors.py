@@ -28,8 +28,8 @@ class NumericError(VoxelPaintError):
 class NiftiError(VoxelPaintError):
     """NIfTI-1 parse or serialize failure.
 
-    ``code`` is one of: bad_header, bad_magic, bad_datatype, bad_dims,
-    truncated, non_finite.
+    ``code`` is one of: bad_gzip, bad_header, bad_magic, bad_datatype,
+    bad_dims, truncated, non_finite.
     """
 
     def __init__(self, code: str, message: str):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, MaskPlacementError, ShapeError
-from .volume import MaskVolume, Volume
+from .volume import MaskVolume, Volume, bounding_box
 
 MASKS_PER_SCAN = 5
 
@@ -67,12 +67,11 @@ def erode(bits: np.ndarray, radius: int) -> np.ndarray:
 
 
 def _shape_block(tumor_bits: np.ndarray) -> np.ndarray:
-    coords = np.argwhere(tumor_bits)
-    if coords.size == 0:
-        raise DataError("tumor mask is empty, nothing to place")
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
-    return tumor_bits[lo[0]:hi[0] + 1, lo[1]:hi[1] + 1, lo[2]:hi[2] + 1].copy()
+    try:
+        box = bounding_box(tumor_bits)
+    except DataError:
+        raise DataError("tumor mask is empty, nothing to place") from None
+    return tumor_bits[box].copy()
 
 
 def _shrink_to_fraction(block: np.ndarray, fraction: float) -> np.ndarray:
@@ -142,7 +141,12 @@ def _rotate_plane(bits: np.ndarray, theta_deg: float, axes: tuple[int, int]) -> 
 
 def apply_mask_transform(bits: np.ndarray, mirrors: tuple[bool, bool, bool],
                          theta_xy: float, theta_yz: float) -> np.ndarray:
-    """Mirror per axis, then rotate in the XY plane, then in the YZ plane."""
+    """Mirror per axis, then rotate in the XY plane, then in the YZ plane.
+
+    The result is in disk (Fortran) order: the YZ rotation leaves x
+    fastest already, so this is the cheaper copy, and the masks built from
+    it reach the NIfTI writer without a transposing copy.
+    """
     out = np.asarray(bits, dtype=bool)
     for axis, m in enumerate(mirrors):
         if m:
@@ -151,7 +155,7 @@ def apply_mask_transform(bits: np.ndarray, mirrors: tuple[bool, bool, bool],
         out = _rotate_plane(out, theta_xy, (0, 1))
     if theta_yz % 360.0 != 0.0:
         out = _rotate_plane(out, theta_yz, (1, 2))
-    return np.ascontiguousarray(out)
+    return np.asfortranarray(out)
 
 
 def augment_mask(mask: MaskVolume, rng: np.random.Generator) -> MaskVolume:
@@ -208,7 +212,7 @@ def void_image(image: Volume, combined: MaskVolume) -> Volume:
     if image.dims != combined.dims:
         raise ShapeError(f"image dims {image.dims} and mask dims {combined.dims} disagree")
     fill = np.float32(-1.0 if image.domain == "signed-unit" else 0.0)
-    voxels = image.voxels.copy()
+    voxels = image.voxels.copy(order="K")   # keep disk order: the writer then copies nothing
     voxels[combined.bits] = fill
     return Volume(voxels, domain=image.domain, affine_bytes=image.affine_bytes)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DataError, ShapeError
 from .losses import SsimParams, ssim3d
 from .util import atomic_open
-from .volume import MaskVolume, Volume
+from .volume import MaskVolume, Volume, bounding_box
 
 
 @dataclass(frozen=True)
@@ -51,21 +51,28 @@ class EvaluationSummary:
 
 
 def region_max_intensity(gt: Volume, healthy: MaskVolume, unhealthy: MaskVolume) -> float:
-    """Ground-truth maximum over the union of both mask regions."""
-    union = healthy.bits | unhealthy.bits
-    if not union.any():
+    """Ground-truth maximum over the union of both mask regions.
+
+    Taken over each nonempty mask inside its own bounding box: the same
+    maximum as over the union, without building the union.
+    """
+    peaks = []
+    for mask in (healthy, unhealthy):
+        try:
+            box = bounding_box(mask.bits)
+        except DataError:
+            continue
+        peaks.append(gt.voxels[box][mask.bits[box]].max())
+    if not peaks:
         raise DataError("both mask regions are empty")
-    return float(gt.voxels[union].max())
+    return float(max(peaks))
 
 
 def _bounding_box(bits: np.ndarray, min_extent: int) -> tuple[slice, slice, slice]:
     """Tight bounding box, symmetrically widened to at least min_extent."""
-    coords = np.argwhere(bits)
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0) + 1
     slices = []
-    for axis, n in enumerate(bits.shape):
-        a, b = int(lo[axis]), int(hi[axis])
+    for axis, (tight, n) in enumerate(zip(bounding_box(bits), bits.shape)):
+        a, b = tight.start, tight.stop
         while b - a < min_extent:
             if a > 0:
                 a -= 1
@@ -84,7 +91,10 @@ def evaluate_case(case_id: str, pred: Volume, gt: Volume, healthy: MaskVolume,
     """Healthy-region MSE/RMSE/PSNR plus bounding-box SSIM for one case.
 
     PSNR uses peak 1.0 on the scaled volumes; a zero MSE reports an
-    infinite PSNR with the psnr_infinite flag set.
+    infinite PSNR with the psnr_infinite flag set. Only the widened SSIM
+    box is cast and scaled: it holds every healthy voxel, and boolean
+    indexing walks it in the same row-major order as the whole volume, so
+    the MSE sums the same values in the same order.
     """
     if pred.dims != gt.dims or healthy.dims != gt.dims:
         raise ShapeError(f"dims disagree: pred {pred.dims}, gt {gt.dims}, mask {healthy.dims}")
@@ -93,11 +103,13 @@ def evaluate_case(case_id: str, pred: Volume, gt: Volume, healthy: MaskVolume,
     if region_max <= 0:
         raise DataError(f"{case_id}: region max {region_max} must be positive")
 
+    box = _bounding_box(healthy.bits, ssim_params.window_size)
     scale = np.float64(1.0 / region_max)
-    pred_s = pred.voxels.astype(np.float64) * scale
-    gt_s = gt.voxels.astype(np.float64) * scale
+    pred_s = pred.voxels[box].astype(np.float64) * scale
+    gt_s = gt.voxels[box].astype(np.float64) * scale
+    region = healthy.bits[box]
 
-    diff = pred_s[healthy.bits] - gt_s[healthy.bits]
+    diff = pred_s[region] - gt_s[region]
     mse = float(np.mean(diff * diff))
     rmse = math.sqrt(mse)
     if mse == 0.0:
@@ -105,11 +117,10 @@ def evaluate_case(case_id: str, pred: Volume, gt: Volume, healthy: MaskVolume,
     else:
         psnr, infinite = -10.0 * math.log10(mse), False
 
-    box = _bounding_box(healthy.bits, ssim_params.window_size)
-    ssim = float(ssim3d(pred_s[box], gt_s[box], ssim_params).item())
+    ssim = float(ssim3d(pred_s, gt_s, ssim_params).item())
 
     return CaseMetrics(case_id=case_id, ssim=ssim, psnr=psnr, mse=mse, rmse=rmse,
-                       region_voxels=int(healthy.bits.sum()), psnr_infinite=infinite)
+                       region_voxels=int(np.count_nonzero(region)), psnr_infinite=infinite)
 
 
 def _stats(values: list[float]) -> SummaryStats:

@@ -7,12 +7,21 @@ scl_inter are applied on read when the slope is nonzero. Orientation
 and affine header fields are carried through untouched and never
 interpreted. Scans are written as float32 and masks as uint8, gzipped at
 deflate level 1.
+
+Voxel arrays come out of the reader in disk order ([x, y, z] indexing
+over x-fastest memory, i.e. Fortran order), and the writer copies
+nothing for an array in that order. A malformed file raises NiftiError;
+its ``code`` is one of bad_gzip (truncated, corrupt or junk-trailed gzip
+stream), bad_header, bad_magic, bad_datatype, bad_dims, truncated (fewer
+bytes than the header or voxel data needs) or non_finite (a NaN or
+infinite voxel).
 """
 
 from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -46,18 +55,36 @@ GZIP_LEVEL = 1
 
 
 def _read_bytes(path: Path) -> bytes:
-    if str(path).endswith(".gz"):
-        with gzip.open(path, "rb") as fh:
-            return fh.read()
-    return path.read_bytes()
+    """The file's bytes, decompressed when the name ends .gz.
+
+    Reads as the gzip module does: members concatenated, zero padding
+    after a member skipped. Each member is inflated in one call, and a
+    one-member file (as this package writes) comes back without a join.
+    Raises NiftiError bad_gzip on a truncated, corrupt or junk-trailed
+    stream.
+    """
+    data = path.read_bytes()
+    if not str(path).endswith(".gz"):
+        return data
+    members = []
+    try:
+        while data:
+            inflater = zlib.decompressobj(wbits=31)   # 31: gzip header and trailer
+            members.append(inflater.decompress(data))
+            if not inflater.eof:
+                raise NiftiError("bad_gzip", f"{path}: compressed stream ends before its last member does")
+            data = inflater.unused_data.lstrip(b"\x00")
+    except zlib.error as exc:
+        raise NiftiError("bad_gzip", f"{path}: not a valid gzip stream ({exc})") from exc
+    return members[0] if len(members) == 1 else b"".join(members)
 
 
 def _read_stored(path: Path):
     """Parse one file: the raw bytes, the voxels as stored in [x, y, z]
     order (a view on the bytes), and scl_slope and scl_inter.
 
-    Raises NiftiError with code bad_header, bad_magic, bad_datatype,
-    bad_dims or truncated.
+    Raises NiftiError with code bad_gzip, bad_header, bad_magic,
+    bad_datatype, bad_dims or truncated.
     """
     raw = _read_bytes(path)
     if len(raw) < HEADER_SIZE:
@@ -100,7 +127,8 @@ def _scaled(path: Path, stored: np.ndarray, slope: float, inter: float) -> np.nd
     """
     voxels = stored.astype(np.float32)
     if slope != 0.0:
-        voxels = voxels * np.float32(slope) + np.float32(inter)
+        voxels *= np.float32(slope)
+        voxels += np.float32(inter)
     finite = np.isfinite(voxels)
     if not finite.all():
         bad = finite.size - np.count_nonzero(finite)
@@ -111,8 +139,8 @@ def _scaled(path: Path, stored: np.ndarray, slope: float, inter: float) -> np.nd
 def read_nifti(path) -> Volume:
     """Parse one scan into a raw-domain Volume.
 
-    Raises NiftiError with code bad_header, bad_magic, bad_datatype,
-    bad_dims, truncated, or non_finite.
+    Raises NiftiError with code bad_gzip, bad_header, bad_magic,
+    bad_datatype, bad_dims, truncated, or non_finite.
     """
     path = Path(path)
     raw, stored, slope, inter = _read_stored(path)
@@ -142,7 +170,7 @@ def write_nifti(volume: Volume, path) -> None:
 
 def write_nifti_mask(mask: MaskVolume, path) -> None:
     """Serialize as uint8 0/1 voxels; gzip when path ends .gz."""
-    _write(path, mask.bits, 2, None)
+    _write(path, mask.bits.view(np.uint8), 2, None)   # a bool is one byte, 0 or 1
 
 
 def _write(path, voxels: np.ndarray, datatype: int, affine_bytes: bytes | None) -> None:
@@ -160,7 +188,8 @@ def _write(path, voxels: np.ndarray, datatype: int, affine_bytes: bytes | None) 
     if affine_bytes is not None and len(affine_bytes) == _END_AFFINE - _OFF_AFFINE:
         header[_OFF_AFFINE:_END_AFFINE] = affine_bytes
     header[_OFF_MAGIC:_OFF_MAGIC + 4] = MAGIC
-    data = np.ascontiguousarray(voxels.transpose(2, 1, 0), dtype=dtype)  # x fastest on disk
+    # x fastest on disk: no copy for an array in disk (Fortran) order
+    data = np.ascontiguousarray(voxels.transpose(2, 1, 0), dtype=dtype)
 
     with atomic_open(path, "wb") as out:
         if str(path).endswith(".gz"):

@@ -24,7 +24,7 @@ from .masks import TrainingSample, void_image
 from .optim import Adam
 from .unet import UNet, UNetConfig, build_unet
 from .util import make_rng
-from .volume import MaskVolume, Volume, crop_center, crop_mask, make_crop_spec, stitch
+from .volume import MaskVolume, Volume, crop_center, crop_mask, stitch
 
 TRAIN_DATA_RANGE = 2.0  # signed-unit span
 
@@ -106,13 +106,16 @@ def kfold_split(case_ids: list[str], k: int, seed: int) -> FoldPlan:
 # -- normalization -------------------------------------------------------------
 
 
-def normalize_two_stage(volume: Volume) -> tuple[Volume, float]:
+def normalize_two_stage(volume: Volume, vmax: float | None = None) -> tuple[Volume, float]:
     """Map raw intensities to [-1, 1]: divide by the max, then 2v - 1.
 
     Zero maps to -1 and the maximum voxel to +1. The returned max
-    inverts the mapping later.
+    inverts the mapping later. ``vmax`` defaults to the volume's own max;
+    a crop passes the max of the volume it was cut from, and comes out
+    exactly as the same voxels of the whole normalized volume would.
     """
-    vmax = float(volume.voxels.max())
+    if vmax is None:
+        vmax = float(volume.voxels.max())
     if vmax <= 0:
         raise DataError(f"volume max {vmax} must be positive to normalize")
     scaled = volume.voxels * np.float32(1.0 / vmax)
@@ -140,11 +143,11 @@ class PreparedSample:
 
 
 def prepare_sample(sample: TrainingSample, crop_dims, mae_region: str = "non_tumor") -> PreparedSample:
-    """Normalize both volumes by their own maxima, then center-crop."""
-    gt_n, _ = normalize_two_stage(sample.t1n)
-    voided_n, _ = normalize_two_stage(sample.t1n_voided)
-    gt_c, spec = crop_center(gt_n, crop_dims)
-    voided_c, _ = crop_center(voided_n, crop_dims)
+    """Center-crop both volumes, then normalize each crop by its whole volume's max."""
+    gt_c, spec = crop_center(sample.t1n, crop_dims)
+    voided_c, _ = crop_center(sample.t1n_voided, crop_dims)
+    gt_c, _ = normalize_two_stage(gt_c, float(sample.t1n.voxels.max()))
+    voided_c, _ = normalize_two_stage(voided_c, float(sample.t1n_voided.voxels.max()))
     combined_c = crop_mask(sample.combined, spec)
     unhealthy_c = crop_mask(sample.unhealthy, spec)
     if mae_region == "healthy_only":
@@ -274,9 +277,8 @@ def infer_case(models: UNet | list[UNet], volume: Volume, combined: MaskVolume,
         raise DataError(f"volume dims {volume.dims} and mask dims {combined.dims} disagree")
 
     voided = void_image(volume, combined)
-    normalized, vmax = normalize_two_stage(voided)
-    spec = make_crop_spec(volume.dims, crop_dims)
-    cropped, _ = crop_center(normalized, crop_dims)
+    cropped, spec = crop_center(voided, crop_dims)
+    cropped, vmax = normalize_two_stage(cropped, float(voided.voxels.max()))
     mask_c = crop_mask(combined, spec)
 
     x = Tensor(cropped.voxels[None, None])

@@ -1,4 +1,4 @@
-"""Volumes, masks, center cropping, and stitching.
+"""Volumes, masks, bounding boxes, center cropping, and stitching.
 
 Voxel arrays are indexed [x, y, z]. Intensity domains are tagged:
 "raw" (scanner units), "unit" ([0,1]), "signed-unit" ([-1,1]).
@@ -58,6 +58,22 @@ class MaskVolume:
         return int(self.bits.sum())
 
 
+def bounding_box(bits: np.ndarray) -> tuple[slice, ...]:
+    """Tightest box holding every set voxel, one slice per axis.
+
+    Found from per-axis ``any()`` projections, one pass over the mask each,
+    instead of listing the coordinates of every set voxel. Raises DataError
+    on an empty mask.
+    """
+    box = []
+    for axis in range(bits.ndim):
+        hits = np.flatnonzero(bits.any(axis=tuple(a for a in range(bits.ndim) if a != axis)))
+        if hits.size == 0:
+            raise DataError("mask is empty, it has no bounding box")
+        box.append(slice(int(hits[0]), int(hits[-1]) + 1))
+    return tuple(box)
+
+
 @dataclass(frozen=True)
 class CropSpec:
     source_dims: tuple[int, int, int]
@@ -108,7 +124,7 @@ def stitch(original: Volume, prediction: Volume, mask: MaskVolume, spec: CropSpe
         raise ShapeError(f"prediction dims {prediction.dims} do not match crop target {spec.target_dims}")
     if mask.dims != spec.target_dims:
         raise ShapeError(f"mask dims {mask.dims} do not match crop target {spec.target_dims}")
-    out = original.voxels.copy()
+    out = original.voxels.copy(order="K")   # keep disk order: the writer then copies nothing
     region = out[_crop_slices(spec)]
     region[mask.bits] = prediction.voxels[mask.bits]
     return Volume(out, domain=original.domain, affine_bytes=original.affine_bytes)

@@ -6,12 +6,15 @@ test expectations are computed by two unrelated routes.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
 from voxelpaint.autodiff import Tensor
+from voxelpaint.losses import SsimParams, ssim3d
+from voxelpaint.metrics import CaseMetrics
 from voxelpaint.masks import (MaskGenParams, _shape_block, _shrink_to_fraction, dilate,
                               make_training_sample, sample_healthy_mask)
 from voxelpaint.nifti import write_nifti, write_nifti_mask
@@ -237,6 +240,38 @@ def ssim3d_oracle(a, b, window, c1, c2):
                 den = (mx * mx + my * my + c1) * (vx + vy + c2)
                 vals.append(num / den)
     return float(np.mean(vals))
+
+
+# ---------------------------------------------------------------------------
+# Full-volume evaluation reference
+# ---------------------------------------------------------------------------
+
+def evaluate_case_reference(case_id, pred, gt, healthy, region_max, ssim_params=SsimParams()):
+    """evaluate_case as first written: both whole volumes cast to float64 and
+    scaled, the MSE over whole-volume boolean indexing, and the SSIM box
+    found from np.argwhere and widened one voxel a side at a time."""
+    scale = np.float64(1.0 / region_max)
+    pred_s = pred.voxels.astype(np.float64) * scale
+    gt_s = gt.voxels.astype(np.float64) * scale
+    diff = pred_s[healthy.bits] - gt_s[healthy.bits]
+    mse = float(np.mean(diff * diff))
+    infinite = mse == 0.0
+    psnr = math.inf if infinite else -10.0 * math.log10(mse)
+
+    coords = np.argwhere(healthy.bits)
+    box = []
+    for lo, hi, n in zip(coords.min(axis=0), coords.max(axis=0) + 1, healthy.bits.shape):
+        a, b = int(lo), int(hi)
+        while b - a < ssim_params.window_size and (a > 0 or b < n):
+            if a > 0:
+                a -= 1
+            if b - a < ssim_params.window_size and b < n:
+                b += 1
+        box.append(slice(a, b))
+    box = tuple(box)
+    ssim = float(ssim3d(pred_s[box], gt_s[box], ssim_params).item())
+    return CaseMetrics(case_id=case_id, ssim=ssim, psnr=psnr, mse=mse, rmse=math.sqrt(mse),
+                       region_voxels=int(healthy.bits.sum()), psnr_infinite=infinite)
 
 
 # ---------------------------------------------------------------------------

@@ -643,6 +643,27 @@ def test_upsample_backward_is_the_block_sum():
     assert np.all(np.abs(x.grad - ref) <= bound)
 
 
+def test_upsample_backward_memory_and_addition_tree():
+    # The quarter sums share one buffer: about 4x the input gradient's bytes
+    # (two quarters, the result and the stored gradient). Halving D, H and W
+    # in turn keeps a half and a quarter at once and came to about 6x.
+    rng = np.random.default_rng(28)
+    x = Tensor(rng.standard_normal((1, 16, 24, 24, 24)).astype(np.float32), requires_grad=True)
+    out = upsample3d_nearest(x)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        out._backward(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input gradient"
+    # the same additions in the same order as halving D, then H, then W
+    ref = g[:, :, 0::2] + g[:, :, 1::2]
+    ref = ref[:, :, :, 0::2] + ref[:, :, :, 1::2]
+    assert np.array_equal(x.grad, ref[..., 0::2] + ref[..., 1::2])
+
+
 def test_concat_channels_order_and_backward_split():
     a = Tensor(np.ones((1, 2, 2, 2, 2)), requires_grad=True)
     b = Tensor(np.zeros((1, 3, 2, 2, 2)), requires_grad=True)

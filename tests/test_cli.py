@@ -1,5 +1,7 @@
 """Command line interface: config resolution, exit codes, end-to-end commands."""
 
+import gzip
+import hashlib
 import json
 import shutil
 
@@ -45,6 +47,12 @@ def poison_scan(path):
     volume = read_nifti(path)
     volume.voxels[tuple(d // 2 for d in volume.dims)] = np.nan
     write_nifti(volume, path)
+
+
+def cut_in_half(path):
+    """Truncate a .nii.gz file mid-stream, as an interrupted copy leaves it."""
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +238,22 @@ def test_prepare_skips_case_with_non_finite_scan(tmp_path, capsys):
     assert "1 case(s) skipped" in capsys.readouterr().out
 
 
+def test_prepare_skips_case_with_truncated_gzip(tmp_path, capsys):
+    input_dir = make_input_dir(tmp_path, n_cases=2, seed=450)
+    cut_in_half(input_dir / "case01-t1n.nii.gz")
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", {
+        "prepare": {"input_dir": str(input_dir), "out_dir": str(out_dir),
+                    "margin": 1, "variants": 1, "max_attempts": 400},
+    })
+    assert cli.main(["prepare", "--config", config]) == 0
+    manifest = load_manifest(out_dir)
+    assert [e.case_id for e in manifest.samples] == ["case00"]
+    assert [s["case_id"] for s in manifest.skipped] == ["case01"]
+    assert "compressed stream ends" in manifest.skipped[0]["reason"]
+    assert "1 case(s) skipped" in capsys.readouterr().out
+
+
 def test_prepare_thin_scan_below_margin(tmp_path, capsys):
     # three slices against the default margin of 4: the dilation radius
     # exceeds the z extent
@@ -383,6 +407,19 @@ def test_infer_non_finite_scan_exits_3(cli_workspace, tmp_path, capsys):
     assert "NaN or infinite" in capsys.readouterr().err
 
 
+def test_infer_truncated_gzip_exits_3(cli_workspace, tmp_path, capsys):
+    dataset_dir = tmp_path / "dataset"
+    shutil.copytree(cli_workspace["dataset_dir"], dataset_dir)
+    entry = load_manifest(dataset_dir).samples[0]
+    cut_in_half(dataset_dir / entry.directory / f"{entry.sample_id}-t1n-voided.nii.gz")
+    config = write_config(tmp_path / "c.json", {
+        "infer": {"dataset_dir": str(dataset_dir),
+                  "checkpoints": [str(cli_workspace["train_dir"] / "fold0-best.vxpt")],
+                  "out_dir": str(tmp_path / "pred"), "crop_dims": [16, 16, 16]}})
+    assert cli.main(["infer", "--config", config]) == 3
+    assert "compressed stream ends" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -457,6 +494,22 @@ def test_evaluate_non_finite_prediction_exits_3(cli_workspace, tmp_path, capsys)
     assert "NaN or infinite" in capsys.readouterr().err
 
 
+def test_evaluate_junk_after_gzip_exits_3(cli_workspace, tmp_path, capsys):
+    dataset_dir = cli_workspace["dataset_dir"]
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    for entry in load_manifest(dataset_dir).samples:
+        shutil.copyfile(dataset_dir / entry.directory / f"{entry.sample_id}-t1n.nii.gz",
+                        pred_dir / f"{entry.sample_id}-t1n-inpainted.nii.gz")
+    with open(pred_dir / f"{entry.sample_id}-t1n-inpainted.nii.gz", "ab") as fh:
+        fh.write(b"junk")
+    config = write_config(tmp_path / "c.json", {
+        "evaluate": {"pred_dir": str(pred_dir), "gt_dir": str(dataset_dir),
+                     "out_dir": str(tmp_path / "eval")}})
+    assert cli.main(["evaluate", "--config", config]) == 3
+    assert "not a valid gzip stream" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
@@ -496,3 +549,63 @@ def test_report_invalid_summary_exits_3(tmp_path):
     config = write_config(tmp_path / "c.json", {
         "report": {"summary": str(summary_path)}})
     assert cli.main(["report", "--config", config]) == 3
+
+
+# ---------------------------------------------------------------------------
+# whole loop, pinned outputs
+# ---------------------------------------------------------------------------
+
+def _non_cubic_inputs(root, dims=(40, 36, 28)):
+    """Two scans of a non-cubic grid, each with a ball tumor off-centre."""
+    input_dir = root / "scans"
+    input_dir.mkdir()
+    grid = np.indices(dims).astype(np.float64)
+    centre = [(d - 1) / 2 for d in dims]
+    brain = sum(((grid[i] - centre[i]) / (0.42 * dims[i])) ** 2 for i in range(3)) <= 1.0
+    for i, spot in enumerate(((14, 20, 12), (25, 14, 16))):
+        rng = np.random.default_rng(4700 + i)
+        voxels = np.rint(200.0 + 800.0 * rng.random(dims)).astype(np.float32)
+        voxels[~brain] = 0.0
+        tumor = sum((grid[a] - spot[a]) ** 2 for a in range(3)) <= 2.3 ** 2
+        write_nifti(Volume(voxels), input_dir / f"case{i:02d}-t1n.nii.gz")
+        write_nifti_mask(MaskVolume(tumor & brain, role="unhealthy"),
+                         input_dir / f"case{i:02d}-mask-unhealthy.nii.gz")
+    return input_dir
+
+
+def _digest(paths):
+    """sha256 over the files' names and contents, .gz files decompressed."""
+    h = hashlib.sha256()
+    for path in sorted(paths):
+        data = path.read_bytes()
+        h.update(path.name.encode() + b"\0")
+        h.update(gzip.decompress(data) if path.suffix == ".gz" else data)
+    return h.hexdigest()
+
+
+def test_whole_loop_outputs_are_pinned(tmp_path):
+    # digests computed before evaluation moved into the SSIM box, volumes
+    # kept disk order and normalization moved after the crop: those changes
+    # must not move a byte. The prepared dataset involves no BLAS call; the
+    # trained outputs do (numpy 2.4, OpenBLAS on x86-64), so a different
+    # GEMM kernel can change the second digest without a defect here.
+    input_dir = _non_cubic_inputs(tmp_path)
+    dataset, run, pred, ev = (tmp_path / n for n in ("dataset", "run", "pred", "eval"))
+    commands = {
+        "prepare": {"input_dir": str(input_dir), "out_dir": str(dataset), "margin": 2,
+                    "variants": 1, "max_attempts": 400},
+        "train": {"dataset_dir": str(dataset), "out_dir": str(run), "epochs": 2, "folds": 2,
+                  "lr": 1e-3, "crop_dims": [24, 24, 16], "base_channels": 2,
+                  "dropout_rate": 0.2},
+        "infer": {"dataset_dir": str(dataset), "out_dir": str(pred), "crop_dims": [32, 32, 24],
+                  "checkpoints": [str(run / f"fold{k}-best.vxpt") for k in range(2)]},
+        "evaluate": {"pred_dir": str(pred), "gt_dir": str(dataset), "out_dir": str(ev)},
+    }
+    for name, section in commands.items():
+        config = write_config(tmp_path / f"{name}.json", {"seed": 11, name: section})
+        assert cli.main([name, "--config", config]) == 0, name
+    assert len(load_manifest(dataset).samples) == 2
+    assert _digest(dataset.glob("*/*.nii.gz")) == (
+        "3ff5f24cdf58660102617d7445bb5f796fa376043c525e117b4609688c62e925")
+    assert _digest([*pred.glob("*.nii.gz"), ev / "cases.csv", ev / "summary.json"]) == (
+        "0eb54595bb1e1e494a885d29d479feaa870c6e0a99d6a428fddf66d41088502c")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ssim3d_oracle
+from conftest import evaluate_case_reference, ssim3d_oracle
 from voxelpaint.errors import DataError, ShapeError
 from voxelpaint.losses import SsimParams, gaussian_window
 from voxelpaint.metrics import (
@@ -53,6 +53,30 @@ def test_region_max_over_mask_union():
     with pytest.raises(DataError):
         region_max_intensity(gt, MaskVolume(np.zeros((4, 4, 4), bool)),
                              MaskVolume(np.zeros((4, 4, 4), bool), role="unhealthy"))
+
+
+def _masks_pair(dims, seed):
+    rng = np.random.default_rng(seed)
+    healthy = np.zeros(dims, bool)
+    healthy[3:9, 4:8, 5:12] = rng.random((6, 4, 7)) < 0.6
+    unhealthy = np.zeros(dims, bool)
+    unhealthy[15:20, 12:16, 2:6] = rng.random((5, 4, 4)) < 0.6
+    return healthy, unhealthy
+
+
+@pytest.mark.parametrize("empty", [None, "healthy", "unhealthy"])
+def test_region_max_equals_max_over_union(empty):
+    dims = (22, 18, 14)
+    rng = np.random.default_rng(62)
+    gt = Volume(np.asfortranarray(rng.random(dims).astype(np.float32) * 1000.0))
+    healthy, unhealthy = _masks_pair(dims, 63)
+    if empty == "healthy":
+        healthy[:] = False
+    elif empty == "unhealthy":
+        unhealthy[:] = False
+    got = region_max_intensity(gt, MaskVolume(healthy, role="healthy"),
+                               MaskVolume(unhealthy, role="unhealthy"))
+    assert got == float(gt.voxels[healthy | unhealthy].max())
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +129,38 @@ def test_ssim_over_widened_bounding_box_matches_oracle():
                         gt.voxels.astype(np.float64)[box] / rmax,
                         window, params.c1, params.c2)
     assert m.ssim == pytest.approx(ref, abs=1e-9)
+
+
+def _border_mask(dims):
+    # touches the x = 0 face and the last z plane, and is thinner than the
+    # window on every axis, so the widened box is clamped at two edges
+    bits = np.zeros(dims, bool)
+    bits[0:3, 10:14, dims[2] - 2:] = True
+    bits[1, 12, dims[2] - 3] = True
+    return bits
+
+
+def _single_voxel_mask(dims):
+    bits = np.zeros(dims, bool)
+    bits[17, 4, 9] = True
+    return bits
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("make_mask", [_border_mask, _single_voxel_mask])
+def test_evaluate_case_equals_full_volume_reference(order, make_mask):
+    dims = (30, 26, 20)
+    rng = np.random.default_rng(64)
+    gt_vox = np.rint(rng.random(dims) * 900.0 + 100.0).astype(np.float32)
+    pred_vox = gt_vox + (30.0 * rng.standard_normal(dims)).astype(np.float32)
+    gt = Volume(np.array(gt_vox, order=order))
+    pred = Volume(np.array(pred_vox, order=order))
+    healthy = MaskVolume(np.array(make_mask(dims), order=order), role="healthy")
+    rmax = 950.0
+    got = evaluate_case("c6", pred, gt, healthy, rmax)
+    ref = evaluate_case_reference("c6", pred, gt, healthy, rmax)
+    assert (got.ssim, got.mse, got.rmse, got.psnr) == (ref.ssim, ref.mse, ref.rmse, ref.psnr)
+    assert got == ref
 
 
 def test_tiny_mask_widens_box_to_window():

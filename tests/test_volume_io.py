@@ -3,17 +3,21 @@
 import gzip
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_nifti_bytes
 from voxelpaint.errors import DataError, NiftiError, ShapeError
+from voxelpaint.masks import (MaskGenParams, _shape_block, generate_mask_set,
+                              make_training_sample, void_image)
 from voxelpaint.nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
 from voxelpaint.volume import (
     CropSpec,
     MaskVolume,
     Volume,
+    bounding_box,
     crop_center,
     crop_mask,
     make_crop_spec,
@@ -119,6 +123,97 @@ def test_stitch_preserves_metadata_and_validates():
         stitch(original, Volume(np.ones((3, 3, 3), np.float32)), mask, spec)
     with pytest.raises(ShapeError):
         stitch(original, pred, MaskVolume(np.ones((3, 3, 3), bool)), spec)
+
+
+# ---------------------------------------------------------------------------
+# Bounding box
+# ---------------------------------------------------------------------------
+
+def _argwhere_box(bits):
+    coords = np.argwhere(bits)
+    return tuple(slice(int(lo), int(hi) + 1) for lo, hi in zip(coords.min(0), coords.max(0)))
+
+
+def test_bounding_box_matches_argwhere_oracle():
+    rng = np.random.default_rng(44)
+    for _ in range(300):
+        dims = tuple(int(rng.integers(1, 10)) for _ in range(3))
+        bits = rng.random(dims) < rng.uniform(0.005, 0.5)
+        bits[tuple(int(rng.integers(0, d)) for d in dims)] = True
+        for arr in (bits, np.asfortranarray(bits)):
+            assert bounding_box(arr) == _argwhere_box(arr)
+
+    dims = (7, 5, 6)
+    faces = np.zeros(dims, bool)
+    for voxel in ((0, 2, 3), (6, 1, 1), (3, 0, 2), (2, 4, 4), (4, 3, 0), (1, 2, 5)):
+        faces[voxel] = True
+    one = np.zeros(dims, bool)
+    one[5, 0, 3] = True
+    for bits in (faces, one, np.ones(dims, bool)):
+        assert bounding_box(bits) == _argwhere_box(bits)
+    assert bounding_box(faces) == (slice(0, 7), slice(0, 5), slice(0, 6))
+    assert bounding_box(one) == (slice(5, 6), slice(0, 1), slice(3, 4))
+
+
+def test_bounding_box_of_an_empty_mask_raises():
+    with pytest.raises(DataError):
+        bounding_box(np.zeros((3, 4, 5), bool))
+    with pytest.raises(DataError, match="tumor mask is empty"):
+        _shape_block(np.zeros((3, 4, 5), bool))
+
+
+# ---------------------------------------------------------------------------
+# Disk order through the scan path
+# ---------------------------------------------------------------------------
+
+def _disk_case(tmp_path, dims=(21, 17, 13)):
+    """A scan and a tumor mask written to .nii.gz and read back."""
+    rng = np.random.default_rng(45)
+    grid = np.indices(dims)
+    brain = sum((grid[i] - (d - 1) / 2) ** 2 / (0.45 * d) ** 2 for i, d in enumerate(dims)) <= 1
+    voxels = np.where(brain, 100.0 + 900.0 * rng.random(dims), 0.0).astype(np.float32)
+    tumor = sum((grid[i] - c) ** 2 for i, c in enumerate((8, 9, 6))) <= 2.1 ** 2
+    write_nifti(Volume(voxels), tmp_path / "s-t1n.nii.gz")
+    write_nifti_mask(MaskVolume(tumor, role="unhealthy"), tmp_path / "s-mask-unhealthy.nii.gz")
+    return (read_nifti(tmp_path / "s-t1n.nii.gz"),
+            read_nifti_mask(tmp_path / "s-mask-unhealthy.nii.gz", "unhealthy"))
+
+
+def test_scan_path_keeps_disk_order(tmp_path):
+    t1n, tumor = _disk_case(tmp_path)
+    assert t1n.voxels.flags.f_contiguous and tumor.bits.flags.f_contiguous
+    brain = MaskVolume(t1n.voxels > 0, role="brain")
+    healthy = generate_mask_set(brain, tumor, MaskGenParams(margin=1), np.random.default_rng(46),
+                                count=2)
+    sample = make_training_sample("s", t1n, tumor, healthy[0])
+    for array in (sample.t1n_voided.voxels, sample.healthy.bits, sample.combined.bits):
+        assert array.flags.f_contiguous
+    voided = void_image(t1n, sample.combined)
+    spec = make_crop_spec(t1n.dims, (16, 16, 8))
+    pred = Volume(np.ones(spec.target_dims, np.float32))
+    out = stitch(voided, pred, crop_mask(sample.combined, spec), spec)
+    assert voided.voxels.flags.f_contiguous and out.voxels.flags.f_contiguous
+
+
+def test_writing_disk_order_arrays_copies_no_voxels(tmp_path):
+    # large enough that the writer's fixed costs stay far below the bound
+    t1n, tumor = _disk_case(tmp_path, dims=(48, 40, 32))
+    voided = void_image(t1n, tumor)
+    spec = make_crop_spec(t1n.dims, (16, 16, 8))
+    stitched = stitch(t1n, Volume(np.ones(spec.target_dims, np.float32)),
+                      crop_mask(tumor, spec), spec)
+    for write, item, nbytes in ((write_nifti, t1n, t1n.voxels.nbytes),
+                                (write_nifti, voided, t1n.voxels.nbytes),
+                                (write_nifti, stitched, t1n.voxels.nbytes),
+                                (write_nifti_mask, tumor, tumor.bits.nbytes)):
+        tracemalloc.start()
+        try:
+            write(item, tmp_path / "out.nii")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes / 4, f"{write.__name__} peaked at {peak / nbytes:.2f}x the voxels"
+    assert read_nifti_mask(tmp_path / "out.nii", "unhealthy").bits.tobytes() == tumor.bits.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -307,3 +402,47 @@ def test_nifti_gzipped_fixture_also_parses(tmp_path):
     with gzip.GzipFile(tmp_path / "z.nii.gz", "wb", mtime=0) as fh:
         fh.write(raw)
     assert read_nifti(tmp_path / "z.nii.gz").dims == (2, 3, 4)
+
+
+def _two_members(raw):
+    half = len(raw) // 2
+    return gzip.compress(raw[:half], mtime=0) + gzip.compress(raw[half:], mtime=0)
+
+
+@pytest.mark.parametrize("layout", ["members", "padded", "padded_between", "members_padded"])
+def test_nifti_gzip_members_and_padding_read_as_the_gzip_module_does(tmp_path, layout):
+    data = np.arange(24, dtype=np.float32).reshape(4, 3, 2)
+    raw = make_nifti_bytes((2, 3, 4), data=data)
+    half = len(raw) // 2
+    blob = {
+        "members": _two_members(raw),
+        "padded": gzip.compress(raw, mtime=0) + bytes(9),
+        "padded_between": gzip.compress(raw[:half], mtime=0) + bytes(3)
+                          + gzip.compress(raw[half:], mtime=0),
+        "members_padded": _two_members(raw) + bytes(2),
+    }[layout]
+    path = tmp_path / "v.nii.gz"
+    path.write_bytes(blob)
+    with gzip.open(path, "rb") as fh:
+        assert fh.read() == raw
+    assert read_nifti(path).voxels.tobytes() == data.transpose(2, 1, 0).tobytes()
+
+
+@pytest.mark.parametrize("damage", ["cut", "junk", "bad_crc", "not_gzip", "cut_member"])
+def test_nifti_damaged_gzip_raises_bad_gzip(tmp_path, damage):
+    raw = make_nifti_bytes((5, 4, 3))
+    blob = gzip.compress(raw, mtime=0)
+    blob = {
+        "cut": blob[:len(blob) // 2],                      # the gzip module: EOFError
+        "junk": blob + b"junk",                            # BadGzipFile
+        "bad_crc": blob[:-8] + bytes([blob[-8] ^ 1]) + blob[-7:],   # BadGzipFile
+        "not_gzip": raw,                                   # BadGzipFile
+        "cut_member": _two_members(raw)[:-5],              # EOFError
+    }[damage]
+    path = tmp_path / "v.nii.gz"
+    path.write_bytes(blob)
+    for read in (read_nifti, lambda p: read_nifti_mask(p, "healthy")):
+        with pytest.raises(NiftiError) as exc:
+            read(path)
+        assert exc.value.code == "bad_gzip"
+        assert str(path) in str(exc.value)
