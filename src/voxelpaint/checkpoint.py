@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,13 +28,7 @@ VERSION = 1
 
 
 def save_checkpoint(model: UNet, metadata: dict, path) -> None:
-    meta = dict(metadata)
-    meta["config"] = {
-        "base_channels": model.config.base_channels,
-        "in_channels": model.config.in_channels,
-        "out_channels": model.config.out_channels,
-        "dropout_rate": model.config.dropout_rate,
-    }
+    meta = dict(metadata, config=asdict(model.config))
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)

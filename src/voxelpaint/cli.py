@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
-from .dataset import (Manifest, ManifestEntry, load_manifest, read_sample,
-                      sample_id, save_manifest, write_sample)
-from .errors import (CheckpointError, ConfigError, DataError, MaskPlacementError,
-                     NiftiError, NumericError, ShapeError, VoxelPaintError)
+from .dataset import (Manifest, ManifestEntry, component_path, inpainted_path, load_manifest,
+                      read_sample, sample_id, save_manifest, write_sample)
+from .errors import (ConfigError, DataError, MaskPlacementError, NiftiError, NumericError,
+                     ShapeError, VoxelPaintError)
 from .masks import (MASKS_PER_SCAN, MaskGenParams, MaskVolume, generate_mask_set,
                     make_training_sample)
 from .metrics import (aggregate_stats, evaluate_case, region_max_intensity,
@@ -27,15 +28,11 @@ from .nifti import read_nifti, read_nifti_mask, write_nifti
 from .trainer import TrainConfig, infer_case, prepare_sample, train_fold
 from .util import atomic_open, derive_seed, make_rng
 
-COMMANDS = ("prepare", "train", "infer", "evaluate", "report")
-
 _SCHEMAS = {
     "prepare": {"required": ("input_dir", "out_dir"),
-                "optional": ("margin", "volume_fraction", "max_attempts", "variants")},
+                "optional": (*(f.name for f in fields(MaskGenParams)), "variants")},
     "train": {"required": ("dataset_dir", "out_dir"),
-              "optional": ("epochs", "folds", "lr", "beta1", "beta2", "lambda_mae",
-                           "lambda_ssim", "batch_size", "crop_dims", "base_channels",
-                           "dropout_rate", "mae_region")},
+              "optional": tuple(f.name for f in fields(TrainConfig) if f.name != "seed")},
     "infer": {"required": ("dataset_dir", "checkpoints", "out_dir"),
               "optional": ("crop_dims",)},
     "evaluate": {"required": ("pred_dir", "gt_dir", "out_dir"), "optional": ()},
@@ -87,7 +84,7 @@ def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str |
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
 
-    allowed_top = set(COMMANDS) | {"seed"}
+    allowed_top = set(_HANDLERS) | {"seed"}
     unknown_top = set(payload) - allowed_top
     if unknown_top:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown_top)}")
@@ -138,9 +135,7 @@ def _require_dir(path_str: str, what: str) -> Path:
 def cmd_prepare(cfg: dict) -> int:
     input_dir = _require_dir(cfg["input_dir"], "input")
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    params = MaskGenParams(**{key: _typed(cfg, key, getattr(MaskGenParams, key))
-                              for key in ("margin", "volume_fraction", "max_attempts")})
+    params = MaskGenParams(**{f.name: _typed(cfg, f.name, f.default) for f in fields(MaskGenParams)})
     variants = _typed(cfg, "variants", MASKS_PER_SCAN)
     seed = cfg["seed"]
 
@@ -186,7 +181,6 @@ def cmd_prepare(cfg: dict) -> int:
 def cmd_train(cfg: dict) -> int:
     dataset_dir = _require_dir(cfg["dataset_dir"], "dataset")
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = TrainConfig(seed=cfg["seed"],
                          **{key: _typed(cfg, key, getattr(TrainConfig, key))
                             for key in _SCHEMAS["train"]["optional"]})
@@ -216,7 +210,6 @@ def cmd_train(cfg: dict) -> int:
 def cmd_infer(cfg: dict) -> int:
     dataset_dir = _require_dir(cfg["dataset_dir"], "dataset")
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     crop_dims = _typed(cfg, "crop_dims", TrainConfig.crop_dims)
     ckpt_paths = cfg["checkpoints"]
     ckpt_paths = [ckpt_paths] if isinstance(ckpt_paths, str) else _typed(cfg, "checkpoints", [], element=str)
@@ -232,18 +225,18 @@ def cmd_infer(cfg: dict) -> int:
     produced = 0
     for d in sample_dirs:
         sid = d.name
-        mask_path = d / f"{sid}-mask.nii.gz"
+        mask_path = component_path(d, sid, "mask")
         if not mask_path.exists():
             continue
-        volume_path = d / f"{sid}-t1n-voided.nii.gz"
+        volume_path = component_path(d, sid, "t1n-voided")
         if not volume_path.exists():
-            volume_path = d / f"{sid}-t1n.nii.gz"
+            volume_path = component_path(d, sid, "t1n")
         if not volume_path.exists():
             continue
         volume = read_nifti(volume_path)
         combined = read_nifti_mask(mask_path, "combined")
         result = infer_case(models, volume, combined, crop_dims)
-        write_nifti(result, out_dir / f"{sid}-t1n-inpainted.nii.gz")
+        write_nifti(result, inpainted_path(out_dir, sid))
         produced += 1
     if produced == 0:
         raise FileNotFoundError(f"no inferable samples (mask plus volume) under {dataset_dir}")
@@ -255,22 +248,21 @@ def cmd_evaluate(cfg: dict) -> int:
     pred_dir = _require_dir(cfg["pred_dir"], "prediction")
     gt_dir = _require_dir(cfg["gt_dir"], "ground truth")
     out_dir = Path(cfg["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     cases = []
     sample_dirs = sorted(d for d in gt_dir.iterdir() if d.is_dir())
     for d in sample_dirs:
         sid = d.name
-        gt_path = d / f"{sid}-t1n.nii.gz"
+        gt_path = component_path(d, sid, "t1n")
         if not gt_path.exists():
             continue
-        pred_path = pred_dir / f"{sid}-t1n-inpainted.nii.gz"
+        pred_path = inpainted_path(pred_dir, sid)
         if not pred_path.exists():
             raise FileNotFoundError(f"no prediction {pred_path} for sample {sid}")
         gt = read_nifti(gt_path)
         pred = read_nifti(pred_path)
-        healthy = read_nifti_mask(d / f"{sid}-mask-healthy.nii.gz", "healthy")
-        unhealthy = read_nifti_mask(d / f"{sid}-mask-unhealthy.nii.gz", "unhealthy")
+        healthy = read_nifti_mask(component_path(d, sid, "mask-healthy"), "healthy")
+        unhealthy = read_nifti_mask(component_path(d, sid, "mask-unhealthy"), "unhealthy")
         vmax = region_max_intensity(gt, healthy, unhealthy)
         cases.append(evaluate_case(sid, pred, gt, healthy, vmax))
     if not cases:
@@ -310,7 +302,7 @@ def main(argv=None) -> int:
         prog="voxelpaint",
         description="Mask synthesis, inpainting U-Net training, and evaluation for brain MRI.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -327,8 +319,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ConfigError, DataError, NiftiError, CheckpointError, ShapeError,
-            MaskPlacementError, VoxelPaintError) as exc:
+    except VoxelPaintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -20,7 +20,7 @@ and any skipped cases with reasons.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import DataError
@@ -42,6 +42,11 @@ def component_path(sample_dir: Path, sid: str, component: str) -> Path:
     return Path(sample_dir) / f"{sid}-{component}.nii.gz"
 
 
+def inpainted_path(pred_dir: Path, sid: str) -> Path:
+    """Where infer writes, and evaluate reads, a sample's inpainted scan."""
+    return Path(pred_dir) / f"{sid}-t1n-inpainted.nii.gz"
+
+
 def write_sample(sample_dir, sid: str, sample: TrainingSample) -> None:
     sample_dir = Path(sample_dir)
     sample_dir.mkdir(parents=True, exist_ok=True)
@@ -59,6 +64,9 @@ def read_sample(sample_dir, sid: str, case_id: str | None = None) -> TrainingSam
     healthy = read_nifti_mask(component_path(sample_dir, sid, "mask-healthy"), "healthy")
     unhealthy = read_nifti_mask(component_path(sample_dir, sid, "mask-unhealthy"), "unhealthy")
     combined = read_nifti_mask(component_path(sample_dir, sid, "mask"), "combined")
+    for component, part in zip(COMPONENTS[1:], (voided, healthy, unhealthy, combined)):
+        if part.dims != t1n.dims:
+            raise DataError(f"sample {sid}: {component} dims {part.dims} differ from t1n dims {t1n.dims}")
     return TrainingSample(case_id=case_id or sid, t1n=t1n, t1n_voided=voided,
                           healthy=healthy, unhealthy=unhealthy, combined=combined)
 
@@ -78,23 +86,11 @@ class Manifest:
     samples: list[ManifestEntry] = field(default_factory=list)
     skipped: list[dict] = field(default_factory=list)
 
-    def case_ids(self) -> list[str]:
-        seen: list[str] = []
-        for entry in self.samples:
-            if entry.case_id not in seen:
-                seen.append(entry.case_id)
-        return seen
-
 
 def save_manifest(manifest: Manifest, dataset_dir) -> Path:
     path = Path(dataset_dir) / MANIFEST_NAME
-    payload = {
-        "seed": manifest.seed,
-        "samples": [vars(e) for e in manifest.samples],
-        "skipped": manifest.skipped,
-    }
     with atomic_open(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -14,7 +14,7 @@ class ConfigError(VoxelPaintError):
 
 
 class DataError(VoxelPaintError):
-    """Input data violates a precondition (empty region, bad domain, ...)."""
+    """Input data violates a precondition (empty region, mismatched dims, ...)."""
 
 
 class MaskPlacementError(VoxelPaintError):

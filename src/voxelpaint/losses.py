@@ -70,10 +70,6 @@ def _as_graph_volume(x: Tensor | np.ndarray, name: str) -> Tensor:
         if arr.ndim == 3:
             arr = arr[None, None]
         x = Tensor(arr)
-    elif x.data.ndim == 3:
-        if x.requires_grad:
-            raise ShapeError(f"{name} carries gradients and must already be 5-D")
-        x = Tensor(x.data[None, None])
     if x.data.ndim != 5:
         raise ShapeError(f"{name} must be [N,C,D,H,W] or [D,H,W], got {x.shape}")
     if x.data.shape[1] != 1:

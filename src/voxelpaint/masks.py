@@ -208,13 +208,12 @@ def generate_mask_set(brain: MaskVolume, tumor: MaskVolume, params: MaskGenParam
 
 
 def void_image(image: Volume, combined: MaskVolume) -> Volume:
-    """Blank the masked region: 0 in raw/unit domains, -1 in signed-unit."""
+    """Set the masked region of a scan to 0."""
     if image.dims != combined.dims:
         raise ShapeError(f"image dims {image.dims} and mask dims {combined.dims} disagree")
-    fill = np.float32(-1.0 if image.domain == "signed-unit" else 0.0)
     voxels = image.voxels.copy(order="K")   # keep disk order: the writer then copies nothing
-    voxels[combined.bits] = fill
-    return Volume(voxels, domain=image.domain, affine_bytes=image.affine_bytes)
+    voxels[combined.bits] = 0.0
+    return Volume(voxels, affine_bytes=image.affine_bytes)
 
 
 @dataclass

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,10 +54,13 @@ def region_max_intensity(gt: Volume, healthy: MaskVolume, unhealthy: MaskVolume)
     """Ground-truth maximum over the union of both mask regions.
 
     Taken over each nonempty mask inside its own bounding box: the same
-    maximum as over the union, without building the union.
+    maximum as over the union, without building the union. A mask whose
+    dims differ from the scan's raises ShapeError.
     """
     peaks = []
     for mask in (healthy, unhealthy):
+        if mask.dims != gt.dims:
+            raise ShapeError(f"{mask.role} mask dims {mask.dims} differ from scan dims {gt.dims}")
         try:
             box = bounding_box(mask.bits)
         except DataError:
@@ -162,19 +165,7 @@ _METRIC_COLUMNS = ("mse", "psnr", "ssim")
 
 
 def summary_to_dict(summary: EvaluationSummary) -> dict:
-    def pack(s: SummaryStats | None):
-        if s is None:
-            return None
-        return {"mean": s.mean, "std": s.std, "p25": s.p25, "median": s.median, "p75": s.p75}
-
-    return {
-        "mse": pack(summary.mse),
-        "psnr": pack(summary.psnr),
-        "ssim": pack(summary.ssim),
-        "rmse": pack(summary.rmse),
-        "case_count": summary.case_count,
-        "psnr_infinite_count": summary.psnr_infinite_count,
-    }
+    return asdict(summary)
 
 
 def write_cases_csv(cases: list[CaseMetrics], path) -> None:

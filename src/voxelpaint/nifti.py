@@ -41,8 +41,7 @@ _OFF_DATATYPE = 70
 _OFF_BITPIX = 72
 _OFF_PIXDIM = 76
 _OFF_VOX_OFFSET = 108
-_OFF_SCL_SLOPE = 112
-_OFF_SCL_INTER = 116
+_OFF_SCL_SLOPE = 112   # scl_slope, then scl_inter
 _OFF_AFFINE = 252   # qform_code .. srow_z, passed through opaquely
 _END_AFFINE = 328
 _OFF_MAGIC = 344
@@ -137,15 +136,14 @@ def _scaled(path: Path, stored: np.ndarray, slope: float, inter: float) -> np.nd
 
 
 def read_nifti(path) -> Volume:
-    """Parse one scan into a raw-domain Volume.
+    """Parse one scan into a Volume.
 
     Raises NiftiError with code bad_gzip, bad_header, bad_magic,
     bad_datatype, bad_dims, truncated, or non_finite.
     """
     path = Path(path)
     raw, stored, slope, inter = _read_stored(path)
-    return Volume(_scaled(path, stored, slope, inter), domain="raw",
-                  affine_bytes=raw[_OFF_AFFINE:_END_AFFINE])
+    return Volume(_scaled(path, stored, slope, inter), affine_bytes=raw[_OFF_AFFINE:_END_AFFINE])
 
 
 def read_nifti_mask(path, role: str) -> MaskVolume:

@@ -5,6 +5,10 @@ one fold). Each fold trains its own model; the checkpoint tracks the
 best validation loss seen so far, updating only on strict improvement.
 Every random choice derives from the global seed, so a rerun reproduces
 the loss curves bit for bit.
+
+Inference runs each model once on the centred crop of ``crop_dims``, not a
+sliding window; masked voxels outside that crop keep their voided value
+(ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -19,14 +23,12 @@ import numpy as np
 from .autodiff import Tensor, no_grad
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, DataError, NumericError
-from .losses import LossWeights, SsimParams, composite_loss
+from .losses import LossWeights, composite_loss
 from .masks import TrainingSample, void_image
 from .optim import Adam
 from .unet import UNet, UNetConfig, build_unet
 from .util import make_rng
 from .volume import MaskVolume, Volume, crop_center, crop_mask, stitch
-
-TRAIN_DATA_RANGE = 2.0  # signed-unit span
 
 
 @dataclass(frozen=True)
@@ -66,17 +68,6 @@ class TrainConfig:
         if self.mae_region not in ("non_tumor", "healthy_only"):
             raise ConfigError(f"mae_region must be non_tumor or healthy_only, got {self.mae_region!r}")
 
-    def weights(self) -> LossWeights:
-        return LossWeights(mae=self.lambda_mae, ssim=self.lambda_ssim)
-
-    def ssim_params(self) -> SsimParams:
-        return SsimParams(data_range=TRAIN_DATA_RANGE)
-
-
-@dataclass(frozen=True)
-class FoldPlan:
-    folds: tuple[tuple[str, ...], ...]
-
 
 @dataclass
 class FoldResult:
@@ -87,7 +78,7 @@ class FoldResult:
     history: list[dict] = field(default_factory=list)
 
 
-def kfold_split(case_ids: list[str], k: int, seed: int) -> FoldPlan:
+def kfold_split(case_ids: list[str], k: int, seed: int) -> tuple[tuple[str, ...], ...]:
     """Deterministic k folds: sort, seeded shuffle, round-robin deal.
 
     Fold sizes differ by at most one. Duplicate ids or k larger than the
@@ -100,7 +91,7 @@ def kfold_split(case_ids: list[str], k: int, seed: int) -> FoldPlan:
         raise DataError(f"need 2 <= k <= {len(ids)} cases, got k={k}")
     order = make_rng(seed, "kfold").permutation(len(ids))
     shuffled = [ids[i] for i in order]
-    return FoldPlan(folds=tuple(tuple(shuffled[i::k]) for i in range(k)))
+    return tuple(tuple(shuffled[i::k]) for i in range(k))
 
 
 # -- normalization -------------------------------------------------------------
@@ -120,7 +111,7 @@ def normalize_two_stage(volume: Volume, vmax: float | None = None) -> tuple[Volu
         raise DataError(f"volume max {vmax} must be positive to normalize")
     scaled = volume.voxels * np.float32(1.0 / vmax)
     signed = scaled * np.float32(2.0) - np.float32(1.0)
-    return Volume(signed, domain="signed-unit", affine_bytes=volume.affine_bytes), vmax
+    return Volume(signed, affine_bytes=volume.affine_bytes), vmax
 
 
 def denormalize(voxels: np.ndarray, vmax: float) -> np.ndarray:
@@ -175,7 +166,7 @@ def _loss_for(model: UNet, batch: list[PreparedSample], config: TrainConfig,
     gt = np.concatenate([s.gt for s in batch], axis=0)
     region = np.concatenate([s.region for s in batch], axis=0)
     pred = model.forward(voided, mask, training=training, rng=rng)
-    return composite_loss(pred, gt, region, config.weights(), config.ssim_params())
+    return composite_loss(pred, gt, region, LossWeights(config.lambda_mae, config.lambda_ssim))
 
 
 def validation_loss(model: UNet, samples: list[PreparedSample], config: TrainConfig) -> float:
@@ -198,10 +189,10 @@ def train_fold(samples: list[tuple[str, PreparedSample]], config: TrainConfig,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     case_ids = sorted({cid for cid, _ in samples})
-    plan = kfold_split(case_ids, config.folds, config.seed)
+    folds = kfold_split(case_ids, config.folds, config.seed)
     if not 0 <= fold_index < config.folds:
         raise ConfigError(f"fold_index {fold_index} out of range for {config.folds} folds")
-    val_cases = set(plan.folds[fold_index])
+    val_cases = set(folds[fold_index])
     train_set = [s for cid, s in samples if cid not in val_cases]
     val_set = [s for cid, s in samples if cid in val_cases]
     if not train_set or not val_set:

@@ -36,14 +36,6 @@ class UNetConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
-    @property
-    def encoder_channels(self) -> list[int]:
-        return [self.base_channels * (2 ** i) for i in range(ENCODER_LEVELS)]
-
-    @property
-    def bridge_channels(self) -> int:
-        return self.base_channels * (2 ** ENCODER_LEVELS)
-
 
 class UNet:
     """Parameter container plus the forward pass."""
@@ -148,13 +140,13 @@ def build_unet(config: UNetConfig, rng: np.random.Generator,
             if act == "prelu":
                 add(f"{prefix}.act{j}.alpha", np.full(1, 0.25))
 
-    enc = config.encoder_channels
+    enc = [config.base_channels * 2 ** i for i in range(ENCODER_LEVELS)]
     prev = config.in_channels
     for i, c in enumerate(enc):
         add_block(f"enc{i}", prev, c, "prelu")
         prev = c
-    add_block("bridge", prev, config.bridge_channels, "relu")
-    prev = config.bridge_channels
+    add_block("bridge", prev, 2 * prev, "relu")
+    prev *= 2
     for i in reversed(range(ENCODER_LEVELS)):
         add_block(f"dec{i}", prev + enc[i], enc[i], "prelu")
         prev = enc[i]

@@ -1,7 +1,6 @@
 """Volumes, masks, bounding boxes, center cropping, and stitching.
 
-Voxel arrays are indexed [x, y, z]. Intensity domains are tagged:
-"raw" (scanner units), "unit" ([0,1]), "signed-unit" ([-1,1]).
+Voxel arrays are indexed [x, y, z].
 """
 
 from __future__ import annotations
@@ -12,14 +11,12 @@ import numpy as np
 
 from .errors import DataError, ShapeError
 
-DOMAINS = ("raw", "unit", "signed-unit")
 MASK_ROLES = ("healthy", "unhealthy", "combined", "brain")
 
 
 @dataclass
 class Volume:
     voxels: np.ndarray
-    domain: str = "raw"
     affine_bytes: bytes | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -28,8 +25,6 @@ class Volume:
             self.voxels = self.voxels.astype(np.float32)
         if self.voxels.ndim != 3:
             raise ShapeError(f"volume must be 3-D, got shape {self.voxels.shape}")
-        if self.domain not in DOMAINS:
-            raise DataError(f"unknown intensity domain {self.domain!r}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -102,7 +97,7 @@ def _crop_slices(spec: CropSpec):
 
 def crop_center(volume: Volume, target_dims) -> tuple[Volume, CropSpec]:
     spec = make_crop_spec(volume.dims, target_dims)
-    cropped = Volume(volume.voxels[_crop_slices(spec)].copy(), domain=volume.domain)
+    cropped = Volume(volume.voxels[_crop_slices(spec)].copy())
     return cropped, spec
 
 
@@ -127,4 +122,4 @@ def stitch(original: Volume, prediction: Volume, mask: MaskVolume, spec: CropSpe
     out = original.voxels.copy(order="K")   # keep disk order: the writer then copies nothing
     region = out[_crop_slices(spec)]
     region[mask.bits] = prediction.voxels[mask.bits]
-    return Volume(out, domain=original.domain, affine_bytes=original.affine_bytes)
+    return Volume(out, affine_bytes=original.affine_bytes)

@@ -368,6 +368,7 @@ def test_criterion_7_parsing(tmp_path):
 # 8. Training smoke test
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_8_training_smoke(tmp_path):
     with criterion(8, "loss falls below 0.1x first epoch in <=200 epochs and <5min; "
                       "checkpoint = curve minimum; rerun bit-identical"):

@@ -723,11 +723,3 @@ def test_adam_skips_params_without_grad():
     opt.step()
     assert q.data[0] == 3.0
     assert p.data[0] != 2.0
-
-
-def test_adam_zero_grad():
-    p = Tensor(np.array([1.0]), requires_grad=True)
-    p.grad = np.array([1.0], dtype=np.float32)
-    opt = Adam([p])
-    opt.zero_grad()
-    assert p.grad is None

@@ -325,6 +325,21 @@ def test_train_numeric_blowup_exits_4(cli_workspace, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_train_sample_dims_disagree_exits_3(cli_workspace, tmp_path, capsys):
+    # a voided scan larger than its scan would still centre-crop to crop_dims
+    dataset_dir = tmp_path / "dataset"
+    shutil.copytree(cli_workspace["dataset_dir"], dataset_dir)
+    entry = load_manifest(dataset_dir).samples[0]
+    voided = dataset_dir / entry.directory / f"{entry.sample_id}-t1n-voided.nii.gz"
+    write_nifti(Volume(np.ones((20, 20, 20), np.float32)), voided)
+    config = write_config(tmp_path / "c.json", {
+        "train": {"dataset_dir": str(dataset_dir), "out_dir": str(tmp_path / "out"),
+                  "epochs": 1, "folds": 2, "crop_dims": [16, 16, 16],
+                  "base_channels": 2, "dropout_rate": 0.0}})
+    assert cli.main(["train", "--config", config]) == 3
+    assert "t1n-voided" in capsys.readouterr().err
+
+
 def test_train_empty_manifest_exits_3(tmp_path):
     dataset_dir = tmp_path / "dataset"
     dataset_dir.mkdir()
@@ -494,6 +509,28 @@ def test_evaluate_non_finite_prediction_exits_3(cli_workspace, tmp_path, capsys)
     assert "NaN or infinite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("component, role", [("mask-healthy", "healthy"),
+                                             ("mask-unhealthy", "unhealthy")])
+def test_evaluate_mask_dims_disagree_exits_3(cli_workspace, tmp_path, capsys, component, role):
+    # a mask on a larger grid than the scan, set only outside the scan
+    gt_dir = tmp_path / "gt"
+    shutil.copytree(cli_workspace["dataset_dir"], gt_dir)
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    for entry in load_manifest(gt_dir).samples:
+        shutil.copyfile(gt_dir / entry.directory / f"{entry.sample_id}-t1n.nii.gz",
+                        pred_dir / f"{entry.sample_id}-t1n-inpainted.nii.gz")
+    bits = np.zeros((20, 20, 20), dtype=bool)
+    bits[18, 18, 18] = True
+    write_nifti_mask(MaskVolume(bits, role=role),
+                     gt_dir / entry.directory / f"{entry.sample_id}-{component}.nii.gz")
+    config = write_config(tmp_path / "c.json", {
+        "evaluate": {"pred_dir": str(pred_dir), "gt_dir": str(gt_dir),
+                     "out_dir": str(tmp_path / "eval")}})
+    assert cli.main(["evaluate", "--config", config]) == 3
+    assert f"{role} mask dims" in capsys.readouterr().err
+
+
 def test_evaluate_junk_after_gzip_exits_3(cli_workspace, tmp_path, capsys):
     dataset_dir = cli_workspace["dataset_dir"]
     pred_dir = tmp_path / "pred"
@@ -609,3 +646,6 @@ def test_whole_loop_outputs_are_pinned(tmp_path):
         "3ff5f24cdf58660102617d7445bb5f796fa376043c525e117b4609688c62e925")
     assert _digest([*pred.glob("*.nii.gz"), ev / "cases.csv", ev / "summary.json"]) == (
         "0eb54595bb1e1e494a885d29d479feaa870c6e0a99d6a428fddf66d41088502c")
+    # the checkpoints too, metadata block included
+    assert _digest(run.glob("fold*-best.vxpt")) == (
+        "7711d67a024ff6ac447b62c771d4db77be96a29583b721bca61da0ac0cb456ff")

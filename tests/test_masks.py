@@ -275,17 +275,15 @@ def test_augment_mask_deterministic_and_role_preserving():
 # Voiding and sample assembly
 # ---------------------------------------------------------------------------
 
-def test_void_image_fill_value_tracks_domain():
+def test_void_image_zeroes_masked_voxels():
     bits = np.zeros((4, 4, 4), dtype=bool)
     bits[1, 2, 3] = True
     mask = MaskVolume(bits, role="combined")
-    raw = Volume(np.full((4, 4, 4), 5.0, np.float32), domain="raw")
-    assert void_image(raw, mask).voxels[1, 2, 3] == 0.0
-    signed = Volume(np.full((4, 4, 4), 0.5, np.float32), domain="signed-unit")
-    voided = void_image(signed, mask)
-    assert voided.voxels[1, 2, 3] == -1.0
+    raw = Volume(np.full((4, 4, 4), 5.0, np.float32))
+    voided = void_image(raw, mask)
+    assert voided.voxels[1, 2, 3] == 0.0
     untouched = ~bits
-    assert np.array_equal(voided.voxels[untouched], signed.voxels[untouched])
+    assert np.array_equal(voided.voxels[untouched], raw.voxels[untouched])
 
 
 def test_void_image_shape_mismatch():
@@ -300,7 +298,7 @@ def test_make_training_sample_assembles_components():
     assert s.case_id == "caseA"
     assert np.array_equal(s.combined.bits, healthy.bits | tumor.bits)
     assert s.combined.role == "combined"
-    # Raw-domain scans void to zero inside the combined mask.
+    # Scans void to zero inside the combined mask.
     assert np.all(s.t1n_voided.voxels[s.combined.bits] == 0.0)
     outside = ~s.combined.bits
     assert np.array_equal(s.t1n_voided.voxels[outside], t1n.voxels[outside])

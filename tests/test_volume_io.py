@@ -35,8 +35,6 @@ def test_volume_casts_to_f32_and_validates():
     assert v.dims == (2, 3, 4)
     with pytest.raises(ShapeError):
         Volume(np.ones((2, 2)))
-    with pytest.raises(DataError):
-        Volume(np.ones((2, 2, 2)), domain="percent")
 
 
 def test_mask_volume_roles_and_count():
@@ -65,11 +63,10 @@ def test_crop_spec_floor_on_odd_differences():
 
 def test_crop_center_extracts_expected_block():
     data = np.arange(5 * 6 * 7, dtype=np.float32).reshape(5, 6, 7)
-    vol = Volume(data, domain="raw")
+    vol = Volume(data)
     cropped, spec = crop_center(vol, (3, 4, 5))
     sx, sy, sz = spec.starts
     assert np.array_equal(cropped.voxels, data[sx:sx + 3, sy:sy + 4, sz:sz + 5])
-    assert cropped.domain == "raw"
 
 
 def test_crop_rejects_oversized_target():
