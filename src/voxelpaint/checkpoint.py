@@ -86,7 +86,8 @@ def load_checkpoint(path) -> tuple[UNet, dict]:
     seen: set[str] = set()
     while not r.done():
         (name_len,) = struct.unpack("<H", r.take(2))
-        name = r.take(name_len).decode("utf-8")
+        # a name that is not UTF-8 keeps its bad bytes as \x escapes and so matches no parameter
+        name = r.take(name_len).decode("utf-8", errors="backslashreplace")
         (rank,) = struct.unpack("<B", r.take(1))
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
         data = np.frombuffer(r.take(4 * int(np.prod(shape))), dtype="<f4").reshape(shape)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
@@ -22,8 +22,8 @@ from .errors import (ConfigError, DataError, MaskPlacementError, NiftiError, Num
                      ShapeError, VoxelPaintError)
 from .masks import (MASKS_PER_SCAN, MaskGenParams, MaskVolume, generate_mask_set,
                     make_training_sample)
-from .metrics import (aggregate_stats, evaluate_case, region_max_intensity,
-                      render_report_table, summary_to_dict, write_cases_csv)
+from .metrics import (aggregate_stats, evaluate_case, region_max_intensity, render_report_table,
+                      write_cases_csv)
 from .nifti import read_nifti, read_nifti_mask, write_nifti
 from .trainer import TrainConfig, infer_case, prepare_sample, train_fold
 from .util import atomic_open, derive_seed, make_rng
@@ -268,7 +268,7 @@ def cmd_evaluate(cfg: dict) -> int:
     if not cases:
         raise FileNotFoundError(f"no evaluable samples under {gt_dir}")
 
-    summary = summary_to_dict(aggregate_stats(cases))
+    summary = asdict(aggregate_stats(cases))
     write_cases_csv(cases, out_dir / "cases.csv")
     with atomic_open(out_dir / "summary.json") as fh:
         fh.write(json.dumps(summary, indent=2) + "\n")

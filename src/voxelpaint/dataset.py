@@ -95,12 +95,16 @@ def save_manifest(manifest: Manifest, dataset_dir) -> Path:
 
 
 def load_manifest(dataset_dir) -> Manifest:
+    """The manifest of a prepared dataset; a missing or malformed one raises DataError."""
     path = Path(dataset_dir) / MANIFEST_NAME
     if not path.exists():
         raise DataError(f"no {MANIFEST_NAME} in {dataset_dir}")
-    payload = json.loads(path.read_text())
-    return Manifest(
-        seed=payload["seed"],
-        samples=[ManifestEntry(**e) for e in payload["samples"]],
-        skipped=payload.get("skipped", []),
-    )
+    try:
+        payload = json.loads(path.read_text())
+        return Manifest(
+            seed=payload["seed"],
+            samples=[ManifestEntry(**e) for e in payload["samples"]],
+            skipped=payload.get("skipped", []),
+        )
+    except (ValueError, LookupError, TypeError) as exc:
+        raise DataError(f"manifest {path} is malformed: {exc!r}") from exc

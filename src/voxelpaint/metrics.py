@@ -3,21 +3,22 @@
 Per case, metrics compare prediction and ground truth on the healthy
 mask only, after both volumes are scaled by the ground truth's maximum
 over the healthy and unhealthy regions together. SSIM is computed on
-the healthy mask's bounding box.
+the healthy mask's bounding box, widened by ``volume.crop_center`` to at
+least the SSIM window.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ShapeError
 from .losses import SsimParams, ssim3d
 from .util import atomic_open
-from .volume import MaskVolume, Volume, bounding_box
+from .volume import MaskVolume, Volume, bounding_box, crop_center
 
 
 @dataclass(frozen=True)
@@ -71,33 +72,16 @@ def region_max_intensity(gt: Volume, healthy: MaskVolume, unhealthy: MaskVolume)
     return float(max(peaks))
 
 
-def _bounding_box(bits: np.ndarray, min_extent: int) -> tuple[slice, slice, slice]:
-    """Tight bounding box, symmetrically widened to at least min_extent."""
-    slices = []
-    for axis, (tight, n) in enumerate(zip(bounding_box(bits), bits.shape)):
-        a, b = tight.start, tight.stop
-        while b - a < min_extent:
-            if a > 0:
-                a -= 1
-            if b - a < min_extent and b < n:
-                b += 1
-            if a == 0 and b == n:
-                break
-        if b - a < min_extent:
-            raise ShapeError(f"volume extent {n} on axis {axis} is below the SSIM window {min_extent}")
-        slices.append(slice(a, b))
-    return tuple(slices)
-
-
 def evaluate_case(case_id: str, pred: Volume, gt: Volume, healthy: MaskVolume,
                   region_max: float, ssim_params: SsimParams = SsimParams()) -> CaseMetrics:
     """Healthy-region MSE/RMSE/PSNR plus bounding-box SSIM for one case.
 
     PSNR uses peak 1.0 on the scaled volumes; a zero MSE reports an
-    infinite PSNR with the psnr_infinite flag set. Only the widened SSIM
-    box is cast and scaled: it holds every healthy voxel, and boolean
-    indexing walks it in the same row-major order as the whole volume, so
-    the MSE sums the same values in the same order.
+    infinite PSNR with the psnr_infinite flag set. Only the SSIM box, the
+    mask's tight box widened to the window, is cast and scaled: it holds
+    every healthy voxel, and boolean indexing walks it in the same
+    row-major order as the whole volume, so the MSE sums the same values
+    in the same order.
     """
     if pred.dims != gt.dims or healthy.dims != gt.dims:
         raise ShapeError(f"dims disagree: pred {pred.dims}, gt {gt.dims}, mask {healthy.dims}")
@@ -106,7 +90,8 @@ def evaluate_case(case_id: str, pred: Volume, gt: Volume, healthy: MaskVolume,
     if region_max <= 0:
         raise DataError(f"{case_id}: region max {region_max} must be positive")
 
-    box = _bounding_box(healthy.bits, ssim_params.window_size)
+    tight = bounding_box(healthy.bits)
+    box = crop_center(gt.dims, [max(a.stop - a.start, ssim_params.window_size) for a in tight], tight)
     scale = np.float64(1.0 / region_max)
     pred_s = pred.voxels[box].astype(np.float64) * scale
     gt_s = gt.voxels[box].astype(np.float64) * scale
@@ -164,10 +149,6 @@ _STAT_ROWS = (
 _METRIC_COLUMNS = ("mse", "psnr", "ssim")
 
 
-def summary_to_dict(summary: EvaluationSummary) -> dict:
-    return asdict(summary)
-
-
 def write_cases_csv(cases: list[CaseMetrics], path) -> None:
     with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -178,7 +159,15 @@ def write_cases_csv(cases: list[CaseMetrics], path) -> None:
 
 
 def render_report_table(summary: dict) -> str:
-    """Fixed-width table: one row per statistic, columns MSE, PSNR, SSIM."""
+    """Fixed-width table: one row per statistic, columns MSE, PSNR, SSIM.
+
+    Raises DataError unless the summary is an object whose metric blocks
+    are objects or absent (null).
+    """
+    if not isinstance(summary, dict) or any(
+            not isinstance(summary.get(m), (dict, type(None))) for m in _METRIC_COLUMNS):
+        raise DataError("summary must be a JSON object whose mse, psnr and ssim are objects")
+
     def cell(metric: str, key: str) -> str:
         block = summary.get(metric)
         if block is None or block.get(key) is None:

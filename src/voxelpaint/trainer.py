@@ -6,9 +6,13 @@ best validation loss seen so far, updating only on strict improvement.
 Every random choice derives from the global seed, so a rerun reproduces
 the loss curves bit for bit.
 
-Inference runs each model once on the centred crop of ``crop_dims``, not a
-sliding window; masked voxels outside that crop keep their voided value
-(ROADMAP item 1).
+Training and inference see one window of each scan: the ``crop_dims``
+box that ``volume.crop_center`` centres on the whole volume. Every array
+is indexed by that box directly and only the crop is normalized, by its
+whole volume's max. Inference runs each model once on that window, not a
+sliding window; masked voxels outside it keep their voided value
+(ROADMAP item 1), and ``volume.stitch`` writes the prediction back
+through the same box.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .masks import TrainingSample, void_image
 from .optim import Adam
 from .unet import UNet, UNetConfig, build_unet
 from .util import make_rng
-from .volume import MaskVolume, Volume, crop_center, crop_mask, stitch
+from .volume import MaskVolume, Volume, crop_center, stitch
 
 
 @dataclass(frozen=True)
@@ -97,21 +101,16 @@ def kfold_split(case_ids: list[str], k: int, seed: int) -> tuple[tuple[str, ...]
 # -- normalization -------------------------------------------------------------
 
 
-def normalize_two_stage(volume: Volume, vmax: float | None = None) -> tuple[Volume, float]:
-    """Map raw intensities to [-1, 1]: divide by the max, then 2v - 1.
+def normalize_two_stage(voxels: np.ndarray, vmax: float) -> np.ndarray:
+    """Map raw intensities to [-1, 1]: divide by vmax, then 2v - 1.
 
-    Zero maps to -1 and the maximum voxel to +1. The returned max
-    inverts the mapping later. ``vmax`` defaults to the volume's own max;
-    a crop passes the max of the volume it was cut from, and comes out
-    exactly as the same voxels of the whole normalized volume would.
+    ``vmax`` is the max of the whole volume the voxels were cut from, so
+    zero maps to -1 and that volume's maximum voxel to +1, and a crop comes
+    out exactly as the same voxels of the whole normalized volume would.
     """
-    if vmax is None:
-        vmax = float(volume.voxels.max())
     if vmax <= 0:
         raise DataError(f"volume max {vmax} must be positive to normalize")
-    scaled = volume.voxels * np.float32(1.0 / vmax)
-    signed = scaled * np.float32(2.0) - np.float32(1.0)
-    return Volume(signed, affine_bytes=volume.affine_bytes), vmax
+    return voxels * np.float32(1.0 / vmax) * np.float32(2.0) - np.float32(1.0)
 
 
 def denormalize(voxels: np.ndarray, vmax: float) -> np.ndarray:
@@ -134,25 +133,30 @@ class PreparedSample:
 
 
 def prepare_sample(sample: TrainingSample, crop_dims, mae_region: str = "non_tumor") -> PreparedSample:
-    """Center-crop both volumes, then normalize each crop by its whole volume's max."""
-    gt_c, spec = crop_center(sample.t1n, crop_dims)
-    voided_c, _ = crop_center(sample.t1n_voided, crop_dims)
-    gt_c, _ = normalize_two_stage(gt_c, float(sample.t1n.voxels.max()))
-    voided_c, _ = normalize_two_stage(voided_c, float(sample.t1n_voided.voxels.max()))
-    combined_c = crop_mask(sample.combined, spec)
-    unhealthy_c = crop_mask(sample.unhealthy, spec)
+    """Cut the centred crop from every component, then normalize each scan
+    crop by its whole volume's max.
+
+    The crops are C-ordered copies, whatever the order of the volumes they
+    come from, so every array the network and the loss take in has one
+    layout.
+    """
+    box = crop_center(sample.t1n.dims, crop_dims, (slice(None),) * 3)
+
+    def crop(array: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(array[box])[None, None]
+
+    combined = crop(sample.combined.bits)
+    region = ~crop(sample.unhealthy.bits)
     if mae_region == "healthy_only":
-        region = combined_c.bits & ~unhealthy_c.bits
-    else:
-        region = ~unhealthy_c.bits
+        region &= combined
     if not region.any():
         raise DataError(f"{sample.case_id}: empty MAE region after cropping")
     return PreparedSample(
         case_id=sample.case_id,
-        voided=voided_c.voxels[None, None].astype(np.float32),
-        mask=combined_c.bits[None, None].astype(np.float32),
-        gt=gt_c.voxels[None, None].astype(np.float32),
-        region=region[None, None],
+        voided=normalize_two_stage(crop(sample.t1n_voided.voxels), float(sample.t1n_voided.voxels.max())),
+        mask=combined.astype(np.float32),
+        gt=normalize_two_stage(crop(sample.t1n.voxels), float(sample.t1n.voxels.max())),
+        region=region,
     )
 
 
@@ -268,12 +272,13 @@ def infer_case(models: UNet | list[UNet], volume: Volume, combined: MaskVolume,
         raise DataError(f"volume dims {volume.dims} and mask dims {combined.dims} disagree")
 
     voided = void_image(volume, combined)
-    cropped, spec = crop_center(voided, crop_dims)
-    cropped, vmax = normalize_two_stage(cropped, float(voided.voxels.max()))
-    mask_c = crop_mask(combined, spec)
+    vmax = float(voided.voxels.max())
+    box = crop_center(volume.dims, crop_dims, (slice(None),) * 3)
+    mask_bits = combined.bits[box]
 
-    x = Tensor(cropped.voxels[None, None])
-    m = Tensor(mask_c.bits[None, None].astype(np.float32))
+    # C-ordered network inputs, as in prepare_sample
+    x = Tensor(normalize_two_stage(np.ascontiguousarray(voided.voxels[box]), vmax)[None, None])
+    m = Tensor(mask_bits.astype(np.float32, order="C")[None, None])
     acc: np.ndarray | None = None
     with no_grad():
         for model in models:
@@ -281,5 +286,4 @@ def infer_case(models: UNet | list[UNet], volume: Volume, combined: MaskVolume,
             acc = pred if acc is None else acc + pred
     mean_pred = acc / np.float32(len(models))
     clipped = np.clip(mean_pred, -1.0, 1.0)
-    raw = denormalize(clipped, vmax)
-    return stitch(volume, Volume(raw), mask_c, spec)
+    return stitch(volume, denormalize(clipped, vmax), mask_bits, box)

@@ -50,9 +50,6 @@ class UNet:
     def param_tensors(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def param_count(self) -> int:
-        return sum(t.size for t in self.params.values())
-
     def zero_grad(self) -> None:
         for t in self.params.values():
             t.grad = None

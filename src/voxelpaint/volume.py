@@ -1,4 +1,4 @@
-"""Volumes, masks, bounding boxes, center cropping, and stitching.
+"""Volumes, masks, bounding boxes, the window rule, and stitching.
 
 Voxel arrays are indexed [x, y, z].
 """
@@ -49,9 +49,6 @@ class MaskVolume:
     def dims(self) -> tuple[int, int, int]:
         return self.bits.shape
 
-    def count(self) -> int:
-        return int(self.bits.sum())
-
 
 def bounding_box(bits: np.ndarray) -> tuple[slice, ...]:
     """Tightest box holding every set voxel, one slice per axis.
@@ -69,57 +66,43 @@ def bounding_box(bits: np.ndarray) -> tuple[slice, ...]:
     return tuple(box)
 
 
-@dataclass(frozen=True)
-class CropSpec:
-    source_dims: tuple[int, int, int]
-    target_dims: tuple[int, int, int]
-    starts: tuple[int, int, int]
+def crop_center(dims, extents, around) -> tuple[slice, ...]:
+    """The window of ``extents`` centred on the box ``around``, moved inside ``dims``.
+
+    The one rule that places a window in a volume. On an axis of length n,
+    the window of extent t around [lo, hi) starts at
+    ``min(max(lo + (hi - lo - t) // 2, 0), n - t)``: centred on the box,
+    with the floor, then shifted to fit. Around the whole volume
+    (``slice(None)`` per axis) this is the centre crop floor((n - t) / 2);
+    around a mask's tight box with t = max(hi - lo, w), it is that box
+    widened one voxel a side, low side first, to at least w. ROADMAP items
+    1 (tiles anchored on the mask's box) and 2 (training crops centred on
+    the healthy mask) reuse it. Raises ShapeError unless the three lengths
+    match and 1 <= t <= n on every axis.
+    """
+    if not len(dims) == len(extents) == len(around):
+        raise ShapeError(f"window {tuple(extents)}, volume {tuple(dims)} and box differ in rank")
+    window = []
+    for n, t, box in zip(dims, extents, around):
+        n, t = int(n), int(t)
+        if not 1 <= t <= n:
+            raise ShapeError(f"window {tuple(extents)} does not fit in volume {tuple(dims)}")
+        lo, hi, _ = box.indices(n)
+        start = min(max(lo + (hi - lo - t) // 2, 0), n - t)
+        window.append(slice(start, start + t))
+    return tuple(window)
 
 
-def make_crop_spec(source_dims, target_dims) -> CropSpec:
-    """Center crop placement: start = floor((source - target) / 2) per axis."""
-    source = tuple(int(e) for e in source_dims)
-    target = tuple(int(e) for e in target_dims)
-    if len(source) != 3 or len(target) != 3:
-        raise ShapeError("crop dims must be 3-tuples")
-    for s, t in zip(source, target):
-        if t < 1:
-            raise ShapeError(f"target extents must be positive, got {target}")
-        if t > s:
-            raise ShapeError(f"target {target} exceeds source {source}")
-    starts = tuple((s - t) // 2 for s, t in zip(source, target))
-    return CropSpec(source, target, starts)
-
-
-def _crop_slices(spec: CropSpec):
-    return tuple(slice(a, a + t) for a, t in zip(spec.starts, spec.target_dims))
-
-
-def crop_center(volume: Volume, target_dims) -> tuple[Volume, CropSpec]:
-    spec = make_crop_spec(volume.dims, target_dims)
-    cropped = Volume(volume.voxels[_crop_slices(spec)].copy())
-    return cropped, spec
-
-
-def crop_mask(mask: MaskVolume, spec: CropSpec) -> MaskVolume:
-    if mask.dims != spec.source_dims:
-        raise ShapeError(f"mask dims {mask.dims} do not match crop source {spec.source_dims}")
-    return MaskVolume(mask.bits[_crop_slices(spec)].copy(), role=mask.role)
-
-
-def stitch(original: Volume, prediction: Volume, mask: MaskVolume, spec: CropSpec) -> Volume:
+def stitch(original: Volume, prediction: np.ndarray, mask_bits: np.ndarray, box) -> Volume:
     """Write prediction voxels under the mask back into a copy of original.
 
-    prediction and mask live on the crop grid; every voxel outside the
-    mask keeps its original value bit for bit.
+    prediction and mask_bits cover the window ``box`` of original; every
+    voxel outside the mask keeps its original value bit for bit.
     """
-    if original.dims != spec.source_dims:
-        raise ShapeError(f"original dims {original.dims} do not match crop source {spec.source_dims}")
-    if prediction.dims != spec.target_dims:
-        raise ShapeError(f"prediction dims {prediction.dims} do not match crop target {spec.target_dims}")
-    if mask.dims != spec.target_dims:
-        raise ShapeError(f"mask dims {mask.dims} do not match crop target {spec.target_dims}")
+    window = original.voxels[box].shape
+    if prediction.shape != window or mask_bits.shape != window:
+        raise ShapeError(f"prediction {prediction.shape} and mask {mask_bits.shape} do not fit "
+                         f"window {window} of volume {original.dims}")
     out = original.voxels.copy(order="K")   # keep disk order: the writer then copies nothing
-    region = out[_crop_slices(spec)]
-    region[mask.bits] = prediction.voxels[mask.bits]
+    out[box][mask_bits] = prediction[mask_bits]
     return Volume(out, affine_bytes=original.affine_bytes)

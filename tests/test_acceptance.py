@@ -40,7 +40,7 @@ from voxelpaint.masks import MaskGenParams, apply_mask_transform, dilate, genera
 from voxelpaint.nifti import read_nifti, write_nifti
 from voxelpaint.trainer import TrainConfig, denormalize, normalize_two_stage, train_fold
 from voxelpaint.unet import UNetConfig, build_unet
-from voxelpaint.volume import MaskVolume, Volume, crop_center, stitch
+from voxelpaint.volume import Volume, crop_center, stitch
 
 
 @contextmanager
@@ -245,22 +245,22 @@ def test_criterion_4_loss_reductions():
 def test_criterion_5_geometry():
     with criterion(5, "crop starts (16,16,5), stitch exact outside the mask on 1000 "
                       "cases, normalization round trip <= 1e-6"):
-        vol = Volume(np.zeros((240, 240, 155), np.float32))
-        _, spec = crop_center(vol, (208, 208, 144))
-        assert spec.starts == (16, 16, 5), f"crop starts {spec.starts}"
+        whole = (slice(None),) * 3
+        starts = tuple(w.start for w in crop_center((240, 240, 155), (208, 208, 144), whole))
+        assert starts == (16, 16, 5), f"crop starts {starts}"
 
         rng = np.random.default_rng(5005)
         for case in range(1000):
             dims = tuple(int(rng.integers(4, 11)) for _ in range(3))
             tgt = tuple(int(rng.integers(2, d + 1)) for d in dims)
             original = Volume(rng.standard_normal(dims).astype(np.float32))
-            _, cspec = crop_center(original, tgt)
-            pred = Volume(rng.standard_normal(tgt).astype(np.float32))
+            box = crop_center(dims, tgt, whole)
+            pred = rng.standard_normal(tgt).astype(np.float32)
             bits = rng.random(tgt) < 0.4  # mask lives on the crop grid
-            out = stitch(original, pred, MaskVolume(bits, role="combined"), cspec).voxels
-            inner = tuple(slice(s, s + t) for s, t in zip(cspec.starts, tgt))
+            out = stitch(original, pred, bits, box).voxels
+            inner = tuple(slice(w.start, w.start + t) for w, t in zip(box, tgt))
             window = out[inner]
-            assert np.array_equal(window[bits], pred.voxels[bits]), \
+            assert np.array_equal(window[bits], pred[bits]), \
                 f"case {case}: stitch did not copy the prediction inside the mask"
             assert np.array_equal(window[~bits], original.voxels[inner][~bits]), \
                 f"case {case}: stitch touched unmasked voxels in the window"
@@ -270,9 +270,8 @@ def test_criterion_5_geometry():
                 f"case {case}: stitch touched voxels outside the crop window"
 
         raw = smooth_volume(np.random.default_rng(77), n=16, peak=850.0)
-        vol = Volume(raw)
-        normed, vmax = normalize_two_stage(vol)
-        back = denormalize(normed.voxels, vmax)
+        vmax = float(raw.max())
+        back = denormalize(normalize_two_stage(raw, vmax), vmax)
         rel = float(np.max(np.abs(back - raw)) / np.max(np.abs(raw)))
         assert rel <= 1e-6, f"normalization round-trip rel err {rel:.2e} > 1e-6"
         print(f"  round-trip rel err {rel:.2e}")

@@ -3,6 +3,7 @@
 import builtins
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from voxelpaint import cli, util
 from voxelpaint.checkpoint import save_checkpoint
 from voxelpaint.dataset import Manifest, ManifestEntry, save_manifest
-from voxelpaint.metrics import CaseMetrics, aggregate_stats, summary_to_dict, write_cases_csv
+from voxelpaint.metrics import CaseMetrics, aggregate_stats, write_cases_csv
 from voxelpaint.nifti import write_nifti, write_nifti_mask
 from voxelpaint.unet import UNetConfig, build_unet
 from voxelpaint.volume import MaskVolume, Volume
@@ -54,7 +55,7 @@ def _report(v, path):
     # the summary lives elsewhere, so path's directory holds only the report
     with tempfile.TemporaryDirectory() as tmp:
         summary = Path(tmp) / "summary.json"
-        summary.write_text(json.dumps(summary_to_dict(aggregate_stats([_case(0.5 + 0.1 * v)]))))
+        summary.write_text(json.dumps(asdict(aggregate_stats([_case(0.5 + 0.1 * v)]))))
         cli.cmd_report({"summary": str(summary), "out_dir": str(path.parent)})
 
 

@@ -350,6 +350,21 @@ def test_train_empty_manifest_exits_3(tmp_path):
     assert cli.main(["train", "--config", config]) == 3
 
 
+@pytest.mark.parametrize("manifest", [
+    '{"seed": 0, "samples": [',
+    '[]',
+    '{"seed": 0, "samples": [{"case_id": "a", "variant": 0}]}',
+], ids=["truncated", "list_root", "entry_lacks_fields"])
+def test_train_malformed_manifest_exits_3(tmp_path, capsys, manifest):
+    dataset_dir = tmp_path / "dataset"
+    dataset_dir.mkdir()
+    (dataset_dir / "manifest.json").write_text(manifest)
+    config = write_config(tmp_path / "c.json", {
+        "train": {"dataset_dir": str(dataset_dir), "out_dir": str(tmp_path / "out")}})
+    assert cli.main(["train", "--config", config]) == 3
+    assert str(dataset_dir / "manifest.json") in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # infer
 # ---------------------------------------------------------------------------
@@ -586,6 +601,20 @@ def test_report_invalid_summary_exits_3(tmp_path):
     config = write_config(tmp_path / "c.json", {
         "report": {"summary": str(summary_path)}})
     assert cli.main(["report", "--config", config]) == 3
+
+
+@pytest.mark.parametrize("summary", [
+    [{"mean": 1.0}],
+    {"case_count": 1, "mse": 0.5},
+    {"case_count": 1, "ssim": [0.9]},
+], ids=["list_root", "number_block", "list_block"])
+def test_report_malformed_summary_exits_3(tmp_path, capsys, summary):
+    summary_path = tmp_path / "summary.json"
+    summary_path.write_text(json.dumps(summary))
+    config = write_config(tmp_path / "c.json", {
+        "report": {"summary": str(summary_path)}})
+    assert cli.main(["report", "--config", config]) == 3
+    assert "summary" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def test_sampled_mask_satisfies_all_placement_rules():
     for seed in range(8):
         t1n, brain, tumor, healthy = build_case(3000 + seed)
         params = MaskGenParams(margin=1)
-        assert healthy.count() > 0
+        assert healthy.bits.sum() > 0
         assert not (healthy.bits & ~brain.bits).any(), "mask leaves the brain"
         forbidden = dilate(tumor.bits, params.margin)
         assert not (healthy.bits & forbidden).any(), "mask touches the margin"
@@ -175,7 +175,7 @@ def test_sample_healthy_mask_volume_fraction():
     params = MaskGenParams(margin=1, volume_fraction=0.5)
     healthy = sample_healthy_mask(brain, *placement_inputs(tumor, params), params,
                                   np.random.default_rng(6))
-    assert 0 < healthy.count() <= tumor.count()
+    assert 0 < healthy.bits.sum() <= tumor.bits.sum()
 
 
 def test_generate_mask_set_validates_inputs():
@@ -219,10 +219,10 @@ def test_erosion_fallback_places_shrunken_shape():
     params = MaskGenParams(margin=1, max_attempts=100)
     healthy = sample_healthy_mask(brain, *placement_inputs(tumor, params), params,
                                   np.random.default_rng(2))
-    assert 0 < healthy.count() < tumor.count()
+    assert 0 < healthy.bits.sum() < tumor.bits.sum()
     # Only the eroded 10 x 10 x 3 block fits, and only inside slab B.
-    assert healthy.count() == 10 * 10 * 3
-    assert healthy.bits[:, :, 9:12].sum() == healthy.count()
+    assert healthy.bits.sum() == 10 * 10 * 3
+    assert healthy.bits[:, :, 9:12].sum() == healthy.bits.sum()
     assert not (healthy.bits & dilate(tumor.bits, 1)).any()
     assert not (healthy.bits & ~brain.bits).any()
 
@@ -234,7 +234,7 @@ def test_generate_mask_set_count_and_constraints():
     assert len(masks) == 5
     forbidden = dilate(tumor.bits, params.margin)
     for m in masks:
-        assert m.count() > 0
+        assert m.bits.sum() > 0
         assert not (m.bits & forbidden).any()
         assert not (m.bits & ~brain.bits).any()
 

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from voxelpaint.metrics import (
     evaluate_case,
     region_max_intensity,
     render_report_table,
-    summary_to_dict,
     write_cases_csv,
 )
 from voxelpaint.volume import MaskVolume, Volume
@@ -92,7 +92,7 @@ def test_perfect_prediction_scores_ssim_one_mse_zero():
     assert m.ssim == 1.0
     assert math.isinf(m.psnr)
     assert m.psnr_infinite
-    assert m.region_voxels == healthy.count()
+    assert m.region_voxels == healthy.bits.sum()
 
 
 def test_mse_psnr_match_hand_computation():
@@ -229,7 +229,7 @@ def test_aggregate_all_perfect_reports_no_psnr():
     summary = aggregate_stats(cases)
     assert summary.psnr is None
     assert summary.psnr_infinite_count == 3
-    packed = summary_to_dict(summary)
+    packed = asdict(summary)
     assert packed["psnr"] is None
     assert packed["ssim"]["mean"] == 1.0
 

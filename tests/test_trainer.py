@@ -22,7 +22,7 @@ from voxelpaint.trainer import (
     validation_loss,
 )
 from voxelpaint.unet import UNetConfig, build_unet
-from voxelpaint.volume import MaskVolume, Volume
+from voxelpaint.volume import MaskVolume
 
 
 # ---------------------------------------------------------------------------
@@ -69,26 +69,23 @@ def test_kfold_validation():
 # ---------------------------------------------------------------------------
 
 def test_normalize_maps_to_signed_unit():
-    vol = Volume(np.array([[[0.0, 500.0, 1000.0]]], np.float32))
-    normed, vmax = normalize_two_stage(vol)
-    assert vmax == 1000.0
-    assert np.allclose(normed.voxels.ravel(), [-1.0, 0.0, 1.0])
+    normed = normalize_two_stage(np.array([[[0.0, 500.0, 1000.0]]], np.float32), 1000.0)
+    assert normed.dtype == np.float32
+    assert np.allclose(normed.ravel(), [-1.0, 0.0, 1.0])
 
 
 def test_normalize_round_trip_within_relative_tolerance():
     rng = np.random.default_rng(70)
     vox = (rng.random((12, 12, 12)) * 2500.0).astype(np.float32)
     vox.flat[0] = 2500.0  # pin the max
-    vol = Volume(vox)
-    normed, vmax = normalize_two_stage(vol)
-    back = denormalize(normed.voxels, vmax)
+    back = denormalize(normalize_two_stage(vox, 2500.0), 2500.0)
     rel = np.abs(back - vox) / max(vox.max(), 1.0)
     assert float(rel.max()) <= 1e-6
 
 
 def test_normalize_rejects_nonpositive_max():
     with pytest.raises(DataError):
-        normalize_two_stage(Volume(np.zeros((2, 2, 2), np.float32)))
+        normalize_two_stage(np.zeros((2, 2, 2), np.float32), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +114,9 @@ def test_prepare_sample_region_modes():
     mask_bits = non_tumor.mask[0, 0] == 1.0
     tumor_bits = mask_bits & ~healthy_only.region[0, 0]
     # non_tumor scores everything except tumor voxels.
-    assert non_tumor.region.sum() == 16 ** 3 - tumor.count()
+    assert non_tumor.region.sum() == 16 ** 3 - tumor.bits.sum()
     # healthy_only scores only the synthetic-mask voxels.
-    assert healthy_only.region.sum() == healthy.count()
+    assert healthy_only.region.sum() == healthy.bits.sum()
     assert not (healthy_only.region[0, 0] & tumor_bits).any()
 
 

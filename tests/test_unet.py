@@ -24,6 +24,10 @@ def make_model(base=8, seed=0, dropout=0.2):
 # Parameter accounting: hand-built per-layer table as the independent route
 # ---------------------------------------------------------------------------
 
+def param_total(model):
+    return sum(t.size for _, t in model.parameters())
+
+
 def param_table(b):
     """Count parameters layer by layer from the architecture definition.
 
@@ -58,14 +62,13 @@ def param_table(b):
 
 @pytest.mark.parametrize("base,expected", [(8, 366_117), (32, 5_839_725)])
 def test_param_count_pinned_values(base, expected):
-    model = make_model(base)
-    assert model.param_count() == expected
+    assert param_total(make_model(base)) == expected
     assert param_table(base) == expected
 
 
 def test_param_count_matches_table_for_other_widths():
     for base in (1, 4, 16):
-        assert make_model(base).param_count() == param_table(base)
+        assert param_total(make_model(base)) == param_table(base)
 
 
 def test_parameter_names_cover_all_blocks():
@@ -341,6 +344,17 @@ def test_checkpoint_unknown_parameter_is_mismatch(tmp_path):
              + struct.pack("<B", 1) + struct.pack("<I", 2)
              + np.zeros(2, dtype="<f4").tobytes())
     path.write_bytes(_pack_container(version, meta, records + bogus))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert _code(exc) == "mismatch"
+
+
+def test_checkpoint_non_utf8_parameter_name_is_mismatch(tmp_path):
+    path = _saved(tmp_path)
+    version, meta, records = _split_container(path.read_bytes())
+    flipped = bytearray(records)
+    flipped[2] = 0xFF  # first byte of the first parameter name
+    path.write_bytes(_pack_container(version, meta, bytes(flipped)))
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
     assert _code(exc) == "mismatch"

@@ -1,4 +1,4 @@
-"""Volume containers, center crop, stitching, NIfTI reading and writing."""
+"""Volume containers, the window rule, stitching, NIfTI reading and writing."""
 
 import gzip
 import hashlib
@@ -8,21 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_nifti_bytes
+from conftest import evaluate_case_reference, make_nifti_bytes
 from voxelpaint.errors import DataError, NiftiError, ShapeError
 from voxelpaint.masks import (MaskGenParams, _shape_block, generate_mask_set,
                               make_training_sample, void_image)
 from voxelpaint.nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
-from voxelpaint.volume import (
-    CropSpec,
-    MaskVolume,
-    Volume,
-    bounding_box,
-    crop_center,
-    crop_mask,
-    make_crop_spec,
-    stitch,
-)
+from voxelpaint.losses import SsimParams
+from voxelpaint.metrics import evaluate_case
+from voxelpaint.volume import MaskVolume, Volume, bounding_box, crop_center, stitch
+
+WHOLE = (slice(None),) * 3
 
 
 # ---------------------------------------------------------------------------
@@ -40,46 +35,84 @@ def test_volume_casts_to_f32_and_validates():
 def test_mask_volume_roles_and_count():
     m = MaskVolume(np.eye(3)[None].repeat(3, 0), role="unhealthy")
     assert m.bits.dtype == np.bool_
-    assert m.count() == 9
+    assert m.bits.sum() == 9
     with pytest.raises(DataError):
         MaskVolume(np.zeros((2, 2, 2)), role="suspicious")
 
 
 # ---------------------------------------------------------------------------
-# Center crop
+# The window rule
 # ---------------------------------------------------------------------------
 
-def test_crop_spec_standard_scan_geometry():
-    spec = make_crop_spec((240, 240, 155), (208, 208, 144))
-    assert spec.starts == (16, 16, 5)
-    assert spec.target_dims == (208, 208, 144)
+def _starts(window):
+    return tuple(w.start for w in window)
 
 
-def test_crop_spec_floor_on_odd_differences():
-    spec = make_crop_spec((7, 8, 9), (4, 4, 4))
-    assert spec.starts == ((7 - 4) // 2, 2, 2)
-    assert spec.starts[0] == 1
+def test_crop_center_standard_scan_geometry():
+    window = crop_center((240, 240, 155), (208, 208, 144), WHOLE)
+    assert _starts(window) == (16, 16, 5)
+    assert tuple(w.stop - w.start for w in window) == (208, 208, 144)
+
+
+def test_crop_center_floor_on_odd_differences():
+    window = crop_center((7, 8, 9), (4, 4, 4), WHOLE)
+    assert _starts(window) == ((7 - 4) // 2, 2, 2)
+    assert window[0] == slice(1, 5)
 
 
 def test_crop_center_extracts_expected_block():
     data = np.arange(5 * 6 * 7, dtype=np.float32).reshape(5, 6, 7)
-    vol = Volume(data)
-    cropped, spec = crop_center(vol, (3, 4, 5))
-    sx, sy, sz = spec.starts
-    assert np.array_equal(cropped.voxels, data[sx:sx + 3, sy:sy + 4, sz:sz + 5])
+    window = crop_center(data.shape, (3, 4, 5), WHOLE)
+    assert np.array_equal(data[window], data[1:4, 1:5, 1:6])
 
 
 def test_crop_rejects_oversized_target():
     with pytest.raises(ShapeError):
-        make_crop_spec((8, 8, 8), (9, 8, 8))
+        crop_center((8, 8, 8), (9, 8, 8), WHOLE)
     with pytest.raises(ShapeError):
-        make_crop_spec((8, 8, 8), (0, 8, 8))
+        crop_center((8, 8, 8), (0, 8, 8), WHOLE)
+    with pytest.raises(ShapeError):
+        crop_center((8, 8, 8), (4, 4), WHOLE)
+    with pytest.raises(ShapeError):
+        crop_center((8, 8, 8), (4, 4, 4), WHOLE[:2])
 
 
-def test_crop_mask_requires_matching_source():
-    spec = make_crop_spec((8, 8, 8), (4, 4, 4))
-    with pytest.raises(ShapeError):
-        crop_mask(MaskVolume(np.zeros((6, 6, 6), bool)), spec)
+def test_crop_center_around_a_box_shifts_to_fit():
+    # centred on [1, 3), then moved right to start at 0; on [7, 9), left to end at 10
+    assert crop_center((10,), (6,), (slice(1, 3),)) == (slice(0, 6),)
+    assert crop_center((10,), (6,), (slice(7, 9),)) == (slice(4, 10),)
+    assert crop_center((10,), (3,), (slice(4, 7),)) == (slice(4, 7),)
+    assert crop_center((10,), (5,), (slice(4, 6),)) == (slice(2, 7),)
+
+
+def test_ssim_box_equals_the_widening_loop_oracle():
+    # evaluate_case takes its SSIM box from crop_center around the mask's
+    # tight box; the reference widens that box one voxel a side in a loop.
+    # Each mask is a small blob flush with the low edge, flush with the
+    # high edge, or inside, axis by axis, so the widened box is clamped at
+    # 0, at n, or not at all.
+    rng = np.random.default_rng(48)
+    params = SsimParams(window_size=7)
+    for case in range(200):
+        dims = tuple(int(rng.integers(7, 15)) for _ in range(3))
+        size = [int(rng.integers(1, 7)) for _ in dims]
+        lo = [int(rng.choice([0, n - e, rng.integers(0, n - e + 1)])) for n, e in zip(dims, size)]
+        bits = np.zeros(dims, bool)
+        bits[tuple(slice(a, a + e) for a, e in zip(lo, size))] = rng.random(size) < 0.6
+        bits[tuple(lo)] = bits[tuple(a + e - 1 for a, e in zip(lo, size))] = True
+        gt = Volume(rng.uniform(1.0, 2.0, dims).astype(np.float32))
+        pred = Volume(rng.uniform(1.0, 2.0, dims).astype(np.float32))
+        healthy = MaskVolume(bits, role="healthy")
+        assert evaluate_case("c", pred, gt, healthy, 2.0, params) == \
+            evaluate_case_reference("c", pred, gt, healthy, 2.0, params), case
+
+    # one voxel near each end: the widened box is clamped at 0 on one axis
+    # and at n on another
+    bits = np.zeros((12, 9, 10), bool)
+    bits[1, 8, 5] = True
+    tight = bounding_box(bits)
+    window = crop_center(bits.shape, [max(b.stop - b.start, 7) for b in tight], tight)
+    assert window == (slice(0, 7), slice(2, 9), slice(2, 9))
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +124,17 @@ def test_stitch_replaces_only_masked_voxels_randomized():
     for _ in range(1000):
         src = tuple(int(rng.integers(4, 11)) for _ in range(3))
         tgt = tuple(int(rng.integers(2, s + 1)) for s in src)
-        spec = make_crop_spec(src, tgt)
+        box = crop_center(src, tgt, WHOLE)
         original = Volume(rng.standard_normal(src).astype(np.float32))
-        pred = Volume(rng.standard_normal(tgt).astype(np.float32))
+        pred = rng.standard_normal(tgt).astype(np.float32)
         bits = rng.random(tgt) < 0.4
-        out = stitch(original, pred, MaskVolume(bits, role="combined"), spec).voxels
+        out = stitch(original, pred, bits, box).voxels
 
-        inner = tuple(slice(a, a + t) for a, t in zip(spec.starts, tgt))
+        inner = tuple(slice(a, a + t) for a, t in zip(_starts(box), tgt))
         # Inside the crop window, masked voxels carry the prediction and
         # unmasked voxels the original, bit for bit.
         window = out[inner]
-        assert np.array_equal(window[bits], pred.voxels[bits])
+        assert np.array_equal(window[bits], pred[bits])
         assert np.array_equal(window[~bits], original.voxels[inner][~bits])
         # Outside the crop window nothing may change.
         touched = np.zeros(src, dtype=bool)
@@ -111,15 +144,17 @@ def test_stitch_replaces_only_masked_voxels_randomized():
 
 def test_stitch_preserves_metadata_and_validates():
     original = Volume(np.zeros((6, 6, 6), np.float32), affine_bytes=bytes(range(76)))
-    spec = make_crop_spec((6, 6, 6), (4, 4, 4))
-    pred = Volume(np.ones((4, 4, 4), np.float32))
-    mask = MaskVolume(np.ones((4, 4, 4), bool), role="combined")
-    out = stitch(original, pred, mask, spec)
+    box = crop_center((6, 6, 6), (4, 4, 4), WHOLE)
+    pred = np.ones((4, 4, 4), np.float32)
+    bits = np.ones((4, 4, 4), bool)
+    out = stitch(original, pred, bits, box)
     assert out.affine_bytes == bytes(range(76))
     with pytest.raises(ShapeError):
-        stitch(original, Volume(np.ones((3, 3, 3), np.float32)), mask, spec)
+        stitch(original, np.ones((3, 3, 3), np.float32), bits, box)
     with pytest.raises(ShapeError):
-        stitch(original, pred, MaskVolume(np.ones((3, 3, 3), bool)), spec)
+        stitch(original, pred, np.ones((3, 3, 3), bool), box)
+    with pytest.raises(ShapeError):   # a window cut from a larger volume
+        stitch(original, pred, bits, crop_center((9, 9, 9), (4, 4, 4), (slice(7, 9),) * 3))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +221,8 @@ def test_scan_path_keeps_disk_order(tmp_path):
     for array in (sample.t1n_voided.voxels, sample.healthy.bits, sample.combined.bits):
         assert array.flags.f_contiguous
     voided = void_image(t1n, sample.combined)
-    spec = make_crop_spec(t1n.dims, (16, 16, 8))
-    pred = Volume(np.ones(spec.target_dims, np.float32))
-    out = stitch(voided, pred, crop_mask(sample.combined, spec), spec)
+    box = crop_center(t1n.dims, (16, 16, 8), WHOLE)
+    out = stitch(voided, np.ones((16, 16, 8), np.float32), sample.combined.bits[box], box)
     assert voided.voxels.flags.f_contiguous and out.voxels.flags.f_contiguous
 
 
@@ -196,9 +230,8 @@ def test_writing_disk_order_arrays_copies_no_voxels(tmp_path):
     # large enough that the writer's fixed costs stay far below the bound
     t1n, tumor = _disk_case(tmp_path, dims=(48, 40, 32))
     voided = void_image(t1n, tumor)
-    spec = make_crop_spec(t1n.dims, (16, 16, 8))
-    stitched = stitch(t1n, Volume(np.ones(spec.target_dims, np.float32)),
-                      crop_mask(tumor, spec), spec)
+    box = crop_center(t1n.dims, (16, 16, 8), WHOLE)
+    stitched = stitch(t1n, np.ones((16, 16, 8), np.float32), tumor.bits[box], box)
     for write, item, nbytes in ((write_nifti, t1n, t1n.voxels.nbytes),
                                 (write_nifti, voided, t1n.voxels.nbytes),
                                 (write_nifti, stitched, t1n.voxels.nbytes),
