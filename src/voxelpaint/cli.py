@@ -26,7 +26,7 @@ from .metrics import (aggregate_stats, evaluate_case, region_max_intensity, rend
                       write_cases_csv)
 from .nifti import read_nifti, read_nifti_mask, write_nifti
 from .trainer import TrainConfig, infer_case, prepare_sample, train_fold
-from .util import atomic_open, derive_seed, make_rng
+from .util import atomic_open, concurrently, derive_seed, make_rng
 
 _SCHEMAS = {
     "prepare": {"required": ("input_dir", "out_dir"),
@@ -132,6 +132,10 @@ def _require_dir(path_str: str, what: str) -> Path:
 # -- commands -------------------------------------------------------------------
 
 
+def _call(read):
+    return read()
+
+
 def cmd_prepare(cfg: dict) -> int:
     input_dir = _require_dir(cfg["input_dir"], "input")
     out_dir = Path(cfg["out_dir"])
@@ -156,8 +160,8 @@ def cmd_prepare(cfg: dict) -> int:
             manifest.skipped.append({"case_id": case_id, "reason": "missing tumor mask"})
             continue
         try:
-            t1n = read_nifti(t1n_path)
-            tumor = read_nifti_mask(tumor_path, "unhealthy")
+            t1n, tumor = concurrently(_call, (lambda: read_nifti(t1n_path),
+                                              lambda: read_nifti_mask(tumor_path, "unhealthy")))
             brain = MaskVolume(t1n.voxels > 0, role="brain")
             case_seed = derive_seed(seed, "case", case_id)
             rng = make_rng(seed, "case", case_id)
@@ -188,10 +192,12 @@ def cmd_train(cfg: dict) -> int:
     manifest = load_manifest(dataset_dir)
     if not manifest.samples:
         raise DataError(f"manifest in {dataset_dir} lists no samples")
-    samples = []
-    for entry in manifest.samples:
-        raw = read_sample(dataset_dir / entry.directory, entry.sample_id, entry.case_id)
-        samples.append((entry.case_id, prepare_sample(raw, config.crop_dims, config.mae_region)))
+    # each full-size sample is freed once cropped, before the next one is read
+    samples = [(entry.case_id,
+                prepare_sample(read_sample(dataset_dir / entry.directory, entry.sample_id,
+                                           entry.case_id),
+                               config.crop_dims, config.mae_region))
+               for entry in manifest.samples]
 
     results = []
     with open(out_dir / "train_log.jsonl", "w") as log_fh:
@@ -233,8 +239,8 @@ def cmd_infer(cfg: dict) -> int:
             volume_path = component_path(d, sid, "t1n")
         if not volume_path.exists():
             continue
-        volume = read_nifti(volume_path)
-        combined = read_nifti_mask(mask_path, "combined")
+        volume, combined = concurrently(_call, (lambda: read_nifti(volume_path),
+                                                lambda: read_nifti_mask(mask_path, "combined")))
         result = infer_case(models, volume, combined, crop_dims)
         write_nifti(result, inpainted_path(out_dir, sid))
         produced += 1
@@ -259,10 +265,11 @@ def cmd_evaluate(cfg: dict) -> int:
         pred_path = inpainted_path(pred_dir, sid)
         if not pred_path.exists():
             raise FileNotFoundError(f"no prediction {pred_path} for sample {sid}")
-        gt = read_nifti(gt_path)
-        pred = read_nifti(pred_path)
-        healthy = read_nifti_mask(component_path(d, sid, "mask-healthy"), "healthy")
-        unhealthy = read_nifti_mask(component_path(d, sid, "mask-unhealthy"), "unhealthy")
+        gt, pred, healthy, unhealthy = concurrently(_call, (
+            lambda: read_nifti(gt_path),
+            lambda: read_nifti(pred_path),
+            lambda: read_nifti_mask(component_path(d, sid, "mask-healthy"), "healthy"),
+            lambda: read_nifti_mask(component_path(d, sid, "mask-unhealthy"), "unhealthy")))
         vmax = region_max_intensity(gt, healthy, unhealthy)
         cases.append(evaluate_case(sid, pred, gt, healthy, vmax))
     if not cases:

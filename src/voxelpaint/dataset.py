@@ -22,11 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import DataError
 from .masks import TrainingSample
 from .nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
-from .util import atomic_open
+from .util import atomic_open, concurrently
 
 COMPONENTS = ("t1n", "t1n-voided", "mask-healthy", "mask-unhealthy", "mask")
 MANIFEST_NAME = "manifest.json"
@@ -48,22 +49,37 @@ def inpainted_path(pred_dir: Path, sid: str) -> Path:
 
 
 def write_sample(sample_dir, sid: str, sample: TrainingSample) -> None:
+    """Write the five component files, side by side (``util.concurrently``)."""
     sample_dir = Path(sample_dir)
     sample_dir.mkdir(parents=True, exist_ok=True)
-    write_nifti(sample.t1n, component_path(sample_dir, sid, "t1n"))
-    write_nifti(sample.t1n_voided, component_path(sample_dir, sid, "t1n-voided"))
-    write_nifti_mask(sample.healthy, component_path(sample_dir, sid, "mask-healthy"))
-    write_nifti_mask(sample.unhealthy, component_path(sample_dir, sid, "mask-unhealthy"))
-    write_nifti_mask(sample.combined, component_path(sample_dir, sid, "mask"))
+
+    def write(job) -> None:
+        writer, part, component = job
+        writer(part, component_path(sample_dir, sid, component))
+
+    concurrently(write, (
+        (write_nifti, sample.t1n, "t1n"),
+        (write_nifti, sample.t1n_voided, "t1n-voided"),
+        (write_nifti_mask, sample.healthy, "mask-healthy"),
+        (write_nifti_mask, sample.unhealthy, "mask-unhealthy"),
+        (write_nifti_mask, sample.combined, "mask")))
 
 
 def read_sample(sample_dir, sid: str, case_id: str | None = None) -> TrainingSample:
+    """Read the five component files, side by side (``util.concurrently``).
+
+    A damaged file raises its NiftiError; when several are, the error of
+    the first in COMPONENTS order is raised, as a one-by-one read would.
+    """
     sample_dir = Path(sample_dir)
-    t1n = read_nifti(component_path(sample_dir, sid, "t1n"))
-    voided = read_nifti(component_path(sample_dir, sid, "t1n-voided"))
-    healthy = read_nifti_mask(component_path(sample_dir, sid, "mask-healthy"), "healthy")
-    unhealthy = read_nifti_mask(component_path(sample_dir, sid, "mask-unhealthy"), "unhealthy")
-    combined = read_nifti_mask(component_path(sample_dir, sid, "mask"), "combined")
+
+    def read(job):
+        component, role = job   # role None: a scan
+        path = component_path(sample_dir, sid, component)
+        return read_nifti(path) if role is None else read_nifti_mask(path, role)
+
+    t1n, voided, healthy, unhealthy, combined = concurrently(read, zip(COMPONENTS, (
+        None, None, "healthy", "unhealthy", "combined")))
     for component, part in zip(COMPONENTS[1:], (voided, healthy, unhealthy, combined)):
         if part.dims != t1n.dims:
             raise DataError(f"sample {sid}: {component} dims {part.dims} differ from t1n dims {t1n.dims}")
@@ -103,8 +119,19 @@ def load_manifest(dataset_dir) -> Manifest:
         payload = json.loads(path.read_text())
         return Manifest(
             seed=payload["seed"],
-            samples=[ManifestEntry(**e) for e in payload["samples"]],
+            samples=[_manifest_entry(e) for e in payload["samples"]],
             skipped=payload.get("skipped", []),
         )
     except (ValueError, LookupError, TypeError) as exc:
         raise DataError(f"manifest {path} is malformed: {exc!r}") from exc
+
+
+def _manifest_entry(fields: dict) -> ManifestEntry:
+    """A ManifestEntry whose every field has its declared type (a bool is not
+    taken for an int); raises TypeError otherwise."""
+    entry = ManifestEntry(**fields)
+    for name, kind in get_type_hints(ManifestEntry).items():
+        value = getattr(entry, name)
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise TypeError(f"entry field {name!r} is {value!r}, not a {kind.__name__}")
+    return entry

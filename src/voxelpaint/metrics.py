@@ -162,17 +162,20 @@ def render_report_table(summary: dict) -> str:
     """Fixed-width table: one row per statistic, columns MSE, PSNR, SSIM.
 
     Raises DataError unless the summary is an object whose metric blocks
-    are objects or absent (null).
+    are objects or absent (null), and each statistic in them a number or
+    absent (null).
     """
     if not isinstance(summary, dict) or any(
             not isinstance(summary.get(m), (dict, type(None))) for m in _METRIC_COLUMNS):
         raise DataError("summary must be a JSON object whose mse, psnr and ssim are objects")
 
     def cell(metric: str, key: str) -> str:
-        block = summary.get(metric)
-        if block is None or block.get(key) is None:
+        value = (summary.get(metric) or {}).get(key)
+        if value is None:
             return "n/a"
-        return f"{block[key]:.8f}"
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise DataError(f"summary {metric}.{key} is {value!r}, not a number")
+        return f"{value:.8f}"
 
     header = f"{'':22}" + "".join(f"{name.upper():>16}" for name in _METRIC_COLUMNS)
     lines = [header]

@@ -1,4 +1,5 @@
-"""Seed derivation for reproducible per-scope RNG streams, and atomic writes.
+"""Seed derivation for reproducible per-scope RNG streams, atomic writes,
+and the thread pool that runs independent calls side by side.
 
 Python's builtin hash() is salted per process, so seeds are derived from
 sha256 instead; the same parts always map to the same stream.
@@ -9,6 +10,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
@@ -40,3 +43,41 @@ def atomic_open(path, mode: str = "w", **kwargs):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+_in_worker = threading.local()
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _mark_worker() -> None:
+    _in_worker.active = True
+
+
+def concurrently(fn, items) -> list:
+    """``[fn(x) for x in items]``, the calls run side by side on the process's pool.
+
+    The pool has one thread per CPU the process may use; threads pay off
+    because zlib and BLAS release the interpreter lock. It is built on first
+    use and kept for the process, since building one per call cost more than
+    it saved on small scans. Every call finishes before this returns. Results
+    come back in item order, and if calls raise, the exception of the first
+    failing item in that order is raised. A call made from inside a pool
+    thread runs its items inline, so nested use cannot deadlock.
+    """
+    global _pool
+    if getattr(_in_worker, "active", False):
+        return [fn(x) for x in items]
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="voxelpaint",
+                                       initializer=_mark_worker)
+    futures = [_pool.submit(fn, x) for x in items]
+    wait(futures)
+    return [f.result() for f in futures]

@@ -4,14 +4,19 @@ import gzip
 import hashlib
 import json
 import shutil
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import make_input_dir, write_config
-from voxelpaint import cli
-from voxelpaint.dataset import load_manifest
+from conftest import build_case, make_input_dir, write_config
+from voxelpaint import cli, util
+from voxelpaint.dataset import (Manifest, ManifestEntry, load_manifest, read_sample, sample_id,
+                                save_manifest, write_sample)
+from voxelpaint.masks import make_training_sample
 from voxelpaint.nifti import read_nifti, write_nifti, write_nifti_mask
+from voxelpaint.trainer import prepare_sample
 from voxelpaint.volume import MaskVolume, Volume
 
 
@@ -340,6 +345,40 @@ def test_train_sample_dims_disagree_exits_3(cli_workspace, tmp_path, capsys):
     assert "t1n-voided" in capsys.readouterr().err
 
 
+def test_train_holds_one_full_size_sample_at_a_time(tmp_path):
+    # large scans and tiny crops, so reading the samples sets the peak: with
+    # each full-size sample freed once cropped, train peaks no higher than
+    # one sample's read, however many samples the manifest lists
+    dataset_dir = tmp_path / "dataset"
+    manifest = Manifest(seed=0)
+    for i in range(4):
+        t1n, _, tumor, healthy = build_case(4100 + i, n=64)
+        sid = sample_id(f"case{i}", 0)
+        write_sample(dataset_dir / sid, sid, make_training_sample(f"case{i}", t1n, tumor, healthy))
+        manifest.samples.append(ManifestEntry(case_id=f"case{i}", variant=0, sample_id=sid,
+                                              directory=sid, seed=0))
+    save_manifest(manifest, dataset_dir)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_read = max(peak(lambda: prepare_sample(read_sample(dataset_dir / e.directory, e.sample_id),
+                                               (8, 8, 8)))
+                   for e in manifest.samples)
+    config = write_config(tmp_path / "c.json", {
+        "train": {"dataset_dir": str(dataset_dir), "out_dir": str(tmp_path / "out"),
+                  "epochs": 1, "folds": 2, "crop_dims": [8, 8, 8], "base_channels": 2}})
+    train_peak = peak(lambda: cli.main(["train", "--config", config]))
+    assert (tmp_path / "out" / "train_result.json").exists()
+    sample_bytes = (2 * 4 + 3) * 64 ** 3   # two float32 scans, three bool masks
+    assert train_peak - one_read < sample_bytes / 2, (train_peak, one_read)
+
+
 def test_train_empty_manifest_exits_3(tmp_path):
     dataset_dir = tmp_path / "dataset"
     dataset_dir.mkdir()
@@ -354,7 +393,11 @@ def test_train_empty_manifest_exits_3(tmp_path):
     '{"seed": 0, "samples": [',
     '[]',
     '{"seed": 0, "samples": [{"case_id": "a", "variant": 0}]}',
-], ids=["truncated", "list_root", "entry_lacks_fields"])
+    '{"seed": 0, "samples": [{"case_id": "a", "variant": 0, "sample_id": "a-m0",'
+    ' "directory": 5, "seed": 0}]}',
+    '{"seed": 0, "samples": [{"case_id": "a", "variant": true, "sample_id": "a-m0",'
+    ' "directory": "a-m0", "seed": 0}]}',
+], ids=["truncated", "list_root", "entry_lacks_fields", "number_directory", "bool_variant"])
 def test_train_malformed_manifest_exits_3(tmp_path, capsys, manifest):
     dataset_dir = tmp_path / "dataset"
     dataset_dir.mkdir()
@@ -607,7 +650,9 @@ def test_report_invalid_summary_exits_3(tmp_path):
     [{"mean": 1.0}],
     {"case_count": 1, "mse": 0.5},
     {"case_count": 1, "ssim": [0.9]},
-], ids=["list_root", "number_block", "list_block"])
+    {"case_count": 1, "mse": {"mean": "x"}},
+    {"case_count": 1, "psnr": {"median": True}},
+], ids=["list_root", "number_block", "list_block", "string_value", "bool_value"])
 def test_report_malformed_summary_exits_3(tmp_path, capsys, summary):
     summary_path = tmp_path / "summary.json"
     summary_path.write_text(json.dumps(summary))
@@ -655,6 +700,21 @@ def test_whole_loop_outputs_are_pinned(tmp_path):
     # must not move a byte. The prepared dataset involves no BLAS call; the
     # trained outputs do (numpy 2.4, OpenBLAS on x86-64), so a different
     # GEMM kernel can change the second digest without a defect here.
+    _check_whole_loop_digests(tmp_path)
+
+
+def test_whole_loop_outputs_are_pinned_without_threads(tmp_path, monkeypatch):
+    # the same digests with every concurrently call made one by one, in order
+    callers = [m for name, m in sys.modules.items() if name.startswith("voxelpaint.")
+               and getattr(m, "concurrently", None) is util.concurrently]
+    assert {m.__name__ for m in callers} >= {"voxelpaint.cli", "voxelpaint.dataset",
+                                             "voxelpaint.trainer"}
+    for module in callers:
+        monkeypatch.setattr(module, "concurrently", lambda fn, items: [fn(x) for x in items])
+    _check_whole_loop_digests(tmp_path)
+
+
+def _check_whole_loop_digests(tmp_path):
     input_dir = _non_cubic_inputs(tmp_path)
     dataset, run, pred, ev = (tmp_path / n for n in ("dataset", "run", "pred", "eval"))
     commands = {
