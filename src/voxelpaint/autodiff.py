@@ -40,14 +40,7 @@ _grad_enabled = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Build no graph inside the block, for forward passes nobody differentiates.
-
-    The flag is process-wide, not per thread: it holds for every thread
-    while the block is open. Concurrent forwards (an ensemble on
-    ``util.concurrently``) therefore run inside one outer block, opened
-    and closed by the thread that waits for them, and no graph may be
-    built on another thread meanwhile.
-    """
+    """Build no graph inside the block, for forward passes nobody differentiates."""
     global _grad_enabled
     previous, _grad_enabled = _grad_enabled, False
     try:

@@ -132,10 +132,6 @@ def _require_dir(path_str: str, what: str) -> Path:
 # -- commands -------------------------------------------------------------------
 
 
-def _call(read):
-    return read()
-
-
 def cmd_prepare(cfg: dict) -> int:
     input_dir = _require_dir(cfg["input_dir"], "input")
     out_dir = Path(cfg["out_dir"])
@@ -160,8 +156,8 @@ def cmd_prepare(cfg: dict) -> int:
             manifest.skipped.append({"case_id": case_id, "reason": "missing tumor mask"})
             continue
         try:
-            t1n, tumor = concurrently(_call, (lambda: read_nifti(t1n_path),
-                                              lambda: read_nifti_mask(tumor_path, "unhealthy")))
+            t1n, tumor = concurrently(lambda: read_nifti(t1n_path),
+                                      lambda: read_nifti_mask(tumor_path, "unhealthy"))
             brain = MaskVolume(t1n.voxels > 0, role="brain")
             case_seed = derive_seed(seed, "case", case_id)
             rng = make_rng(seed, "case", case_id)
@@ -239,8 +235,8 @@ def cmd_infer(cfg: dict) -> int:
             volume_path = component_path(d, sid, "t1n")
         if not volume_path.exists():
             continue
-        volume, combined = concurrently(_call, (lambda: read_nifti(volume_path),
-                                                lambda: read_nifti_mask(mask_path, "combined")))
+        volume, combined = concurrently(lambda: read_nifti(volume_path),
+                                        lambda: read_nifti_mask(mask_path, "combined"))
         result = infer_case(models, volume, combined, crop_dims)
         write_nifti(result, inpainted_path(out_dir, sid))
         produced += 1
@@ -265,11 +261,11 @@ def cmd_evaluate(cfg: dict) -> int:
         pred_path = inpainted_path(pred_dir, sid)
         if not pred_path.exists():
             raise FileNotFoundError(f"no prediction {pred_path} for sample {sid}")
-        gt, pred, healthy, unhealthy = concurrently(_call, (
+        gt, pred, healthy, unhealthy = concurrently(
             lambda: read_nifti(gt_path),
             lambda: read_nifti(pred_path),
             lambda: read_nifti_mask(component_path(d, sid, "mask-healthy"), "healthy"),
-            lambda: read_nifti_mask(component_path(d, sid, "mask-unhealthy"), "unhealthy")))
+            lambda: read_nifti_mask(component_path(d, sid, "mask-unhealthy"), "unhealthy"))
         vmax = region_max_intensity(gt, healthy, unhealthy)
         cases.append(evaluate_case(sid, pred, gt, healthy, vmax))
     if not cases:

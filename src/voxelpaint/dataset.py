@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -50,19 +51,13 @@ def inpainted_path(pred_dir: Path, sid: str) -> Path:
 
 def write_sample(sample_dir, sid: str, sample: TrainingSample) -> None:
     """Write the five component files, side by side (``util.concurrently``)."""
-    sample_dir = Path(sample_dir)
-    sample_dir.mkdir(parents=True, exist_ok=True)
-
-    def write(job) -> None:
-        writer, part, component = job
-        writer(part, component_path(sample_dir, sid, component))
-
-    concurrently(write, (
-        (write_nifti, sample.t1n, "t1n"),
-        (write_nifti, sample.t1n_voided, "t1n-voided"),
-        (write_nifti_mask, sample.healthy, "mask-healthy"),
-        (write_nifti_mask, sample.unhealthy, "mask-unhealthy"),
-        (write_nifti_mask, sample.combined, "mask")))
+    Path(sample_dir).mkdir(parents=True, exist_ok=True)
+    path = partial(component_path, sample_dir, sid)
+    concurrently(lambda: write_nifti(sample.t1n, path("t1n")),
+                 lambda: write_nifti(sample.t1n_voided, path("t1n-voided")),
+                 lambda: write_nifti_mask(sample.healthy, path("mask-healthy")),
+                 lambda: write_nifti_mask(sample.unhealthy, path("mask-unhealthy")),
+                 lambda: write_nifti_mask(sample.combined, path("mask")))
 
 
 def read_sample(sample_dir, sid: str, case_id: str | None = None) -> TrainingSample:
@@ -71,15 +66,13 @@ def read_sample(sample_dir, sid: str, case_id: str | None = None) -> TrainingSam
     A damaged file raises its NiftiError; when several are, the error of
     the first in COMPONENTS order is raised, as a one-by-one read would.
     """
-    sample_dir = Path(sample_dir)
-
-    def read(job):
-        component, role = job   # role None: a scan
-        path = component_path(sample_dir, sid, component)
-        return read_nifti(path) if role is None else read_nifti_mask(path, role)
-
-    t1n, voided, healthy, unhealthy, combined = concurrently(read, zip(COMPONENTS, (
-        None, None, "healthy", "unhealthy", "combined")))
+    path = partial(component_path, sample_dir, sid)
+    t1n, voided, healthy, unhealthy, combined = concurrently(
+        lambda: read_nifti(path("t1n")),
+        lambda: read_nifti(path("t1n-voided")),
+        lambda: read_nifti_mask(path("mask-healthy"), "healthy"),
+        lambda: read_nifti_mask(path("mask-unhealthy"), "unhealthy"),
+        lambda: read_nifti_mask(path("mask"), "combined"))
     for component, part in zip(COMPONENTS[1:], (voided, healthy, unhealthy, combined)):
         if part.dims != t1n.dims:
             raise DataError(f"sample {sid}: {component} dims {part.dims} differ from t1n dims {t1n.dims}")

@@ -12,12 +12,9 @@ is indexed by that box directly and only the crop is normalized, by its
 whole volume's max. Inference runs each model once on that window, not a
 sliding window; masked voxels outside it keep their voided value
 (ROADMAP item 1), and ``volume.stitch`` writes the prediction back
-through the same box.
-
-The models of an ensemble are independent, so inference runs their
-forwards side by side on ``util.concurrently``'s threads, inside one
-``no_grad`` block; BLAS releases the interpreter lock, so they overlap on
-separate cores. Training stays on one thread: each step needs the last.
+through the same box. An ensemble's models run one after another: their
+GEMMs already use BLAS's threads, and forwards run side by side measured
+slower once BLAS had more than one thread (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from .losses import LossWeights, composite_loss
 from .masks import TrainingSample, void_image
 from .optim import Adam
 from .unet import UNet, UNetConfig, build_unet
-from .util import concurrently, make_rng
+from .util import make_rng
 from .volume import MaskVolume, Volume, crop_center, stitch
 
 
@@ -266,9 +263,8 @@ def infer_case(models: UNet | list[UNet], volume: Volume, combined: MaskVolume,
 
     Accepts the ground-truth scan or an already-voided one: voiding is
     idempotent, so it is always applied first. With several models the
-    forwards run side by side (``util.concurrently``) and their signed-unit
-    predictions are averaged, in model order, before denormalization.
-    Voxels outside the mask pass through bit for bit.
+    signed-unit predictions are averaged before denormalization. Voxels
+    outside the mask pass through bit for bit.
     """
     if isinstance(models, UNet):
         models = [models]
@@ -285,9 +281,11 @@ def infer_case(models: UNet | list[UNet], volume: Volume, combined: MaskVolume,
     # C-ordered network inputs, as in prepare_sample
     x = Tensor(normalize_two_stage(np.ascontiguousarray(voided.voxels[box]), vmax)[None, None])
     m = Tensor(mask_bits.astype(np.float32, order="C")[None, None])
+    acc: np.ndarray | None = None
     with no_grad():
-        preds = concurrently(lambda model: model.forward(x, m, training=False).data[0, 0], models)
-    # summed in model order, so the mean does not depend on which forward ends first
-    mean_pred = sum(preds[1:], preds[0]) / np.float32(len(models))
+        for model in models:
+            pred = model.forward(x, m, training=False).data[0, 0]
+            acc = pred if acc is None else acc + pred
+    mean_pred = acc / np.float32(len(models))
     clipped = np.clip(mean_pred, -1.0, 1.0)
     return stitch(volume, denormalize(clipped, vmax), mask_bits, box)

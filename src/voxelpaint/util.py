@@ -60,24 +60,26 @@ def _mark_worker() -> None:
     _in_worker.active = True
 
 
-def concurrently(fn, items) -> list:
-    """``[fn(x) for x in items]``, the calls run side by side on the process's pool.
+def concurrently(*calls) -> list:
+    """``[call() for call in calls]``, the calls run side by side on the process's pool.
 
     The pool has one thread per CPU the process may use; threads pay off
-    because zlib and BLAS release the interpreter lock. It is built on first
-    use and kept for the process, since building one per call cost more than
-    it saved on small scans. Every call finishes before this returns. Results
-    come back in item order, and if calls raise, the exception of the first
-    failing item in that order is raised. A call made from inside a pool
-    thread runs its items inline, so nested use cannot deadlock.
+    because zlib releases the interpreter lock. It is built on first use and
+    kept for the process, since building one per call cost more than it
+    saved on small scans. No more calls run at once than were passed, so
+    the caller bounds the memory in flight: at most five files, a sample's.
+    Every call finishes before this returns. Results come back in call
+    order, and if calls raise, the exception of the first failing call in
+    that order is raised. A call made from inside a pool thread runs its
+    calls inline, so nested use cannot deadlock.
     """
     global _pool
     if getattr(_in_worker, "active", False):
-        return [fn(x) for x in items]
+        return [call() for call in calls]
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="voxelpaint",
                                        initializer=_mark_worker)
-    futures = [_pool.submit(fn, x) for x in items]
+    futures = [_pool.submit(call) for call in calls]
     wait(futures)
     return [f.result() for f in futures]

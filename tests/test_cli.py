@@ -4,14 +4,13 @@ import gzip
 import hashlib
 import json
 import shutil
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import build_case, make_input_dir, write_config
-from voxelpaint import cli, util
+from voxelpaint import cli
 from voxelpaint.dataset import (Manifest, ManifestEntry, load_manifest, read_sample, sample_id,
                                 save_manifest, write_sample)
 from voxelpaint.masks import make_training_sample
@@ -700,21 +699,6 @@ def test_whole_loop_outputs_are_pinned(tmp_path):
     # must not move a byte. The prepared dataset involves no BLAS call; the
     # trained outputs do (numpy 2.4, OpenBLAS on x86-64), so a different
     # GEMM kernel can change the second digest without a defect here.
-    _check_whole_loop_digests(tmp_path)
-
-
-def test_whole_loop_outputs_are_pinned_without_threads(tmp_path, monkeypatch):
-    # the same digests with every concurrently call made one by one, in order
-    callers = [m for name, m in sys.modules.items() if name.startswith("voxelpaint.")
-               and getattr(m, "concurrently", None) is util.concurrently]
-    assert {m.__name__ for m in callers} >= {"voxelpaint.cli", "voxelpaint.dataset",
-                                             "voxelpaint.trainer"}
-    for module in callers:
-        monkeypatch.setattr(module, "concurrently", lambda fn, items: [fn(x) for x in items])
-    _check_whole_loop_digests(tmp_path)
-
-
-def _check_whole_loop_digests(tmp_path):
     input_dir = _non_cubic_inputs(tmp_path)
     dataset, run, pred, ev = (tmp_path / n for n in ("dataset", "run", "pred", "eval"))
     commands = {

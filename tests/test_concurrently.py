@@ -1,8 +1,9 @@
-"""util.concurrently: item order, the first failure, nested calls."""
+"""util.concurrently: call order, the first failure, nested calls."""
 
 import sys
 import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -23,32 +24,32 @@ def _in_thread(fn, timeout=60.0):
     return out["value"]
 
 
-def test_results_come_back_in_item_order():
+def test_results_come_back_in_call_order():
     def square(i):
         if i % 7 == 0:
-            time.sleep(0.002)   # finishes after items behind it
+            time.sleep(0.002)   # finishes after calls behind it
         return i * i
 
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)   # switch threads often, to shuffle them further
     try:
-        got = _in_thread(lambda: concurrently(square, range(200)))
+        got = _in_thread(lambda: concurrently(*(partial(square, i) for i in range(200))))
     finally:
         sys.setswitchinterval(previous)
     assert got == [i * i for i in range(200)]
 
 
-def test_first_failing_item_raises():
+def test_first_failing_call_raises():
     def fail(i):
         if i == 1:
-            time.sleep(0.05)   # finishes after item 3 has failed
+            time.sleep(0.05)   # finishes after call 3 has failed
             raise KeyError("item 1")
         if i == 3:
             raise ValueError("item 3")
         return i
 
     with pytest.raises(KeyError, match="item 1"):
-        concurrently(fail, range(5))
+        concurrently(*(partial(fail, i) for i in range(5)))
 
 
 def test_read_sample_raises_the_first_damaged_component(tmp_path):
@@ -67,6 +68,7 @@ def test_read_sample_raises_the_first_damaged_component(tmp_path):
 
 def test_nested_call_returns():
     def outer(i):
-        return sum(concurrently(lambda j: i * j, range(4)))
+        return sum(concurrently(*(partial(int.__mul__, i, j) for j in range(4))))
 
-    assert _in_thread(lambda: concurrently(outer, range(16))) == [6 * i for i in range(16)]
+    got = _in_thread(lambda: concurrently(*(partial(outer, i) for i in range(16))))
+    assert got == [6 * i for i in range(16)]

@@ -12,6 +12,7 @@ from conftest import evaluate_case_reference, make_nifti_bytes
 from voxelpaint.errors import DataError, NiftiError, ShapeError
 from voxelpaint.masks import (MaskGenParams, _shape_block, generate_mask_set,
                               make_training_sample, void_image)
+from voxelpaint import nifti
 from voxelpaint.nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
 from voxelpaint.losses import SsimParams
 from voxelpaint.metrics import evaluate_case
@@ -476,3 +477,42 @@ def test_nifti_damaged_gzip_raises_bad_gzip(tmp_path, damage):
             read(path)
         assert exc.value.code == "bad_gzip"
         assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_nifti_gzip_reads_alike_at_any_inflate_chunk(tmp_path, monkeypatch, chunk):
+    # members, padding and damage that straddle the edge of an inflate
+    # chunk read as they do when the stream fits in one
+    monkeypatch.setattr(nifti, "_INFLATE_CHUNK", chunk)
+    data = np.arange(24, dtype=np.float32).reshape(4, 3, 2)
+    raw = make_nifti_bytes((2, 3, 4), data=data)
+    blob = gzip.compress(raw, mtime=0)
+    path = tmp_path / "v.nii.gz"
+    for good in (blob, blob + bytes(9), _two_members(raw) + bytes(2),
+                 gzip.compress(raw[:100], mtime=0) + bytes(3) + gzip.compress(raw[100:], mtime=0)):
+        path.write_bytes(good)
+        assert read_nifti(path).voxels.tobytes() == data.transpose(2, 1, 0).tobytes()
+    for bad in (blob[:len(blob) // 2], blob + b"junk", _two_members(raw)[:-5]):
+        path.write_bytes(bad)
+        with pytest.raises(NiftiError) as exc:
+            read_nifti(path)
+        assert exc.value.code == "bad_gzip"
+
+
+def test_nifti_read_holds_the_voxel_bytes_once(tmp_path):
+    # the stream inflates piecewise into one buffer and float32 voxels stay
+    # on it, so no second copy of the voxel bytes is ever held. Few distinct
+    # values keep the file small beside the voxels, so a copy shows clearly.
+    vox = np.asfortranarray(np.random.default_rng(3).integers(0, 16, (96, 96, 64)).astype(np.float32))
+    path = tmp_path / "s.nii.gz"
+    write_nifti(Volume(vox), path)
+    tracemalloc.start()
+    try:
+        back = read_nifti(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.voxels.tobytes(order="F") == vox.tobytes(order="F")
+    assert back.voxels.flags.writeable and back.voxels.flags.aligned
+    over = (peak - path.stat().st_size) / vox.nbytes
+    assert over < 1.5, f"read held {over:.2f}x the voxel bytes beside the compressed file"
