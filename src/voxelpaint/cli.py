@@ -20,8 +20,7 @@ from .dataset import (Manifest, ManifestEntry, component_path, inpainted_path, l
                       read_sample, sample_id, save_manifest, write_sample)
 from .errors import (ConfigError, DataError, MaskPlacementError, NiftiError, NumericError,
                      ShapeError, VoxelPaintError)
-from .masks import (MASKS_PER_SCAN, MaskGenParams, MaskVolume, generate_mask_set,
-                    make_training_sample)
+from .masks import MaskGenParams, MaskVolume, generate_mask_set, make_training_sample
 from .metrics import (aggregate_stats, evaluate_case, region_max_intensity, render_report_table,
                       write_cases_csv)
 from .nifti import read_nifti, read_nifti_mask, write_nifti
@@ -30,7 +29,7 @@ from .util import atomic_open, concurrently, derive_seed, make_rng
 
 _SCHEMAS = {
     "prepare": {"required": ("input_dir", "out_dir"),
-                "optional": (*(f.name for f in fields(MaskGenParams)), "variants")},
+                "optional": tuple(f.name for f in fields(MaskGenParams))},
     "train": {"required": ("dataset_dir", "out_dir"),
               "optional": tuple(f.name for f in fields(TrainConfig) if f.name != "seed")},
     "infer": {"required": ("dataset_dir", "checkpoints", "out_dir"),
@@ -136,7 +135,6 @@ def cmd_prepare(cfg: dict) -> int:
     input_dir = _require_dir(cfg["input_dir"], "input")
     out_dir = Path(cfg["out_dir"])
     params = MaskGenParams(**{f.name: _typed(cfg, f.name, f.default) for f in fields(MaskGenParams)})
-    variants = _typed(cfg, "variants", MASKS_PER_SCAN)
     seed = cfg["seed"]
 
     t1n_paths = sorted(set(input_dir.glob("*-t1n.nii")) | set(input_dir.glob("*-t1n.nii.gz")))
@@ -161,7 +159,7 @@ def cmd_prepare(cfg: dict) -> int:
             brain = MaskVolume(t1n.voxels > 0, role="brain")
             case_seed = derive_seed(seed, "case", case_id)
             rng = make_rng(seed, "case", case_id)
-            healthy_masks = generate_mask_set(brain, tumor, params, rng, count=variants)
+            healthy_masks = generate_mask_set(brain, tumor, params, rng)
         except (MaskPlacementError, DataError, NiftiError, ShapeError) as exc:
             manifest.skipped.append({"case_id": case_id, "reason": str(exc)})
             continue
@@ -189,10 +187,9 @@ def cmd_train(cfg: dict) -> int:
     if not manifest.samples:
         raise DataError(f"manifest in {dataset_dir} lists no samples")
     # each full-size sample is freed once cropped, before the next one is read
-    samples = [(entry.case_id,
-                prepare_sample(read_sample(dataset_dir / entry.directory, entry.sample_id,
-                                           entry.case_id),
-                               config.crop_dims, config.mae_region))
+    samples = [prepare_sample(read_sample(dataset_dir / entry.directory, entry.sample_id,
+                                          entry.case_id),
+                              config.crop_dims, config.mae_region)
                for entry in manifest.samples]
 
     results = []

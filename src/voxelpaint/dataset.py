@@ -23,12 +23,11 @@ import json
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import get_type_hints
 
 from .errors import DataError
 from .masks import TrainingSample
 from .nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
-from .util import atomic_open, concurrently
+from .util import atomic_open, check_field_types, concurrently
 
 COMPONENTS = ("t1n", "t1n-voided", "mask-healthy", "mask-unhealthy", "mask")
 MANIFEST_NAME = "manifest.json"
@@ -88,6 +87,9 @@ class ManifestEntry:
     directory: str
     seed: int
 
+    def __post_init__(self):
+        check_field_types(self)
+
 
 @dataclass
 class Manifest:
@@ -112,19 +114,8 @@ def load_manifest(dataset_dir) -> Manifest:
         payload = json.loads(path.read_text())
         return Manifest(
             seed=payload["seed"],
-            samples=[_manifest_entry(e) for e in payload["samples"]],
+            samples=[ManifestEntry(**e) for e in payload["samples"]],
             skipped=payload.get("skipped", []),
         )
     except (ValueError, LookupError, TypeError) as exc:
         raise DataError(f"manifest {path} is malformed: {exc!r}") from exc
-
-
-def _manifest_entry(fields: dict) -> ManifestEntry:
-    """A ManifestEntry whose every field has its declared type (a bool is not
-    taken for an int); raises TypeError otherwise."""
-    entry = ManifestEntry(**fields)
-    for name, kind in get_type_hints(ManifestEntry).items():
-        value = getattr(entry, name)
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise TypeError(f"entry field {name!r} is {value!r}, not a {kind.__name__}")
-    return entry

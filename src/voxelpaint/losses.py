@@ -1,67 +1,36 @@
 """Training losses: masked MAE, 3D SSIM, and their weighted composite.
 
 Everything here runs through the autodiff graph so the composite loss
-is differentiable with respect to the prediction.
+is differentiable with respect to the prediction. SSIM is the standard
+one (Wang et al., IEEE TIP 2004): a 7-voxel Gaussian window of sigma 1.5
+and stabilizers c1 = (0.01 L)^2, c2 = (0.03 L)^2 for a data range L.
+The window and sigma are fixed; only L varies, with the data.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, blur3d
 from .errors import DataError, ShapeError
 
-
-@dataclass(frozen=True)
-class SsimParams:
-    """Sliding-window SSIM settings.
-
-    data_range is the value span L; the stabilizers are c1 = (0.01 L)^2
-    and c2 = (0.03 L)^2. Windows are Gaussian and the map is averaged
-    over valid (fully inside) positions only.
-    """
-
-    window_size: int = 7
-    sigma: float = 1.5
-    data_range: float = 1.0
-
-    def __post_init__(self):
-        if self.window_size < 1 or self.window_size % 2 == 0:
-            raise DataError(f"window_size must be odd and positive, got {self.window_size}")
-        if self.sigma <= 0:
-            raise DataError(f"sigma must be positive, got {self.sigma}")
-        if self.data_range <= 0:
-            raise DataError(f"data_range must be positive, got {self.data_range}")
-
-    @property
-    def c1(self) -> float:
-        return (0.01 * self.data_range) ** 2
-
-    @property
-    def c2(self) -> float:
-        return (0.03 * self.data_range) ** 2
+SSIM_WINDOW = 7      # voxels per side of the cubic window
+SSIM_SIGMA = 1.5     # of the window's Gaussian, in voxels
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    mae: float = 1.0
-    ssim: float = 1.0
-
-    def __post_init__(self):
-        if self.mae < 0 or self.ssim < 0:
-            raise DataError(f"loss weights must be >= 0, got {self}")
-
-
-def gaussian_window(size: int, sigma: float, dtype=np.float64) -> np.ndarray:
-    """Cubic Gaussian window normalized to sum exactly 1."""
+def gaussian_window(size: int, sigma: float) -> np.ndarray:
+    """Cubic float64 Gaussian window normalized to sum exactly 1."""
     half = size // 2
     ax = np.arange(-half, half + 1, dtype=np.float64)
     one_d = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
     win = one_d[:, None, None] * one_d[None, :, None] * one_d[None, None, :]
     win /= win.sum()
-    return win.astype(dtype)
+    return win
+
+
+# the window is the outer product of 1-D Gaussian taps, so its marginal
+# along one axis is those taps, and each moment map is three 1-D passes
+_TAPS = gaussian_window(SSIM_WINDOW, SSIM_SIGMA).sum(axis=(1, 2))
 
 
 def _as_graph_volume(x: Tensor | np.ndarray, name: str) -> Tensor:
@@ -93,33 +62,27 @@ def masked_mae(pred: Tensor, gt: Tensor | np.ndarray, region: np.ndarray) -> Ten
     return total / float(count)
 
 
-def ssim3d(pred: Tensor | np.ndarray, gt: Tensor | np.ndarray,
-           params: SsimParams = SsimParams()) -> Tensor:
+def ssim3d(pred: Tensor | np.ndarray, gt: Tensor | np.ndarray, data_range: float) -> Tensor:
     """Mean structural similarity over all valid window positions.
 
-    Local means/variances/covariance come from Gaussian-weighted moments
-    inside each window (no padding, so only fully-covered positions
-    contribute).
+    ``data_range`` is the value span L of the volumes. Local
+    means/variances/covariance come from Gaussian-weighted moments inside
+    each window (no padding, so only fully-covered positions contribute).
     """
     x = _as_graph_volume(pred, "pred")
     y = _as_graph_volume(gt, "gt")
     if x.data.shape != y.data.shape:
         raise ShapeError(f"pred {x.shape} and gt {y.shape} disagree")
-    w = params.window_size
-    if min(x.data.shape[2:]) < w:
-        raise ShapeError(f"volume {x.data.shape[2:]} is smaller than the {w}^3 window")
+    if min(x.data.shape[2:]) < SSIM_WINDOW:
+        raise ShapeError(f"volume {x.data.shape[2:]} is smaller than the {SSIM_WINDOW}^3 window")
+    c1 = x.data.dtype.type((0.01 * data_range) ** 2)
+    c2 = x.data.dtype.type((0.03 * data_range) ** 2)
 
-    # the window is the outer product of 1-D Gaussian taps, so its marginal
-    # along one axis is those taps, and each moment map is three 1-D passes
-    taps = gaussian_window(w, params.sigma).sum(axis=(1, 2))
-    c1 = x.data.dtype.type(params.c1)
-    c2 = x.data.dtype.type(params.c2)
-
-    mu_x = blur3d(x, taps)
-    mu_y = blur3d(y, taps)
-    xx = blur3d(x * x, taps)
-    yy = blur3d(y * y, taps)
-    xy = blur3d(x * y, taps)
+    mu_x = blur3d(x, _TAPS)
+    mu_y = blur3d(y, _TAPS)
+    xx = blur3d(x * x, _TAPS)
+    yy = blur3d(y * y, _TAPS)
+    xy = blur3d(x * y, _TAPS)
     var_x = xx - mu_x * mu_x
     var_y = yy - mu_y * mu_y
     cov = xy - mu_x * mu_y
@@ -130,12 +93,11 @@ def ssim3d(pred: Tensor | np.ndarray, gt: Tensor | np.ndarray,
 
 
 def composite_loss(pred: Tensor, gt: Tensor | np.ndarray, region: np.ndarray,
-                   weights: LossWeights = LossWeights(),
-                   ssim_params: SsimParams = SsimParams(data_range=2.0)) -> Tensor:
-    """weights.mae * masked_mae + weights.ssim * (1 - ssim3d).
+                   lambda_mae: float, lambda_ssim: float) -> Tensor:
+    """lambda_mae * masked_mae + lambda_ssim * (1 - ssim3d).
 
-    The default data_range of 2 matches signed-unit training volumes.
+    The SSIM data range is 2, the span of signed-unit training volumes.
     """
     mae_term = masked_mae(pred, gt, region)
-    ssim_term = 1.0 - ssim3d(pred, gt, ssim_params)
-    return mae_term * weights.mae + ssim_term * weights.ssim
+    ssim_term = 1.0 - ssim3d(pred, gt, 2.0)
+    return mae_term * lambda_mae + ssim_term * lambda_ssim

@@ -2,8 +2,8 @@
 
 A training mask is the tumor shape translated to a random in-brain
 location that stays clear of the (dilated) tumor itself, then mirrored
-and rotated. Each scan gets several such variants so one ground truth
-yields several training samples.
+and rotated. Each scan gets ``MaskGenParams.variants`` (at least one)
+such masks, so one ground truth yields several training samples.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ import numpy as np
 from .errors import DataError, MaskPlacementError, ShapeError
 from .volume import MaskVolume, Volume, bounding_box
 
-MASKS_PER_SCAN = 5
-
 
 @dataclass(frozen=True)
 class MaskGenParams:
     margin: int = 4                 # dilation radius separating mask from tumor
     volume_fraction: float = 1.0    # target mask volume relative to the tumor's
     max_attempts: int = 100
+    variants: int = 5               # augmented masks drawn per scan
 
     def __post_init__(self):
         if self.margin < 0:
@@ -31,6 +30,8 @@ class MaskGenParams:
             raise DataError(f"volume_fraction must be in (0, 1], got {self.volume_fraction}")
         if self.max_attempts < 1:
             raise DataError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if self.variants < 1:
+            raise DataError(f"variants must be >= 1, got {self.variants}")
 
 
 # -- morphology ---------------------------------------------------------------
@@ -171,8 +172,8 @@ def augment_mask(mask: MaskVolume, rng: np.random.Generator) -> MaskVolume:
 
 
 def generate_mask_set(brain: MaskVolume, tumor: MaskVolume, params: MaskGenParams,
-                      rng: np.random.Generator, count: int = MASKS_PER_SCAN) -> list[MaskVolume]:
-    """Draw ``count`` independent augmented healthy masks for one scan.
+                      rng: np.random.Generator) -> list[MaskVolume]:
+    """Draw ``params.variants`` independent augmented healthy masks for one scan.
 
     Each draw places, augments, clips to the brain, and re-checks the
     margin; an augmented mask that ends up empty or tumor-adjacent costs
@@ -189,7 +190,7 @@ def generate_mask_set(brain: MaskVolume, tumor: MaskVolume, params: MaskGenParam
     forbidden = dilate(tumor.bits, params.margin)
     block = _shrink_to_fraction(_shape_block(tumor.bits), params.volume_fraction)
     out: list[MaskVolume] = []
-    for index in range(count):
+    for index in range(params.variants):
         for _ in range(params.max_attempts):
             placed = sample_healthy_mask(brain, forbidden, block, params, rng)
             candidate = augment_mask(placed, rng)

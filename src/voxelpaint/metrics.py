@@ -2,9 +2,10 @@
 
 Per case, metrics compare prediction and ground truth on the healthy
 mask only, after both volumes are scaled by the ground truth's maximum
-over the healthy and unhealthy regions together. SSIM is computed on
-the healthy mask's bounding box, widened by ``volume.crop_center`` to at
-least the SSIM window.
+over the healthy and unhealthy regions together. SSIM, with the fixed
+window of ``losses.ssim3d`` and a data range of 1, is computed on the
+healthy mask's bounding box, widened by ``volume.crop_center`` to at
+least that window.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .losses import SsimParams, ssim3d
+from .losses import SSIM_WINDOW, ssim3d
 from .util import atomic_open
 from .volume import MaskVolume, Volume, bounding_box, crop_center
 
@@ -73,7 +74,7 @@ def region_max_intensity(gt: Volume, healthy: MaskVolume, unhealthy: MaskVolume)
 
 
 def evaluate_case(case_id: str, pred: Volume, gt: Volume, healthy: MaskVolume,
-                  region_max: float, ssim_params: SsimParams = SsimParams()) -> CaseMetrics:
+                  region_max: float) -> CaseMetrics:
     """Healthy-region MSE/RMSE/PSNR plus bounding-box SSIM for one case.
 
     PSNR uses peak 1.0 on the scaled volumes; a zero MSE reports an
@@ -91,7 +92,7 @@ def evaluate_case(case_id: str, pred: Volume, gt: Volume, healthy: MaskVolume,
         raise DataError(f"{case_id}: region max {region_max} must be positive")
 
     tight = bounding_box(healthy.bits)
-    box = crop_center(gt.dims, [max(a.stop - a.start, ssim_params.window_size) for a in tight], tight)
+    box = crop_center(gt.dims, [max(a.stop - a.start, SSIM_WINDOW) for a in tight], tight)
     scale = np.float64(1.0 / region_max)
     pred_s = pred.voxels[box].astype(np.float64) * scale
     gt_s = gt.voxels[box].astype(np.float64) * scale
@@ -105,7 +106,7 @@ def evaluate_case(case_id: str, pred: Volume, gt: Volume, healthy: MaskVolume,
     else:
         psnr, infinite = -10.0 * math.log10(mse), False
 
-    ssim = float(ssim3d(pred_s, gt_s, ssim_params).item())
+    ssim = float(ssim3d(pred_s, gt_s, 1.0).item())
 
     return CaseMetrics(case_id=case_id, ssim=ssim, psnr=psnr, mse=mse, rmse=rmse,
                        region_voxels=int(np.count_nonzero(region)), psnr_infinite=infinite)

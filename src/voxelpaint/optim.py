@@ -11,20 +11,15 @@ class Adam:
     """Keeps first/second moment buffers per parameter and a step counter.
 
     A parameter whose .grad is None is treated as having a zero gradient;
-    its moments still decay, which is ordinary Adam behavior.
+    its moments still decay, which is ordinary Adam behavior. lr and betas
+    are taken as given: ``TrainConfig`` checks them.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-4,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        b1, b2 = betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {betas}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = b1
-        self.beta2 = b2
+        self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = 0
         self._m = [np.zeros_like(p.data) for p in self.params]

@@ -29,7 +29,7 @@ import numpy as np
 from .autodiff import Tensor, no_grad
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, DataError, NumericError
-from .losses import LossWeights, composite_loss
+from .losses import composite_loss
 from .masks import TrainingSample, void_image
 from .optim import Adam
 from .unet import UNet, UNetConfig, build_unet
@@ -54,6 +54,7 @@ class TrainConfig:
     mae_region: str = "non_tumor"   # or "healthy_only"
 
     def __post_init__(self):
+        self.unet  # UNetConfig checks base_channels and dropout_rate
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.folds < 2:
@@ -63,16 +64,19 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"betas must lie in [0, 1), got ({self.beta1}, {self.beta2})")
+            raise ConfigError(f"beta1 and beta2 must lie in [0, 1), got ({self.beta1}, {self.beta2})")
         if self.lambda_mae < 0 or self.lambda_ssim < 0:
-            raise ConfigError(f"loss weights must be >= 0, got "
+            raise ConfigError(f"lambda_mae and lambda_ssim must be >= 0, got "
                               f"({self.lambda_mae}, {self.lambda_ssim})")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if any(e % 8 for e in self.crop_dims):
             raise ConfigError(f"crop_dims {self.crop_dims} must be divisible by 8")
         if self.mae_region not in ("non_tumor", "healthy_only"):
             raise ConfigError(f"mae_region must be non_tumor or healthy_only, got {self.mae_region!r}")
+
+    @property
+    def unet(self) -> UNetConfig:
+        """The architecture each fold trains."""
+        return UNetConfig(base_channels=self.base_channels, dropout_rate=self.dropout_rate)
 
 
 @dataclass
@@ -172,7 +176,7 @@ def _loss_for(model: UNet, batch: list[PreparedSample], config: TrainConfig,
     gt = np.concatenate([s.gt for s in batch], axis=0)
     region = np.concatenate([s.region for s in batch], axis=0)
     pred = model.forward(voided, mask, training=training, rng=rng)
-    return composite_loss(pred, gt, region, LossWeights(config.lambda_mae, config.lambda_ssim))
+    return composite_loss(pred, gt, region, config.lambda_mae, config.lambda_ssim)
 
 
 def validation_loss(model: UNet, samples: list[PreparedSample], config: TrainConfig) -> float:
@@ -185,29 +189,26 @@ def validation_loss(model: UNet, samples: list[PreparedSample], config: TrainCon
     return total / len(samples)
 
 
-def train_fold(samples: list[tuple[str, PreparedSample]], config: TrainConfig,
+def train_fold(samples: list[PreparedSample], config: TrainConfig,
                fold_index: int, out_dir, log_fh=None) -> FoldResult:
     """Train one fold to completion and keep the best-validation checkpoint.
 
-    ``samples`` pairs each prepared sample with its source case id; the
-    fold plan splits by case so variants never straddle folds.
+    The fold plan splits by ``case_id``, so variants never straddle folds.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    case_ids = sorted({cid for cid, _ in samples})
+    case_ids = sorted({s.case_id for s in samples})
     folds = kfold_split(case_ids, config.folds, config.seed)
     if not 0 <= fold_index < config.folds:
         raise ConfigError(f"fold_index {fold_index} out of range for {config.folds} folds")
     val_cases = set(folds[fold_index])
-    train_set = [s for cid, s in samples if cid not in val_cases]
-    val_set = [s for cid, s in samples if cid in val_cases]
+    train_set = [s for s in samples if s.case_id not in val_cases]
+    val_set = [s for s in samples if s.case_id in val_cases]
     if not train_set or not val_set:
         raise DataError(f"fold {fold_index} leaves an empty split "
                         f"({len(train_set)} train / {len(val_set)} val)")
 
-    model = build_unet(
-        UNetConfig(base_channels=config.base_channels, dropout_rate=config.dropout_rate),
-        make_rng(config.seed, "init", fold_index))
+    model = build_unet(config.unet, make_rng(config.seed, "init", fold_index))
     opt = Adam(model.param_tensors(), lr=config.lr, betas=(config.beta1, config.beta2))
 
     ckpt_path = out_dir / f"fold{fold_index}-best.vxpt"
@@ -257,7 +258,7 @@ def train_fold(samples: list[tuple[str, PreparedSample]], config: TrainConfig,
 # -- inference ---------------------------------------------------------------------
 
 
-def infer_case(models: UNet | list[UNet], volume: Volume, combined: MaskVolume,
+def infer_case(models: list[UNet], volume: Volume, combined: MaskVolume,
                crop_dims) -> Volume:
     """Predict the masked region and stitch it into the given volume.
 
@@ -266,8 +267,6 @@ def infer_case(models: UNet | list[UNet], volume: Volume, combined: MaskVolume,
     signed-unit predictions are averaged before denormalization. Voxels
     outside the mask pass through bit for bit.
     """
-    if isinstance(models, UNet):
-        models = [models]
     if not models:
         raise DataError("infer_case needs at least one model")
     if volume.dims != combined.dims:

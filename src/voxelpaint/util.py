@@ -1,5 +1,6 @@
 """Seed derivation for reproducible per-scope RNG streams, atomic writes,
-and the thread pool that runs independent calls side by side.
+the field type check of records read from files, and the thread pool that
+runs independent calls side by side.
 
 Python's builtin hash() is salted per process, so seeds are derived from
 sha256 instead; the same parts always map to the same stream.
@@ -13,6 +14,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -43,6 +45,17 @@ def atomic_open(path, mode: str = "w", **kwargs):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def check_field_types(record) -> None:
+    """Raise TypeError unless each field of the dataclass ``record`` holds its
+    declared type. A bool is not taken for a number; an int is taken for a float."""
+    for name, kind in get_type_hints(type(record)).items():
+        value = getattr(record, name)
+        accepted = (int, float) if kind is float else kind
+        if not isinstance(value, accepted) or (kind in (int, float) and isinstance(value, bool)):
+            raise TypeError(f"{type(record).__name__} field {name!r} is {value!r}, "
+                            f"not a {kind.__name__}")
 
 
 _pool: ThreadPoolExecutor | None = None

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from voxelpaint.autodiff import Tensor
-from voxelpaint.losses import SsimParams, ssim3d
+from voxelpaint.losses import ssim3d
 from voxelpaint.metrics import CaseMetrics
 from voxelpaint.masks import (MaskGenParams, _shape_block, _shrink_to_fraction, dilate,
                               make_training_sample, sample_healthy_mask)
@@ -246,10 +246,11 @@ def ssim3d_oracle(a, b, window, c1, c2):
 # Full-volume evaluation reference
 # ---------------------------------------------------------------------------
 
-def evaluate_case_reference(case_id, pred, gt, healthy, region_max, ssim_params=SsimParams()):
+def evaluate_case_reference(case_id, pred, gt, healthy, region_max):
     """evaluate_case as first written: both whole volumes cast to float64 and
     scaled, the MSE over whole-volume boolean indexing, and the SSIM box
-    found from np.argwhere and widened one voxel a side at a time."""
+    found from np.argwhere and widened one voxel a side at a time to the
+    7-voxel SSIM window."""
     scale = np.float64(1.0 / region_max)
     pred_s = pred.voxels.astype(np.float64) * scale
     gt_s = gt.voxels.astype(np.float64) * scale
@@ -262,14 +263,14 @@ def evaluate_case_reference(case_id, pred, gt, healthy, region_max, ssim_params=
     box = []
     for lo, hi, n in zip(coords.min(axis=0), coords.max(axis=0) + 1, healthy.bits.shape):
         a, b = int(lo), int(hi)
-        while b - a < ssim_params.window_size and (a > 0 or b < n):
+        while b - a < 7 and (a > 0 or b < n):
             if a > 0:
                 a -= 1
-            if b - a < ssim_params.window_size and b < n:
+            if b - a < 7 and b < n:
                 b += 1
         box.append(slice(a, b))
     box = tuple(box)
-    ssim = float(ssim3d(pred_s[box], gt_s[box], ssim_params).item())
+    ssim = float(ssim3d(pred_s[box], gt_s[box], 1.0).item())
     return CaseMetrics(case_id=case_id, ssim=ssim, psnr=psnr, mse=mse, rmse=math.sqrt(mse),
                        region_voxels=int(healthy.bits.sum()), psnr_infinite=infinite)
 
@@ -349,12 +350,12 @@ def build_case(seed, n=16, margin=1):
 
 
 def build_prepared_samples(count=10, n=16, seed=123):
-    """Prepared (case_id, sample) pairs for trainer tests."""
+    """Prepared samples, one per case, for trainer tests."""
     out = []
     for i in range(count):
         t1n, _, tumor, healthy = build_case(seed + i, n=n)
         sample = make_training_sample(f"case{i:02d}", t1n, tumor, healthy)
-        out.append((f"case{i:02d}", prepare_sample(sample, (n, n, n))))
+        out.append(prepare_sample(sample, (n, n, n)))
     return out
 
 

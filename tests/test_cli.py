@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import json
 import shutil
+import struct
 import tracemalloc
 
 import numpy as np
@@ -279,6 +280,18 @@ def test_prepare_thin_scan_below_margin(tmp_path, capsys):
     assert "prepared 5 samples" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("variants", [0, -1])
+def test_prepare_variants_below_one_exits_3(tmp_path, capsys, variants):
+    input_dir = make_input_dir(tmp_path, n_cases=1, seed=470)
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", {
+        "prepare": {"input_dir": str(input_dir), "out_dir": str(out_dir),
+                    "margin": 1, "variants": variants}})
+    assert cli.main(["prepare", "--config", config]) == 3
+    assert "variants" in capsys.readouterr().err
+    assert not (out_dir / "manifest.json").exists()
+
+
 def test_prepare_without_scans_exits_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -311,11 +324,40 @@ def test_train_writes_logs_and_checkpoints(cli_workspace):
     assert {r["fold"] for r in records} == {0, 1}
 
 
-def test_train_invalid_hyperparameters_exit_3(cli_workspace, tmp_path):
+# each out-of-range value, with the class that checks it
+INVALID_HYPERPARAMETERS = (
+    ("epochs", 0),          # TrainConfig
+    ("lr", 0),              # TrainConfig, for Adam
+    ("beta1", 1.0),         # TrainConfig, for Adam
+    ("lambda_mae", -1),     # TrainConfig, for composite_loss
+    ("dropout_rate", 1.0),  # UNetConfig, built by TrainConfig
+    ("folds", 1),           # TrainConfig
+    ("batch_size", 0),      # TrainConfig
+)
+
+
+def test_train_invalid_hyperparameters_exit_3(cli_workspace, tmp_path, capsys):
+    for key, value in INVALID_HYPERPARAMETERS:
+        config = write_config(tmp_path / "c.json", {
+            "train": {"dataset_dir": str(cli_workspace["dataset_dir"]),
+                      "out_dir": str(tmp_path / "out"), key: value}})
+        assert cli.main(["train", "--config", config]) == 3, key
+        assert key in capsys.readouterr().err, key
+    assert not (tmp_path / "out" / "train_log.jsonl").exists()
+
+
+def test_train_bad_base_channels_exits_3_before_reading_samples(tmp_path, capsys):
+    # the manifest's sample files do not exist: reading one would exit 2
+    dataset_dir = tmp_path / "dataset"
+    dataset_dir.mkdir()
+    save_manifest(Manifest(seed=0, samples=[
+        ManifestEntry(case_id=c, variant=0, sample_id=f"{c}-m0", directory=f"{c}-m0", seed=0)
+        for c in ("a", "b")]), dataset_dir)
     config = write_config(tmp_path / "c.json", {
-        "train": {"dataset_dir": str(cli_workspace["dataset_dir"]),
-                  "out_dir": str(tmp_path / "out"), "epochs": 0}})
+        "train": {"dataset_dir": str(dataset_dir), "out_dir": str(tmp_path / "out"),
+                  "base_channels": 0}})
     assert cli.main(["train", "--config", config]) == 3
+    assert "base_channels" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -454,6 +496,22 @@ def test_infer_empty_checkpoint_list_exits_3(cli_workspace, tmp_path):
         "infer": {"dataset_dir": str(cli_workspace["dataset_dir"]),
                   "checkpoints": [], "out_dir": str(tmp_path / "pred")}})
     assert cli.main(["infer", "--config", config]) == 3
+
+
+def test_infer_checkpoint_with_fractional_base_channels_exits_3(cli_workspace, tmp_path, capsys):
+    raw = (cli_workspace["train_dir"] / "fold0-best.vxpt").read_bytes()
+    version, meta_len = struct.unpack("<II", raw[4:12])
+    meta = json.loads(raw[12:12 + meta_len])
+    meta["config"]["base_channels"] = 2.5
+    blob = json.dumps(meta).encode()
+    checkpoint = tmp_path / "tampered.vxpt"
+    checkpoint.write_bytes(raw[:4] + struct.pack("<II", version, len(blob)) + blob
+                           + raw[12 + meta_len:])
+    config = write_config(tmp_path / "c.json", {
+        "infer": {"dataset_dir": str(cli_workspace["dataset_dir"]),
+                  "checkpoints": [str(checkpoint)], "out_dir": str(tmp_path / "pred")}})
+    assert cli.main(["infer", "--config", config]) == 3
+    assert "base_channels" in capsys.readouterr().err
 
 
 def test_infer_without_samples_exits_2(cli_workspace, tmp_path):

@@ -6,14 +6,7 @@ import pytest
 from conftest import gradcheck, ssim3d_oracle
 from voxelpaint.autodiff import Tensor
 from voxelpaint.errors import DataError, ShapeError
-from voxelpaint.losses import (
-    LossWeights,
-    SsimParams,
-    composite_loss,
-    gaussian_window,
-    masked_mae,
-    ssim3d,
-)
+from voxelpaint.losses import composite_loss, gaussian_window, masked_mae, ssim3d
 
 
 def vol5(arr):
@@ -42,38 +35,13 @@ def test_gaussian_window_is_separable_product():
 
 
 # ---------------------------------------------------------------------------
-# SSIM parameters
-# ---------------------------------------------------------------------------
-
-def test_ssim_stabilizers_from_data_range():
-    unit = SsimParams()
-    assert unit.data_range == 1.0
-    assert unit.c1 == pytest.approx(1e-4, abs=0)
-    assert unit.c2 == pytest.approx(9e-4, abs=1e-19)
-    signed = SsimParams(data_range=2.0)
-    assert signed.c1 == pytest.approx(4e-4, abs=0)
-    assert signed.c2 == pytest.approx(36e-4, abs=1e-18)
-
-
-def test_ssim_params_validation():
-    with pytest.raises(DataError):
-        SsimParams(window_size=6)
-    with pytest.raises(DataError):
-        SsimParams(sigma=0.0)
-    with pytest.raises(DataError):
-        SsimParams(data_range=0.0)
-    with pytest.raises(DataError):
-        LossWeights(mae=-0.1)
-
-
-# ---------------------------------------------------------------------------
 # SSIM values
 # ---------------------------------------------------------------------------
 
 def test_ssim_self_similarity_is_exactly_one():
     rng = np.random.default_rng(30)
     a = rng.standard_normal((9, 9, 9)).astype(np.float32)
-    val = ssim3d(a, a.copy()).item()
+    val = ssim3d(a, a.copy(), 1.0).item()
     assert val == 1.0
 
 
@@ -81,28 +49,45 @@ def test_ssim_is_symmetric_bitwise():
     rng = np.random.default_rng(31)
     a = rng.random((8, 8, 8)).astype(np.float32)
     b = rng.random((8, 8, 8)).astype(np.float32)
-    assert ssim3d(a, b).item() == ssim3d(b, a).item()
+    assert ssim3d(a, b, 1.0).item() == ssim3d(b, a, 1.0).item()
+
+
+# c1 = (0.01 L)^2 and c2 = (0.03 L)^2, written out, at data ranges L = 1 and 2
+STABILIZERS = ((1.0, 1e-4, 9e-4), (2.0, 4e-4, 3.6e-3))
 
 
 def test_ssim_constant_volumes_hit_stabilizer_ratio():
     # Zero variance everywhere: SSIM collapses to c1 / (1 + c1) for the
-    # all-zeros vs all-ones pair at unit data range.
-    params = SsimParams()
+    # all-zeros vs all-ones pair.
     a = np.zeros((8, 8, 8), dtype=np.float64)
     b = np.ones((8, 8, 8), dtype=np.float64)
-    expected = params.c1 / (1.0 + params.c1)
-    assert abs(ssim3d(a, b, params).item() - expected) <= 1e-9
+    for data_range, c1, _ in STABILIZERS:
+        expected = c1 / (1.0 + c1)
+        assert abs(ssim3d(a, b, data_range).item() - expected) <= 1e-9, data_range
+
+
+def test_ssim_stabilizers_from_data_range():
+    # With variance in the windows c2 no longer cancels: the map must match
+    # the oracle run with both stabilizers as written out.
+    rng = np.random.default_rng(39)
+    a = rng.random((9, 9, 9))
+    b = np.clip(a + 0.1 * rng.standard_normal(a.shape), 0.0, 1.0)
+    window = gaussian_window(7, 1.5)
+    for data_range, c1, c2 in STABILIZERS:
+        ref = ssim3d_oracle(a, b, window, c1, c2)
+        assert abs(ssim3d(a, b, data_range).item() - ref) <= 1e-9, data_range
+        # a c2 off by the next data range's would show
+        assert abs(ssim3d_oracle(a, b, window, c1, 4 * c2) - ref) > 1e-4
 
 
 def test_ssim_matches_bruteforce_oracle():
     rng = np.random.default_rng(32)
-    params = SsimParams()
-    window = gaussian_window(params.window_size, params.sigma)
+    window = gaussian_window(7, 1.5)
     for shape in [(10, 10, 10), (16, 12, 9), (7, 7, 7)]:
         a = rng.random(shape)
         b = np.clip(a + 0.1 * rng.standard_normal(shape), 0.0, 1.0)
-        got = ssim3d(a, b, params).item()
-        ref = ssim3d_oracle(a, b, window, params.c1, params.c2)
+        got = ssim3d(a, b, 1.0).item()
+        ref = ssim3d_oracle(a, b, window, 1e-4, 9e-4)
         assert abs(got - ref) <= 1e-6, f"{shape}: {got} vs {ref}"
 
 
@@ -111,14 +96,14 @@ def test_ssim_detects_degradation_monotonically():
     a = rng.random((12, 12, 12))
     noisy1 = a + 0.05 * rng.standard_normal(a.shape)
     noisy2 = a + 0.25 * rng.standard_normal(a.shape)
-    s1 = ssim3d(a, noisy1).item()
-    s2 = ssim3d(a, noisy2).item()
+    s1 = ssim3d(a, noisy1, 1.0).item()
+    s2 = ssim3d(a, noisy2, 1.0).item()
     assert 1.0 > s1 > s2
 
 
 def test_ssim_volume_smaller_than_window_rejected():
     with pytest.raises(ShapeError):
-        ssim3d(np.zeros((4, 4, 4)), np.zeros((4, 4, 4)))
+        ssim3d(np.zeros((4, 4, 4)), np.zeros((4, 4, 4)), 1.0)
 
 
 def test_ssim_gradient_matches_finite_differences():
@@ -127,7 +112,7 @@ def test_ssim_gradient_matches_finite_differences():
     pred = Tensor(rng.random((8, 8, 8))[None, None], requires_grad=True)
 
     def build():
-        return ssim3d(pred, gt)
+        return ssim3d(pred, gt, 1.0)
 
     worst = gradcheck(build, [pred], rng, n_samples=20, h=1e-3)
     assert worst <= 1e-3, f"ssim gradcheck rel err {worst:.3e}"
@@ -140,7 +125,7 @@ def test_ssim_gradient_non_cubic_volume():
     pred = Tensor(rng.random((11, 8, 9))[None, None], requires_grad=True)
 
     def build():
-        return ssim3d(pred, gt)
+        return ssim3d(pred, gt, 1.0)
 
     worst = gradcheck(build, [pred], rng, n_samples=20, h=1e-3)
     assert worst <= 1e-3, f"ssim gradcheck rel err {worst:.3e}"
@@ -211,30 +196,28 @@ def test_composite_loss_zero_when_prediction_is_exact():
     rng = np.random.default_rng(37)
     gt = (rng.random((1, 1, 8, 8, 8)) * 2.0 - 1.0).astype(np.float32)
     region = np.ones(gt.shape, dtype=bool)
-    loss = composite_loss(Tensor(gt.copy(), requires_grad=True), gt, region)
+    loss = composite_loss(Tensor(gt.copy(), requires_grad=True), gt, region, 1.0, 1.0)
     assert loss.item() == 0.0
 
 
 def test_composite_lambda_zeroing_isolates_components():
     pred, gt, region = _composite_fixture()
-    params = SsimParams(data_range=2.0)
-    mae_only = composite_loss(pred, gt, region, LossWeights(1.0, 0.0), params).item()
-    ssim_only = composite_loss(pred, gt, region, LossWeights(0.0, 1.0), params).item()
-    both = composite_loss(pred, gt, region, LossWeights(1.0, 1.0), params).item()
+    mae_only = composite_loss(pred, gt, region, 1.0, 0.0).item()
+    ssim_only = composite_loss(pred, gt, region, 0.0, 1.0).item()
+    both = composite_loss(pred, gt, region, 1.0, 1.0).item()
     assert abs(mae_only - masked_mae(pred, gt, region).item()) <= 1e-12
-    assert abs(ssim_only - (1.0 - ssim3d(pred, gt, params).item())) <= 1e-12
+    assert abs(ssim_only - (1.0 - ssim3d(pred, gt, 2.0).item())) <= 1e-12
     assert abs(both - (mae_only + ssim_only)) <= 1e-6
 
 
 def test_composite_default_data_range_is_signed_unit():
     # Mid-gray constant pair differing by 0.5 on signed-unit data: the SSIM
-    # term must be computed with L=2 stabilizers.
+    # term must be computed with L=2 stabilizers, c1 = 4e-4.
     a = Tensor(np.full((1, 1, 8, 8, 8), 0.5, dtype=np.float64), requires_grad=True)
     b = np.zeros((1, 1, 8, 8, 8), dtype=np.float64)
     region = np.ones(a.shape, dtype=bool)
-    got = composite_loss(a, b, region, LossWeights(0.0, 1.0)).item()
-    p = SsimParams(data_range=2.0)
-    expected = 1.0 - (2.0 * 0.5 * 0.0 + p.c1) / (0.25 + 0.0 + p.c1)
+    got = composite_loss(a, b, region, 0.0, 1.0).item()
+    expected = 1.0 - (2.0 * 0.5 * 0.0 + 4e-4) / (0.25 + 0.0 + 4e-4)
     assert abs(got - expected) <= 1e-9
 
 
@@ -250,7 +233,7 @@ def test_composite_loss_gradient_matches_finite_differences():
     region.flat[0] = True
 
     def build():
-        return composite_loss(pred, gt, region)
+        return composite_loss(pred, gt, region, 1.0, 1.0)
 
     worst = gradcheck(build, [pred], rng, n_samples=20, h=1e-3)
     assert worst <= 1e-3, f"composite gradcheck rel err {worst:.3e}"

@@ -241,9 +241,9 @@ def test_generate_mask_set_count_and_constraints():
 
 def test_generate_mask_set_deterministic():
     _, brain, tumor, _ = build_case(3400)
-    params = MaskGenParams(margin=1)
-    a = generate_mask_set(brain, tumor, params, np.random.default_rng(8), count=3)
-    b = generate_mask_set(brain, tumor, params, np.random.default_rng(8), count=3)
+    params = MaskGenParams(margin=1, variants=3)
+    a = generate_mask_set(brain, tumor, params, np.random.default_rng(8))
+    b = generate_mask_set(brain, tumor, params, np.random.default_rng(8))
     for ma, mb in zip(a, b):
         assert np.array_equal(ma.bits, mb.bits)
 
@@ -257,8 +257,8 @@ def test_generate_mask_set_deterministic():
 ])
 def test_generate_mask_set_pinned_output(seed, margin, fraction, count, rng_seed, digest):
     _, brain, tumor, _ = build_case(seed)
-    params = MaskGenParams(margin=margin, volume_fraction=fraction)
-    masks = generate_mask_set(brain, tumor, params, np.random.default_rng(rng_seed), count=count)
+    params = MaskGenParams(margin=margin, volume_fraction=fraction, variants=count)
+    masks = generate_mask_set(brain, tumor, params, np.random.default_rng(rng_seed))
     assert hashlib.sha256(b"".join(m.bits.tobytes() for m in masks)).hexdigest() == digest
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import evaluate_case_reference, ssim3d_oracle
 from voxelpaint.errors import DataError, ShapeError
-from voxelpaint.losses import SsimParams, gaussian_window
+from voxelpaint.losses import gaussian_window
 from voxelpaint.metrics import (
     CaseMetrics,
     aggregate_stats,
@@ -120,14 +120,12 @@ def test_mse_counts_only_healthy_voxels():
 def test_ssim_over_widened_bounding_box_matches_oracle():
     pred, gt, healthy, unhealthy = _fixture(noise=30.0)
     rmax = region_max_intensity(gt, healthy, unhealthy)
-    params = SsimParams()
-    m = evaluate_case("c3", pred, gt, healthy, rmax, params)
+    m = evaluate_case("c3", pred, gt, healthy, rmax)
     # Healthy box spans exactly 7 voxels per axis here, already window-sized.
     box = tuple(slice(lo, lo + 7) for lo in (2, 3, 2))
-    window = gaussian_window(params.window_size, params.sigma)
     ref = ssim3d_oracle(pred.voxels.astype(np.float64)[box] / rmax,
                         gt.voxels.astype(np.float64)[box] / rmax,
-                        window, params.c1, params.c2)
+                        gaussian_window(7, 1.5), 1e-4, 9e-4)
     assert m.ssim == pytest.approx(ref, abs=1e-9)
 
 

@@ -1,0 +1,42 @@
+"""perfbench's tracer still finds, patches and restores every name it wraps.
+
+``perfbench/spans.py`` patches functions and methods of the package by
+name, and ``perfbench/workloads.py`` imports names from it; a rename in
+``src/`` breaks the benchmark's traced run, and this test shows it first.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+from voxelpaint import autodiff, optim, unet
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _bindings():
+    """Every name bound in the package's modules and in the patched classes."""
+    owners = [m for name, m in sys.modules.items() if name.startswith("voxelpaint.")]
+    owners += [autodiff.Tensor, optim.Adam, unet.UNet]
+    return {(owner, key): value for owner in owners for key, value in vars(owner).items()}
+
+
+def test_tracer_installs_and_removes(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    before = _bindings()
+    tracer = workloads.Tracer()
+    try:
+        tracer.install()
+        patched = {(owner, key) for owner, key, _ in tracer._patches}
+    finally:
+        tracer.remove()
+    for module, attr, _ in spans.FUNCTIONS:
+        assert (sys.modules[f"voxelpaint.{module}"], attr) in patched, f"{module}.{attr}"
+    for attr in (*spans.ELEMENTWISE, "backward"):
+        assert (autodiff.Tensor, attr) in patched, attr
+    assert (optim.Adam, "step") in patched and (unet.UNet, "forward") in patched
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)

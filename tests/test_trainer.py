@@ -142,8 +142,8 @@ def test_train_fold_runs_and_tracks_best(tmp_path):
     assert meta["epoch"] == res.best_epoch
     assert meta["fold"] == 0
     # The checkpointed model reproduces the recorded validation loss.
-    val_cases = set(kfold_split(sorted({cid for cid, _ in samples}), 5, 7)[0])
-    val_set = [s for cid, s in samples if cid in val_cases]
+    val_cases = set(kfold_split(sorted({s.case_id for s in samples}), 5, 7)[0])
+    val_set = [s for s in samples if s.case_id in val_cases]
     revalidated = validation_loss(model, val_set, _quick_config(epochs=3))
     assert revalidated == pytest.approx(res.best_val_loss, abs=1e-7)
 
@@ -202,6 +202,12 @@ def test_train_config_validation():
         _quick_config(beta1=1.0)
     with pytest.raises(ConfigError):
         _quick_config(mae_region="everywhere")
+    # the network's settings are checked by the UNetConfig the config builds
+    with pytest.raises(ConfigError, match="base_channels"):
+        _quick_config(base_channels=0)
+    with pytest.raises(ConfigError, match="dropout_rate"):
+        _quick_config(dropout_rate=1.0)
+    assert _quick_config().unet == UNetConfig(base_channels=2, dropout_rate=0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +221,7 @@ def _fresh_model(base=2, seed=0):
 def test_infer_case_changes_only_masked_voxels():
     t1n, _, tumor, healthy = build_case(4200)
     combined = MaskVolume(tumor.bits | healthy.bits, role="combined")
-    out = infer_case(_fresh_model(), t1n, combined, (16, 16, 16))
+    out = infer_case([_fresh_model()], t1n, combined, (16, 16, 16))
     assert out.dims == t1n.dims
     outside = ~combined.bits
     assert np.array_equal(out.voxels[outside], t1n.voxels[outside])
@@ -227,9 +233,9 @@ def test_infer_case_idempotent_voiding():
     # output, because inference re-voids unconditionally.
     t1n, _, tumor, healthy = build_case(4300)
     sample = make_training_sample("caseI", t1n, tumor, healthy)
-    model = _fresh_model()
-    from_gt = infer_case(model, t1n, sample.combined, (16, 16, 16))
-    from_voided = infer_case(model, sample.t1n_voided, sample.combined, (16, 16, 16))
+    models = [_fresh_model()]
+    from_gt = infer_case(models, t1n, sample.combined, (16, 16, 16))
+    from_voided = infer_case(models, sample.t1n_voided, sample.combined, (16, 16, 16))
     assert np.array_equal(from_gt.voxels, from_voided.voxels)
 
 
@@ -237,8 +243,8 @@ def test_infer_case_ensemble_averages_predictions():
     t1n, _, tumor, healthy = build_case(4400)
     combined = MaskVolume(tumor.bits | healthy.bits, role="combined")
     m1, m2 = _fresh_model(seed=1), _fresh_model(seed=2)
-    single1 = infer_case(m1, t1n, combined, (16, 16, 16))
-    single2 = infer_case(m2, t1n, combined, (16, 16, 16))
+    single1 = infer_case([m1], t1n, combined, (16, 16, 16))
+    single2 = infer_case([m2], t1n, combined, (16, 16, 16))
     both = infer_case([m1, m2], t1n, combined, (16, 16, 16))
     assert not np.array_equal(both.voxels, single1.voxels)
     assert not np.array_equal(both.voxels, single2.voxels)
@@ -252,7 +258,7 @@ def test_infer_case_ensemble_averages_predictions():
 def test_infer_case_output_intensities_in_raw_range():
     t1n, _, tumor, healthy = build_case(4500)
     combined = MaskVolume(tumor.bits | healthy.bits, role="combined")
-    out = infer_case(_fresh_model(), t1n, combined, (16, 16, 16))
+    out = infer_case([_fresh_model()], t1n, combined, (16, 16, 16))
     vmax = float(np.max(np.where(combined.bits, 0.0, t1n.voxels)))
     assert out.voxels.min() >= 0.0
     assert out.voxels[combined.bits].max() <= vmax + 1e-3
@@ -264,7 +270,7 @@ def test_infer_case_requires_models_and_matching_dims():
     with pytest.raises(DataError):
         infer_case([], t1n, combined, (16, 16, 16))
     with pytest.raises(DataError):
-        infer_case(_fresh_model(), t1n,
+        infer_case([_fresh_model()], t1n,
                    MaskVolume(np.zeros((8, 8, 8), bool), role="combined"),
                    (8, 8, 8))
 
@@ -274,7 +280,7 @@ def test_infer_case_requires_models_and_matching_dims():
 # ---------------------------------------------------------------------------
 
 def test_no_grad_forward_builds_no_graph_and_matches():
-    (_, s), = build_prepared_samples(count=1)
+    s, = build_prepared_samples(count=1)
     model = _fresh_model()
     x, m = Tensor(s.voided), Tensor(s.mask)
     graph = model.forward(x, m, training=False)
@@ -289,7 +295,7 @@ def test_no_grad_forward_builds_no_graph_and_matches():
 
 
 def test_validation_loss_and_inference_match_graph_building_path(monkeypatch):
-    samples = [s for _, s in build_prepared_samples(count=3)]
+    samples = build_prepared_samples(count=3)
     cfg = _quick_config()
     t1n, _, tumor, healthy = build_case(4700)
     combined = MaskVolume(tumor.bits | healthy.bits, role="combined")

@@ -89,6 +89,12 @@ def test_config_validation():
         UNetConfig(base_channels=0)
     with pytest.raises(ConfigError):
         UNetConfig(dropout_rate=1.0)
+    # an int field takes no float and no bool, a float field no bool
+    for bad in ({"base_channels": 2.5}, {"base_channels": 2.0}, {"in_channels": True},
+                {"dropout_rate": False}, {"dropout_rate": "0.2"}):
+        with pytest.raises(TypeError):
+            UNetConfig(**bad)
+    assert UNetConfig(dropout_rate=0).dropout_rate == 0
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +210,7 @@ def test_second_train_step_peaks_no_higher_than_the_first():
         for step in range(2):
             tracemalloc.reset_peak()
             pred = model.forward(voided, mask, training=True, rng=np.random.default_rng(step))
-            loss = composite_loss(pred, gt, region)
+            loss = composite_loss(pred, gt, region, 1.0, 1.0)
             del pred  # trainer._loss_for returns only the loss
             model.zero_grad()
             loss.backward()
@@ -301,14 +307,16 @@ def _pack_container(version, meta, records):
 
 
 def test_checkpoint_config_tamper_is_shape_mismatch(tmp_path):
-    # Records written for base 2 cannot fill a base-4 model.
+    # Records written for base 2 cannot fill a base-4 model, and a base of
+    # 2.5 or true builds no model at all.
     path = _saved(tmp_path, base=2)
     version, meta, records = _split_container(path.read_bytes())
-    meta["config"]["base_channels"] = 4
-    path.write_bytes(_pack_container(version, meta, records))
-    with pytest.raises(CheckpointError) as exc:
-        load_checkpoint(path)
-    assert _code(exc) == "mismatch"
+    for base in (4, 2.5, True):
+        meta["config"]["base_channels"] = base
+        path.write_bytes(_pack_container(version, meta, records))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert _code(exc) == "mismatch", base
 
 
 def _walk_records(records):

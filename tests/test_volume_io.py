@@ -14,7 +14,6 @@ from voxelpaint.masks import (MaskGenParams, _shape_block, generate_mask_set,
                               make_training_sample, void_image)
 from voxelpaint import nifti
 from voxelpaint.nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
-from voxelpaint.losses import SsimParams
 from voxelpaint.metrics import evaluate_case
 from voxelpaint.volume import MaskVolume, Volume, bounding_box, crop_center, stitch
 
@@ -93,7 +92,6 @@ def test_ssim_box_equals_the_widening_loop_oracle():
     # high edge, or inside, axis by axis, so the widened box is clamped at
     # 0, at n, or not at all.
     rng = np.random.default_rng(48)
-    params = SsimParams(window_size=7)
     for case in range(200):
         dims = tuple(int(rng.integers(7, 15)) for _ in range(3))
         size = [int(rng.integers(1, 7)) for _ in dims]
@@ -104,8 +102,8 @@ def test_ssim_box_equals_the_widening_loop_oracle():
         gt = Volume(rng.uniform(1.0, 2.0, dims).astype(np.float32))
         pred = Volume(rng.uniform(1.0, 2.0, dims).astype(np.float32))
         healthy = MaskVolume(bits, role="healthy")
-        assert evaluate_case("c", pred, gt, healthy, 2.0, params) == \
-            evaluate_case_reference("c", pred, gt, healthy, 2.0, params), case
+        assert evaluate_case("c", pred, gt, healthy, 2.0) == \
+            evaluate_case_reference("c", pred, gt, healthy, 2.0), case
 
     # one voxel near each end: the widened box is clamped at 0 on one axis
     # and at n on another
@@ -216,8 +214,8 @@ def test_scan_path_keeps_disk_order(tmp_path):
     t1n, tumor = _disk_case(tmp_path)
     assert t1n.voxels.flags.f_contiguous and tumor.bits.flags.f_contiguous
     brain = MaskVolume(t1n.voxels > 0, role="brain")
-    healthy = generate_mask_set(brain, tumor, MaskGenParams(margin=1), np.random.default_rng(46),
-                                count=2)
+    healthy = generate_mask_set(brain, tumor, MaskGenParams(margin=1, variants=2),
+                                np.random.default_rng(46))
     sample = make_training_sample("s", t1n, tumor, healthy[0])
     for array in (sample.t1n_voided.voxels, sample.healthy.bits, sample.combined.bits):
         assert array.flags.f_contiguous
