@@ -2,8 +2,10 @@
 
 Five-dimensional data follows the [batch, channel, depth, height, width]
 layout. Every forward op that touches a gradient-requiring tensor records
-a closure on its output; Tensor.backward() on a scalar result replays the
-closures in reverse topological order and accumulates into .grad buffers.
+a closure on its output (the elementwise ops and reductions build theirs
+through ``_binary`` and ``_unary``); Tensor.backward() on a scalar result
+replays the closures in reverse topological order and accumulates into
+.grad buffers.
 
 A graph backs once. As the backward walks it, each interior node drops its
 .grad, its closure and its parents as soon as its closure has run, so the
@@ -102,89 +104,43 @@ class Tensor:
     # -- elementwise arithmetic ------------------------------------------
 
     def __add__(self, other):
-        other = self._lift(other)
-        _check_binary(self, other)
-        out_data = self.data + other.data
-
-        def backward(g):
-            _accumulate(self, _reduce_to(g, self.data.shape))
-            _accumulate(other, _reduce_to(g, other.data.shape))
-
-        return _node(out_data, (self, other), backward)
+        return _binary(self, other, np.add, lambda g, x, y: g, lambda g, x, y: g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._lift(other)
-        _check_binary(self, other)
-        out_data = self.data - other.data
-
-        def backward(g):
-            _accumulate(self, _reduce_to(g, self.data.shape))
-            _accumulate(other, _reduce_to(-g, other.data.shape))
-
-        return _node(out_data, (self, other), backward)
+        return _binary(self, other, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
 
     def __rsub__(self, other):
         return self._lift(other) - self
 
     def __mul__(self, other):
-        other = self._lift(other)
-        _check_binary(self, other)
-        out_data = self.data * other.data
-
-        def backward(g):
-            _accumulate(self, _reduce_to(g * other.data, self.data.shape))
-            _accumulate(other, _reduce_to(g * self.data, other.data.shape))
-
-        return _node(out_data, (self, other), backward)
+        return _binary(self, other, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        _check_binary(self, other)
-        out_data = self.data / other.data
-
-        def backward(g):
-            _accumulate(self, _reduce_to(g / other.data, self.data.shape))
-            _accumulate(other, _reduce_to(-g * self.data / (other.data * other.data), other.data.shape))
-
-        return _node(out_data, (self, other), backward)
+        return _binary(self, other, np.true_divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
     def __neg__(self):
-        def backward(g):
-            _accumulate(self, -g)
-
-        return _node(-self.data, (self,), backward)
+        return _unary(self, np.negative, lambda g, x: -g)
 
     def abs(self):
         """Elementwise |x|; the subgradient at zero is zero."""
-        sign = np.sign(self.data)
-
-        def backward(g):
-            _accumulate(self, g * sign)
-
-        return _node(np.abs(self.data), (self,), backward)
+        return _unary(self, np.abs, lambda g, x: g * np.sign(x))
 
     # -- reductions -------------------------------------------------------
 
     def sum(self):
-        def backward(g):
-            _accumulate(self, np.broadcast_to(g, self.data.shape).astype(self.data.dtype, copy=False))
-
-        return _node(np.asarray(self.data.sum(), dtype=self.data.dtype), (self,), backward)
+        return _unary(self, lambda x: np.asarray(x.sum(), dtype=x.dtype),
+                      lambda g, x: np.broadcast_to(g, x.shape).astype(x.dtype, copy=False))
 
     def mean(self):
-        n = self.data.size
-
-        def backward(g):
-            _accumulate(self, np.broadcast_to(g / n, self.data.shape).astype(self.data.dtype, copy=False))
-
-        return _node(np.asarray(self.data.mean(), dtype=self.data.dtype), (self,), backward)
+        return _unary(self, lambda x: np.asarray(x.mean(), dtype=x.dtype),
+                      lambda g, x: np.broadcast_to(g / x.size, x.shape).astype(x.dtype, copy=False))
 
     # -- backward ----------------------------------------------------------
 
@@ -243,6 +199,39 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
+def _binary(a: Tensor, b, value, grad_a, grad_b) -> Tensor:
+    """Node of an elementwise op on ``a`` and ``b``, a non-Tensor ``b`` lifted to a's dtype.
+
+    ``value(x, y)`` maps the operands' arrays x, y to the output; ``grad_a(g, x, y)``
+    and ``grad_b`` give each operand's vector-Jacobian product, and each runs only
+    when its operand requires a gradient. Only scalar-vs-array broadcasting is
+    allowed, so a one-element operand's product reduces to its shape by a full sum.
+    """
+    b = a._lift(b)
+    x, y = a.data, b.data
+    if x.shape != y.shape and x.size != 1 and y.size != 1:
+        raise ShapeError(f"operand shapes {a.shape} and {b.shape} do not match")
+
+    def backward(g):
+        for t, grad in ((a, grad_a), (b, grad_b)):
+            if t.requires_grad:
+                d = grad(g, x, y)
+                if d.shape != t.data.shape:
+                    d = np.asarray(d.sum(), dtype=d.dtype).reshape(t.data.shape)
+                _accumulate(t, d)
+
+    return _node(value(x, y), (a, b), backward)
+
+
+def _unary(x: Tensor, value, grad) -> Tensor:
+    """Node of a one-operand op: ``value(v)`` on x's array v, ``grad(g, v)`` its vector-Jacobian product."""
+
+    def backward(g):
+        _accumulate(x, grad(g, x.data))
+
+    return _node(value(x.data), (x,), backward)
+
+
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
@@ -253,21 +242,17 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # binary ops only broadcast scalar-vs-array, so a full sum suffices
-    if g.shape == shape:
-        return g
-    return np.asarray(g.sum(), dtype=g.dtype).reshape(shape)
-
-
-def _check_binary(a: Tensor, b: Tensor) -> None:
-    if a.data.shape != b.data.shape and a.data.size != 1 and b.data.size != 1:
-        raise ShapeError(f"operand shapes {a.shape} and {b.shape} do not match")
-
-
 def _check_5d(x: Tensor, name: str) -> None:
     if x.data.ndim != 5:
         raise ShapeError(f"{name} must be 5-D [N,C,D,H,W], got {x.shape}")
+
+
+def _pad(a: np.ndarray, p: int) -> np.ndarray:
+    """[N,C,D,H,W] zero-padded by p on both sides of each spatial axis: one zeroed buffer, one copy."""
+    n, c, d, h, w = a.shape
+    out = np.zeros((n, c, d + 2 * p, h + 2 * p, w + 2 * p), dtype=a.dtype)
+    out[:, :, p:p + d, p:p + h, p:p + w] = a
+    return out
 
 
 def _taps(padded: tuple[int, ...], kernel: tuple[int, ...]):
@@ -354,7 +339,7 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
     if min(x.data.shape[2:]) + 2 * p < k:
         raise ShapeError(f"conv3d input {x.shape} too small for kernel {k} with padding {p}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
+    xp = _pad(x.data, p)
     out = _tap_conv(xp, weight.data)
     if bias is not None:
         out += bias.data.reshape(1, cout, 1, 1, 1)
@@ -366,7 +351,7 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
             _accumulate(bias, g.sum(axis=(0, 2, 3, 4)))
         if weight.requires_grad:
             # padded again rather than kept from the forward, so the graph holds x once
-            xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
+            xp = _pad(x.data, p)
             n = g.shape[0]
             _, hp, wp = xp.shape[2:]
             (d, h, w), span, offsets = _taps(xp.shape[2:], (k, k, k))
@@ -389,7 +374,7 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
             del xp, flat, ggrid, gflat, gblock
         if x.requires_grad:
             q = k - 1 - p
-            gp = np.pad(g, ((0, 0), (0, 0), (q, q), (q, q), (q, q)))
+            gp = _pad(g, q)
             wf = weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
             _accumulate(x, _tap_conv(gp, wf))
 
@@ -419,7 +404,7 @@ def blur3d(x: Tensor, taps: np.ndarray) -> Tensor:
 
     def backward(g):
         q = k - 1
-        _accumulate(x, blur(np.pad(g, ((0, 0), (0, 0), (q, q), (q, q), (q, q))), taps[::-1]))
+        _accumulate(x, blur(_pad(g, q), taps[::-1]))
 
     return _node(blur(x.data, taps), (x,), backward)
 

@@ -137,13 +137,19 @@ def cmd_prepare(cfg: dict) -> int:
     params = MaskGenParams(**{f.name: _typed(cfg, f.name, f.default) for f in fields(MaskGenParams)})
     seed = cfg["seed"]
 
-    t1n_paths = sorted(set(input_dir.glob("*-t1n.nii")) | set(input_dir.glob("*-t1n.nii.gz")))
-    if not t1n_paths:
+    scans: dict[str, list[Path]] = {}
+    for path in sorted(set(input_dir.glob("*-t1n.nii")) | set(input_dir.glob("*-t1n.nii.gz"))):
+        scans.setdefault(path.name.split("-t1n.nii")[0], []).append(path)
+    if not scans:
         raise FileNotFoundError(f"no *-t1n.nii[.gz] scans under {input_dir}")
 
     manifest = Manifest(seed=seed)
-    for t1n_path in t1n_paths:
-        case_id = t1n_path.name.split("-t1n.nii")[0]
+    for case_id, paths in scans.items():
+        if len(paths) > 1:
+            manifest.skipped.append({"case_id": case_id, "reason": "two scans: "
+                                     + " and ".join(p.name for p in paths)})
+            continue
+        t1n_path = paths[0]
         tumor_path = None
         for suffix in (".nii.gz", ".nii"):
             candidate = input_dir / f"{case_id}-mask-unhealthy{suffix}"

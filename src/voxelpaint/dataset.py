@@ -20,6 +20,7 @@ and any skipped cases with reasons.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -59,7 +60,7 @@ def write_sample(sample_dir, sid: str, sample: TrainingSample) -> None:
                  lambda: write_nifti_mask(sample.combined, path("mask")))
 
 
-def read_sample(sample_dir, sid: str, case_id: str | None = None) -> TrainingSample:
+def read_sample(sample_dir, sid: str, case_id: str) -> TrainingSample:
     """Read the five component files, side by side (``util.concurrently``).
 
     A damaged file raises its NiftiError; when several are, the error of
@@ -75,7 +76,7 @@ def read_sample(sample_dir, sid: str, case_id: str | None = None) -> TrainingSam
     for component, part in zip(COMPONENTS[1:], (voided, healthy, unhealthy, combined)):
         if part.dims != t1n.dims:
             raise DataError(f"sample {sid}: {component} dims {part.dims} differ from t1n dims {t1n.dims}")
-    return TrainingSample(case_id=case_id or sid, t1n=t1n, t1n_voided=voided,
+    return TrainingSample(case_id=case_id, t1n=t1n, t1n_voided=voided,
                           healthy=healthy, unhealthy=unhealthy, combined=combined)
 
 
@@ -106,16 +107,21 @@ def save_manifest(manifest: Manifest, dataset_dir) -> Path:
 
 
 def load_manifest(dataset_dir) -> Manifest:
-    """The manifest of a prepared dataset; a missing or malformed one raises DataError."""
+    """The manifest of a prepared dataset; a missing or malformed one, or one
+    that lists a sample id twice, raises DataError."""
     path = Path(dataset_dir) / MANIFEST_NAME
     if not path.exists():
         raise DataError(f"no {MANIFEST_NAME} in {dataset_dir}")
     try:
         payload = json.loads(path.read_text())
-        return Manifest(
+        manifest = Manifest(
             seed=payload["seed"],
             samples=[ManifestEntry(**e) for e in payload["samples"]],
             skipped=payload.get("skipped", []),
         )
     except (ValueError, LookupError, TypeError) as exc:
         raise DataError(f"manifest {path} is malformed: {exc!r}") from exc
+    repeated = sorted(sid for sid, n in Counter(e.sample_id for e in manifest.samples).items() if n > 1)
+    if repeated:
+        raise DataError(f"manifest {path} lists sample ids more than once: {repeated}")
+    return manifest

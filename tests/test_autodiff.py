@@ -431,6 +431,18 @@ def test_conv3d_validation():
         conv3d(x, Tensor(np.ones((1, 2, 3, 3, 3))))  # channel mismatch
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1, 1), (2, 3, 1, 4, 1), (1, 2, 3, 2, 5)])
+def test_pad_equals_np_pad_bitwise(dtype, p, shape):
+    a = np.random.default_rng(19).standard_normal(shape).astype(dtype)
+    a.flat[0] = -0.0
+    padded = autodiff._pad(a, p)
+    expected = np.pad(a, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
+    assert padded.dtype == expected.dtype and padded.shape == expected.shape
+    assert padded.tobytes() == expected.tobytes()
+
+
 def test_instance_norm_two_voxels():
     # Spatial values {0, 2}: mean 1, biased variance 1, so outputs are ±1.
     x = Tensor(np.array([0.0, 2.0]).reshape(1, 1, 1, 1, 2))

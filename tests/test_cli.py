@@ -259,6 +259,23 @@ def test_prepare_skips_case_with_truncated_gzip(tmp_path, capsys):
     assert "1 case(s) skipped" in capsys.readouterr().out
 
 
+def test_prepare_skips_case_given_as_nii_and_nii_gz(tmp_path, capsys):
+    input_dir = make_input_dir(tmp_path, n_cases=2, seed=450)
+    write_nifti(read_nifti(input_dir / "case00-t1n.nii.gz"), input_dir / "case00-t1n.nii")
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", {
+        "prepare": {"input_dir": str(input_dir), "out_dir": str(out_dir),
+                    "margin": 1, "variants": 2, "max_attempts": 400},
+    })
+    assert cli.main(["prepare", "--config", config]) == 0
+    manifest = load_manifest(out_dir)
+    assert [e.sample_id for e in manifest.samples] == ["case01-m0", "case01-m1"]
+    assert manifest.skipped == [{"case_id": "case00",
+                                 "reason": "two scans: case00-t1n.nii and case00-t1n.nii.gz"}]
+    assert not list(out_dir.glob("case00-*"))
+    assert "prepared 2 samples (1 case(s) skipped)" in capsys.readouterr().out
+
+
 def test_prepare_thin_scan_below_margin(tmp_path, capsys):
     # three slices against the default margin of 4: the dilation radius
     # exceeds the z extent
@@ -408,7 +425,8 @@ def test_train_holds_one_full_size_sample_at_a_time(tmp_path):
         finally:
             tracemalloc.stop()
 
-    one_read = max(peak(lambda: prepare_sample(read_sample(dataset_dir / e.directory, e.sample_id),
+    one_read = max(peak(lambda: prepare_sample(read_sample(dataset_dir / e.directory, e.sample_id,
+                                                           e.case_id),
                                                (8, 8, 8)))
                    for e in manifest.samples)
     config = write_config(tmp_path / "c.json", {
@@ -438,7 +456,11 @@ def test_train_empty_manifest_exits_3(tmp_path):
     ' "directory": 5, "seed": 0}]}',
     '{"seed": 0, "samples": [{"case_id": "a", "variant": true, "sample_id": "a-m0",'
     ' "directory": "a-m0", "seed": 0}]}',
-], ids=["truncated", "list_root", "entry_lacks_fields", "number_directory", "bool_variant"])
+    '{"seed": 0, "samples": [{"case_id": "a", "variant": 0, "sample_id": "a-m0",'
+    ' "directory": "a-m0", "seed": 0}, {"case_id": "a", "variant": 0, "sample_id": "a-m0",'
+    ' "directory": "a-m0", "seed": 0}]}',
+], ids=["truncated", "list_root", "entry_lacks_fields", "number_directory", "bool_variant",
+        "repeated_sample_id"])
 def test_train_malformed_manifest_exits_3(tmp_path, capsys, manifest):
     dataset_dir = tmp_path / "dataset"
     dataset_dir.mkdir()

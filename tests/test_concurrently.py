@@ -61,7 +61,7 @@ def test_read_sample_raises_the_first_damaged_component(tmp_path):
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
     with pytest.raises(NiftiError) as info:
-        read_sample(tmp_path, sid)
+        read_sample(tmp_path, sid, "caseE")
     assert info.value.code == "bad_gzip"
     assert str(component_path(tmp_path, sid, "t1n-voided")) in str(info.value)
 

@@ -9,6 +9,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from voxelpaint import autodiff, optim, unet
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -40,3 +42,31 @@ def test_tracer_installs_and_removes(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+
+
+def test_tracer_times_backward_closures_without_changing_gradients(monkeypatch):
+    # the tracer times a node's backward by swapping the closure on out._backward
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    rng = np.random.default_rng(3)
+    x0 = rng.standard_normal((1, 1, 4, 4, 4)).astype(np.float32)
+    y = autodiff.Tensor(rng.standard_normal(x0.shape).astype(np.float32))
+    w = autodiff.Tensor(rng.standard_normal((1, 1, 3, 3, 3)).astype(np.float32), requires_grad=True)
+
+    def grad_of_x():
+        x = autodiff.Tensor(x0.copy(), requires_grad=True)
+        loss = ((x * 2.0 - y) / 3.0).abs().mean() + autodiff.conv3d(x, w, padding=1).sum()
+        loss.backward()
+        return x.grad
+
+    untraced = grad_of_x()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("test"):
+            traced = grad_of_x()
+    finally:
+        tracer.remove()
+    names = {span[0] for span in tracer.spans}
+    assert {"autodiff.elementwise.bwd", "autodiff.conv3d.bwd"} <= names, sorted(names)
+    assert traced.tobytes() == untraced.tobytes()
