@@ -145,20 +145,19 @@ def cmd_prepare(cfg: dict) -> int:
 
     manifest = Manifest(seed=seed)
     for case_id, paths in scans.items():
+        tumors = [p for p in (input_dir / f"{case_id}-mask-unhealthy{suffix}"
+                              for suffix in (".nii", ".nii.gz")) if p.exists()]
+        reason = None
         if len(paths) > 1:
-            manifest.skipped.append({"case_id": case_id, "reason": "two scans: "
-                                     + " and ".join(p.name for p in paths)})
+            reason = "two scans: " + " and ".join(p.name for p in paths)
+        elif len(tumors) > 1:
+            reason = "two tumor masks: " + " and ".join(p.name for p in tumors)
+        elif not tumors:
+            reason = "missing tumor mask"
+        if reason:
+            manifest.skipped.append({"case_id": case_id, "reason": reason})
             continue
-        t1n_path = paths[0]
-        tumor_path = None
-        for suffix in (".nii.gz", ".nii"):
-            candidate = input_dir / f"{case_id}-mask-unhealthy{suffix}"
-            if candidate.exists():
-                tumor_path = candidate
-                break
-        if tumor_path is None:
-            manifest.skipped.append({"case_id": case_id, "reason": "missing tumor mask"})
-            continue
+        t1n_path, tumor_path = paths[0], tumors[0]
         try:
             t1n, tumor = concurrently(lambda: read_nifti(t1n_path),
                                       lambda: read_nifti_mask(tumor_path, "unhealthy"))

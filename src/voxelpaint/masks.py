@@ -67,12 +67,40 @@ def erode(bits: np.ndarray, radius: int) -> np.ndarray:
 # -- placement ----------------------------------------------------------------
 
 
-def _shape_block(tumor_bits: np.ndarray) -> np.ndarray:
-    try:
-        box = bounding_box(tumor_bits)
-    except DataError:
-        raise DataError("tumor mask is empty, nothing to place") from None
-    return tumor_bits[box].copy()
+@dataclass(frozen=True)
+class BoxMask:
+    """A mask that is empty outside one box of its volume.
+
+    ``bits`` holds the box's voxels, ``start`` its first voxel on each axis,
+    and ``dims`` the whole volume's extents. Placement, augmentation and
+    the checks on a candidate read the box alone, so an attempt costs what
+    the mask's box costs, not what the scan costs.
+    """
+
+    bits: np.ndarray
+    start: tuple[int, ...]
+    dims: tuple[int, ...]
+
+    @property
+    def box(self) -> tuple[slice, ...]:
+        return tuple(slice(a, a + e) for a, e in zip(self.start, self.bits.shape))
+
+    def volume(self) -> MaskVolume:
+        """The whole-volume healthy mask, in disk (Fortran) order, as the NIfTI writer takes it."""
+        bits = np.zeros(self.dims, dtype=bool, order="F")
+        bits[self.box] = self.bits
+        return MaskVolume(bits, role="healthy")
+
+
+def _overlaps(a: BoxMask, b: BoxMask) -> bool:
+    """Whether two box masks share a set voxel; only the boxes' common part is read."""
+    lo = [max(p, q) for p, q in zip(a.start, b.start)]
+    hi = [min(p + e, q + f) for p, e, q, f in zip(a.start, a.bits.shape, b.start, b.bits.shape)]
+    if any(l >= h for l, h in zip(lo, hi)):
+        return False
+    a_part, b_part = (m.bits[tuple(slice(l - s, h - s) for l, h, s in zip(lo, hi, m.start))]
+                      for m in (a, b))
+    return bool((a_part & b_part).any())
 
 
 def _shrink_to_fraction(block: np.ndarray, fraction: float) -> np.ndarray:
@@ -87,8 +115,8 @@ def _shrink_to_fraction(block: np.ndarray, fraction: float) -> np.ndarray:
     return block
 
 
-def sample_healthy_mask(brain: MaskVolume, forbidden: np.ndarray, block: np.ndarray,
-                        params: MaskGenParams, rng: np.random.Generator) -> MaskVolume:
+def sample_healthy_mask(brain: MaskVolume, forbidden: BoxMask, block: np.ndarray,
+                        params: MaskGenParams, rng: np.random.Generator) -> BoxMask:
     """Translate the shape ``block`` to a random legal spot.
 
     Legal means: nonempty, fully inside the brain, and disjoint from
@@ -105,11 +133,9 @@ def sample_healthy_mask(brain: MaskVolume, forbidden: np.ndarray, block: np.ndar
                 sl = tuple(slice(a, a + e) for a, e in zip(starts, ext))
                 if not brain.bits[sl][block].all():
                     continue
-                if forbidden[sl][block].any():
-                    continue
-                placed = np.zeros(dims, dtype=bool)
-                placed[sl] = block
-                return MaskVolume(placed, role="healthy")
+                placed = BoxMask(block, tuple(starts), dims)
+                if not _overlaps(placed, forbidden):
+                    return placed
         block = erode(block, 1)
     raise MaskPlacementError(
         f"no legal placement after erosion exhausted the shape (margin={params.margin})")
@@ -118,48 +144,69 @@ def sample_healthy_mask(brain: MaskVolume, forbidden: np.ndarray, block: np.ndar
 # -- augmentation -------------------------------------------------------------
 
 
-def _rotate_plane(bits: np.ndarray, theta_deg: float, axes: tuple[int, int]) -> np.ndarray:
+def _rotate_plane(mask: BoxMask, theta_deg: float, axes: tuple[int, int]) -> BoxMask:
     """Rotate about the grid center in the given axis plane, nearest neighbor.
 
-    Output voxels map back through the inverse rotation; sources that
-    land outside the grid read as empty.
+    Output voxel i reads the input at rint(c + R (i - c)), with c the grid
+    center; sources outside the grid, or outside the input box, read as
+    empty. Only the output box is computed: the inverse image of the input
+    box widened by half a voxel, floored and ceiled, one voxel more a side
+    for rounding, clamped to the grid. Every output voxel outside it reads
+    a source outside the input box, so the result equals the whole-grid
+    rotation voxel for voxel.
     """
-    arr = np.moveaxis(bits, axes, (0, 1))
-    n0, n1 = arr.shape[0], arr.shape[1]
+    if not mask.bits.any():
+        return mask     # stays empty; its box may have no voxel to gather from
+    p, q = axes
+    n0, n1 = mask.dims[p], mask.dims[q]
+    a0, a1 = mask.start[p], mask.start[q]
+    e0, e1 = mask.bits.shape[p], mask.bits.shape[q]
     c0, c1 = (n0 - 1) / 2.0, (n1 - 1) / 2.0
     t = np.deg2rad(theta_deg)
     ct, st = np.cos(t), np.sin(t)
-    i0, i1 = np.meshgrid(np.arange(n0), np.arange(n1), indexing="ij")
+    d0 = np.array([a0 - 0.5, a0 + e0 - 0.5] * 2) - c0     # widened box corners, centred
+    d1 = np.repeat([a1 - 0.5, a1 + e1 - 0.5], 2) - c1
+    (lo0, hi0), (lo1, hi1) = (
+        np.clip([np.floor(image.min()) - 1, np.ceil(image.max()) + 2], 0, n).astype(np.int64)
+        for image, n in ((c0 + ct * d0 - st * d1, n0), (c1 + st * d0 + ct * d1, n1)))
+    i0, i1 = np.meshgrid(np.arange(lo0, hi0), np.arange(lo1, hi1), indexing="ij")
     s0 = c0 + ct * (i0 - c0) + st * (i1 - c1)
     s1 = c1 - st * (i0 - c0) + ct * (i1 - c1)
-    r0 = np.rint(s0).astype(np.int64)
-    r1 = np.rint(s1).astype(np.int64)
-    valid = (r0 >= 0) & (r0 < n0) & (r1 >= 0) & (r1 < n1)
-    gathered = arr[np.clip(r0, 0, n0 - 1), np.clip(r1, 0, n1 - 1)]
+    r0 = np.rint(s0).astype(np.int64) - a0
+    r1 = np.rint(s1).astype(np.int64) - a1
+    valid = (r0 >= 0) & (r0 < e0) & (r1 >= 0) & (r1 < e1)
+    arr = np.moveaxis(mask.bits, axes, (0, 1))
+    gathered = arr[np.clip(r0, 0, e0 - 1), np.clip(r1, 0, e1 - 1)]
     gathered[~valid] = False
-    return np.moveaxis(gathered, (0, 1), axes)
+    start = list(mask.start)
+    start[p], start[q] = int(lo0), int(lo1)
+    return BoxMask(np.moveaxis(gathered, (0, 1), axes), tuple(start), mask.dims)
 
 
-def apply_mask_transform(bits: np.ndarray, mirrors: tuple[bool, bool, bool],
-                         theta_xy: float, theta_yz: float) -> np.ndarray:
+def apply_mask_transform(mask: BoxMask, mirrors: tuple[bool, bool, bool],
+                         theta_xy: float, theta_yz: float) -> BoxMask:
     """Mirror per axis, then rotate in the XY plane, then in the YZ plane.
 
-    The result is in disk (Fortran) order: the YZ rotation leaves x
-    fastest already, so this is the cheaper copy, and the masks built from
-    it reach the NIfTI writer without a transposing copy.
+    The transforms act on the whole grid, but only the mask's box is
+    touched: a mirror flips the box and moves its start on an axis of
+    length n to n - (start + extent), and a rotation computes only the
+    box its input can reach (see ``_rotate_plane``). A mask carried wholly
+    off the grid comes back with no set voxel.
     """
-    out = np.asarray(bits, dtype=bool)
+    bits, start = mask.bits, list(mask.start)
     for axis, m in enumerate(mirrors):
         if m:
-            out = np.flip(out, axis=axis)
+            bits = np.flip(bits, axis=axis)
+            start[axis] = mask.dims[axis] - (start[axis] + bits.shape[axis])
+    out = BoxMask(bits, tuple(start), mask.dims)
     if theta_xy % 360.0 != 0.0:
         out = _rotate_plane(out, theta_xy, (0, 1))
     if theta_yz % 360.0 != 0.0:
         out = _rotate_plane(out, theta_yz, (1, 2))
-    return np.asfortranarray(out)
+    return out
 
 
-def augment_mask(mask: MaskVolume, rng: np.random.Generator) -> MaskVolume:
+def augment_mask(mask: BoxMask, rng: np.random.Generator) -> BoxMask:
     """Random per-axis mirrors (p=0.5 each) and two uniform rotations.
 
     Draw order is fixed for reproducibility: mirror x, y, z, then the XY
@@ -168,7 +215,7 @@ def augment_mask(mask: MaskVolume, rng: np.random.Generator) -> MaskVolume:
     mirrors = tuple(bool(b) for b in rng.random(3) < 0.5)
     theta_xy = float(rng.uniform(0.0, 360.0))
     theta_yz = float(rng.uniform(0.0, 360.0))
-    return MaskVolume(apply_mask_transform(mask.bits, mirrors, theta_xy, theta_yz), role=mask.role)
+    return apply_mask_transform(mask, mirrors, theta_xy, theta_yz)
 
 
 def generate_mask_set(brain: MaskVolume, tumor: MaskVolume, params: MaskGenParams,
@@ -178,25 +225,35 @@ def generate_mask_set(brain: MaskVolume, tumor: MaskVolume, params: MaskGenParam
     Each draw places, augments, clips to the brain, and re-checks the
     margin; an augmented mask that ends up empty or tumor-adjacent costs
     one attempt and is redrawn. Either all masks succeed or the scan
-    fails as a whole. The tumor is dilated and its shape block cut out
-    once per scan; every placement attempt reuses them.
+    fails as a whole. The tumor's shape block is cut out, and the tumor
+    dilated on its box grown by the margin, once per scan; every placement
+    attempt reuses them and reads only its own box. An accepted mask is
+    written into a whole volume once.
     """
     if brain.dims != tumor.dims:
         raise ShapeError(f"brain dims {brain.dims} and tumor dims {tumor.dims} disagree")
     if not brain.bits.any():
         raise DataError("brain mask is empty")
-    if np.any(tumor.bits & ~brain.bits):
+    try:
+        box = bounding_box(tumor.bits)
+    except DataError:
+        raise DataError("tumor mask is empty, nothing to place") from None
+    if np.any(tumor.bits[box] & ~brain.bits[box]):
         raise DataError("tumor mask leaves the brain mask")
-    forbidden = dilate(tumor.bits, params.margin)
-    block = _shrink_to_fraction(_shape_block(tumor.bits), params.volume_fraction)
+    grown = tuple(slice(max(s.start - params.margin, 0), min(s.stop + params.margin, n))
+                  for s, n in zip(box, brain.dims))
+    forbidden = BoxMask(dilate(tumor.bits[grown], params.margin),
+                        tuple(s.start for s in grown), brain.dims)
+    block = _shrink_to_fraction(tumor.bits[box].copy(), params.volume_fraction)
     out: list[MaskVolume] = []
     for index in range(params.variants):
         for _ in range(params.max_attempts):
             placed = sample_healthy_mask(brain, forbidden, block, params, rng)
             candidate = augment_mask(placed, rng)
-            clipped = candidate.bits & brain.bits
-            if clipped.any() and not (clipped & forbidden).any():
-                out.append(MaskVolume(clipped, role="healthy"))
+            clipped = BoxMask(candidate.bits & brain.bits[candidate.box],
+                              candidate.start, candidate.dims)
+            if clipped.bits.any() and not _overlaps(clipped, forbidden):
+                out.append(clipped.volume())
                 break
         else:
             raise MaskPlacementError(

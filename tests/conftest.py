@@ -15,11 +15,11 @@ import pytest
 from voxelpaint.autodiff import Tensor
 from voxelpaint.losses import ssim3d
 from voxelpaint.metrics import CaseMetrics
-from voxelpaint.masks import (MaskGenParams, _shape_block, _shrink_to_fraction, dilate,
-                              make_training_sample, sample_healthy_mask)
+from voxelpaint.masks import (BoxMask, MaskGenParams, _shrink_to_fraction, apply_mask_transform,
+                              dilate, make_training_sample, sample_healthy_mask)
 from voxelpaint.nifti import write_nifti, write_nifti_mask
 from voxelpaint.trainer import prepare_sample
-from voxelpaint.volume import MaskVolume, Volume
+from voxelpaint.volume import MaskVolume, Volume, bounding_box
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +305,51 @@ def erode_oracle(bits, radius):
 
 
 # ---------------------------------------------------------------------------
+# Mask transform reference: the whole-grid mirror and rotation
+# ---------------------------------------------------------------------------
+
+def _rotate_plane_reference(bits, theta_deg, axes):
+    """Rotate the whole grid about its center, nearest neighbor.
+
+    Every output voxel maps back through the inverse rotation; sources
+    that land outside the grid read as empty.
+    """
+    arr = np.moveaxis(bits, axes, (0, 1))
+    n0, n1 = arr.shape[0], arr.shape[1]
+    c0, c1 = (n0 - 1) / 2.0, (n1 - 1) / 2.0
+    t = np.deg2rad(theta_deg)
+    ct, st = np.cos(t), np.sin(t)
+    i0, i1 = np.meshgrid(np.arange(n0), np.arange(n1), indexing="ij")
+    s0 = c0 + ct * (i0 - c0) + st * (i1 - c1)
+    s1 = c1 - st * (i0 - c0) + ct * (i1 - c1)
+    r0 = np.rint(s0).astype(np.int64)
+    r1 = np.rint(s1).astype(np.int64)
+    valid = (r0 >= 0) & (r0 < n0) & (r1 >= 0) & (r1 < n1)
+    gathered = arr[np.clip(r0, 0, n0 - 1), np.clip(r1, 0, n1 - 1)]
+    gathered[~valid] = False
+    return np.moveaxis(gathered, (0, 1), axes)
+
+
+def apply_mask_transform_reference(bits, mirrors, theta_xy, theta_yz):
+    """Mirror per axis, then rotate in XY, then in YZ, each over the whole grid."""
+    out = np.asarray(bits, dtype=bool)
+    for axis, m in enumerate(mirrors):
+        if m:
+            out = np.flip(out, axis=axis)
+    if theta_xy % 360.0 != 0.0:
+        out = _rotate_plane_reference(out, theta_xy, (0, 1))
+    if theta_yz % 360.0 != 0.0:
+        out = _rotate_plane_reference(out, theta_yz, (1, 2))
+    return out
+
+
+def transform_grid(bits, mirrors, theta_xy, theta_yz):
+    """apply_mask_transform on a whole array, as the box that covers the grid."""
+    whole = BoxMask(np.asarray(bits, dtype=bool), (0, 0, 0), bits.shape)
+    return apply_mask_transform(whole, mirrors, theta_xy, theta_yz).volume().bits
+
+
+# ---------------------------------------------------------------------------
 # Synthetic data builders
 # ---------------------------------------------------------------------------
 
@@ -328,9 +373,14 @@ def ball(n, center, r):
 
 
 def placement_inputs(tumor, params):
-    """The per-scan (forbidden, block) pair generate_mask_set hands to sample_healthy_mask."""
-    block = _shrink_to_fraction(_shape_block(tumor.bits), params.volume_fraction)
-    return dilate(tumor.bits, params.margin), block
+    """The per-scan (forbidden, block) pair generate_mask_set hands to sample_healthy_mask.
+
+    The margin zone is dilated over the whole grid here, a box as large as
+    the volume: placement must not depend on how tight that box is.
+    """
+    block = _shrink_to_fraction(tumor.bits[bounding_box(tumor.bits)].copy(),
+                                params.volume_fraction)
+    return BoxMask(dilate(tumor.bits, params.margin), (0, 0, 0), tumor.dims), block
 
 
 def build_case(seed, n=16, margin=1):
@@ -345,7 +395,7 @@ def build_case(seed, n=16, margin=1):
     tumor = MaskVolume(tumor_bits, role="unhealthy")
     brain = MaskVolume(brain_bits, role="brain")
     params = MaskGenParams(margin=margin, max_attempts=100)
-    healthy = sample_healthy_mask(brain, *placement_inputs(tumor, params), params, rng)
+    healthy = sample_healthy_mask(brain, *placement_inputs(tumor, params), params, rng).volume()
     return t1n, brain, tumor, healthy
 
 

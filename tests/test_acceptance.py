@@ -27,6 +27,7 @@ from conftest import (
     separated_pool_input,
     smooth_volume,
     ssim3d_oracle,
+    transform_grid,
     write_config,
 )
 from voxelpaint import cli
@@ -36,7 +37,7 @@ from voxelpaint.checkpoint import load_checkpoint
 from voxelpaint.dataset import load_manifest
 from voxelpaint.errors import NiftiError
 from voxelpaint.losses import composite_loss, gaussian_window, masked_mae, ssim3d
-from voxelpaint.masks import MaskGenParams, apply_mask_transform, dilate, generate_mask_set, make_training_sample
+from voxelpaint.masks import MaskGenParams, dilate, generate_mask_set, make_training_sample
 from voxelpaint.nifti import read_nifti, write_nifti
 from voxelpaint.trainer import TrainConfig, denormalize, normalize_two_stage, train_fold
 from voxelpaint.unet import UNetConfig, build_unet
@@ -288,19 +289,19 @@ def test_criterion_6_mask_augmentation():
         for mx in (False, True):
             for my in (False, True):
                 for mz in (False, True):
-                    once = apply_mask_transform(bits, (mx, my, mz), 0.0, 0.0)
+                    once = transform_grid(bits, (mx, my, mz), 0.0, 0.0)
                     axes = tuple(i for i, m in enumerate((mx, my, mz)) if m)
                     assert np.array_equal(once, np.flip(bits, axes) if axes else bits)
-                    twice = apply_mask_transform(once, (mx, my, mz), 0.0, 0.0)
+                    twice = transform_grid(once, (mx, my, mz), 0.0, 0.0)
                     assert np.array_equal(twice, bits), f"mirror {(mx, my, mz)} not involutive"
 
         cube = rng.random((16, 16, 16)) < 0.25
         none = (False, False, False)
         for quarter in range(4):
-            got_xy = apply_mask_transform(cube, none, 90.0 * quarter, 0.0)
+            got_xy = transform_grid(cube, none, 90.0 * quarter, 0.0)
             assert np.array_equal(got_xy, np.rot90(cube, quarter, axes=(0, 1))), \
                 f"{90 * quarter} degree rotation in xy disagrees with the oracle"
-            got_yz = apply_mask_transform(cube, none, 0.0, 90.0 * quarter)
+            got_yz = transform_grid(cube, none, 0.0, 90.0 * quarter)
             assert np.array_equal(got_yz, np.rot90(cube, quarter, axes=(1, 2))), \
                 f"{90 * quarter} degree rotation in yz disagrees with the oracle"
 

@@ -15,7 +15,7 @@ from voxelpaint import cli
 from voxelpaint.dataset import (Manifest, ManifestEntry, load_manifest, read_sample, sample_id,
                                 save_manifest, write_sample)
 from voxelpaint.masks import make_training_sample
-from voxelpaint.nifti import read_nifti, write_nifti, write_nifti_mask
+from voxelpaint.nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
 from voxelpaint.trainer import prepare_sample
 from voxelpaint.volume import MaskVolume, Volume
 
@@ -273,6 +273,27 @@ def test_prepare_skips_case_given_as_nii_and_nii_gz(tmp_path, capsys):
     assert manifest.skipped == [{"case_id": "case00",
                                  "reason": "two scans: case00-t1n.nii and case00-t1n.nii.gz"}]
     assert not list(out_dir.glob("case00-*"))
+    assert "prepared 2 samples (1 case(s) skipped)" in capsys.readouterr().out
+
+
+def test_prepare_skips_case_with_two_tumor_masks(tmp_path, capsys):
+    input_dir = make_input_dir(tmp_path, n_cases=2, seed=450)
+    # a different tumor beside the .nii.gz: neither may be taken silently
+    tumor = read_nifti_mask(input_dir / "case01-mask-unhealthy.nii.gz", "unhealthy")
+    write_nifti_mask(MaskVolume(np.roll(tumor.bits, 1, axis=0), role="unhealthy"),
+                     input_dir / "case01-mask-unhealthy.nii")
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", {
+        "prepare": {"input_dir": str(input_dir), "out_dir": str(out_dir),
+                    "margin": 1, "variants": 2, "max_attempts": 400},
+    })
+    assert cli.main(["prepare", "--config", config]) == 0
+    manifest = load_manifest(out_dir)
+    assert [e.sample_id for e in manifest.samples] == ["case00-m0", "case00-m1"]
+    assert manifest.skipped == [{
+        "case_id": "case01",
+        "reason": "two tumor masks: case01-mask-unhealthy.nii and case01-mask-unhealthy.nii.gz"}]
+    assert not list(out_dir.glob("case01-*"))
     assert "prepared 2 samples (1 case(s) skipped)" in capsys.readouterr().out
 
 

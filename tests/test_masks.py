@@ -1,13 +1,16 @@
 """Morphology, healthy-mask placement, augmentation geometry, voiding."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import ball, build_case, dilate_oracle, erode_oracle, placement_inputs
+from conftest import (apply_mask_transform_reference, ball, build_case, dilate_oracle,
+                      erode_oracle, placement_inputs, transform_grid)
 from voxelpaint.errors import DataError, MaskPlacementError, ShapeError
 from voxelpaint.masks import (
+    BoxMask,
     MaskGenParams,
     apply_mask_transform,
     augment_mask,
@@ -87,7 +90,7 @@ def test_mirror_matches_flip_oracle_all_combos():
     for mx in (False, True):
         for my in (False, True):
             for mz in (False, True):
-                got = apply_mask_transform(bits, (mx, my, mz), 0.0, 0.0)
+                got = transform_grid(bits, (mx, my, mz), 0.0, 0.0)
                 ref = bits
                 for axis, flag in enumerate((mx, my, mz)):
                     if flag:
@@ -101,8 +104,8 @@ def test_mirror_involution_all_combos():
     for mx in (False, True):
         for my in (False, True):
             for mz in (False, True):
-                once = apply_mask_transform(bits, (mx, my, mz), 0.0, 0.0)
-                twice = apply_mask_transform(once, (mx, my, mz), 0.0, 0.0)
+                once = transform_grid(bits, (mx, my, mz), 0.0, 0.0)
+                twice = transform_grid(once, (mx, my, mz), 0.0, 0.0)
                 assert np.array_equal(twice, bits), (mx, my, mz)
 
 
@@ -112,9 +115,9 @@ def test_right_angle_rotations_match_rot90_oracle():
     no_mirror = (False, False, False)
     for quarter in range(4):
         theta = 90.0 * quarter
-        got_xy = apply_mask_transform(bits, no_mirror, theta, 0.0)
+        got_xy = transform_grid(bits, no_mirror, theta, 0.0)
         assert np.array_equal(got_xy, np.rot90(bits, k=quarter, axes=(0, 1))), theta
-        got_yz = apply_mask_transform(bits, no_mirror, 0.0, theta)
+        got_yz = transform_grid(bits, no_mirror, 0.0, theta)
         assert np.array_equal(got_yz, np.rot90(bits, k=quarter, axes=(1, 2))), theta
 
 
@@ -122,19 +125,19 @@ def test_rotation_composition_returns_identity():
     rng = np.random.default_rng(56)
     bits = _random_bits(rng)
     none = (False, False, False)
-    k90 = apply_mask_transform(bits, none, 90.0, 0.0)
-    back = apply_mask_transform(k90, none, 270.0, 0.0)
+    k90 = transform_grid(bits, none, 90.0, 0.0)
+    back = transform_grid(k90, none, 270.0, 0.0)
     assert np.array_equal(back, bits)
-    k180 = apply_mask_transform(bits, none, 180.0, 0.0)
-    assert np.array_equal(apply_mask_transform(k180, none, 180.0, 0.0), bits)
-    assert np.array_equal(apply_mask_transform(bits, none, 360.0, 0.0), bits)
+    k180 = transform_grid(bits, none, 180.0, 0.0)
+    assert np.array_equal(transform_grid(k180, none, 180.0, 0.0), bits)
+    assert np.array_equal(transform_grid(bits, none, 360.0, 0.0), bits)
 
 
 def test_rotation_preserves_count_at_right_angles():
     rng = np.random.default_rng(57)
     bits = _random_bits(rng)
     for theta in (90.0, 180.0, 270.0):
-        assert apply_mask_transform(bits, (False, False, False), theta, 0.0).sum() == bits.sum()
+        assert transform_grid(bits, (False, False, False), theta, 0.0).sum() == bits.sum()
 
 
 def test_oblique_rotation_stays_reasonable():
@@ -142,9 +145,93 @@ def test_oblique_rotation_stays_reasonable():
     # drift slightly but the mass must stay in the same ballpark and inside
     # the grid.
     bits = ball(16, (8.0, 8.0, 8.0), 3.0)
-    out = apply_mask_transform(bits, (False, False, False), 37.0, 113.0)
+    out = transform_grid(bits, (False, False, False), 37.0, 113.0)
     assert out.shape == bits.shape
     assert 0.5 * bits.sum() < out.sum() < 2.0 * bits.sum()
+
+
+EXACT_ANGLES = (0.0, 45.0, 90.0, 180.0, 270.0)
+
+
+def _random_box_mask(rng):
+    """A nonempty box mask on a small grid, its box on a grid face a third of the time per axis."""
+    dims = tuple(int(n) for n in rng.integers(2, 15, size=3))
+    ext = tuple(int(rng.integers(1, (n if rng.random() < 0.3 else max(n // 2, 1)) + 1))
+                for n in dims)
+    start = []
+    for n, e in zip(dims, ext):
+        side = int(rng.integers(6))
+        start.append(0 if side == 0 else n - e if side == 1 else int(rng.integers(0, n - e + 1)))
+    bits = rng.random(ext) < 0.5
+    bits[tuple(int(rng.integers(e)) for e in ext)] = True
+    return BoxMask(bits, tuple(start), dims)
+
+
+def test_box_transform_matches_whole_grid_reference():
+    # the box path against the whole-grid mirror and rotation in conftest
+    rng = np.random.default_rng(58)
+    seen = {"face": 0, "inner": 0, "odd": 0, "even": 0, "empty": 0}
+    angles_seen = set()
+    for _ in range(300):
+        mask = _random_box_mask(rng)
+        mirrors = tuple(bool(b) for b in rng.random(3) < 0.5)
+        thetas = [float(rng.choice(EXACT_ANGLES)) if rng.random() < 0.6
+                  else float(rng.uniform(0.0, 360.0)) for _ in range(2)]
+        got = apply_mask_transform(mask, mirrors, *thetas)
+        ref = apply_mask_transform_reference(mask.volume().bits, mirrors, *thetas)
+        assert got.dims == mask.dims
+        assert all(0 <= a and a + e <= n for a, e, n in zip(got.start, got.bits.shape, got.dims))
+        assert np.array_equal(got.volume().bits, ref), (mask.start, mask.dims, mirrors, thetas)
+        touches = any(a == 0 or a + e == n
+                      for a, e, n in zip(mask.start, mask.bits.shape, mask.dims))
+        seen["face" if touches else "inner"] += 1
+        for e in mask.bits.shape:
+            seen["odd" if e % 2 else "even"] += 1
+        seen["empty"] += not ref.any()
+        angles_seen.update(t for t in thetas if t in EXACT_ANGLES)
+    assert min(seen.values()) > 0, seen
+    assert angles_seen == set(EXACT_ANGLES)
+
+
+def test_rotation_off_the_grid_empties_the_candidate():
+    # a corner voxel of a square plane turned 45 degrees about the centre lands
+    # sqrt(2) times as far out as the plane's faces
+    dims = (9, 9, 5)
+    corner = BoxMask(np.ones((1, 1, 1), bool), (0, 0, 2), dims)
+    none = (False, False, False)
+    assert not apply_mask_transform(corner, none, 45.0, 0.0).bits.any()
+    assert not apply_mask_transform_reference(corner.volume().bits, none, 45.0, 0.0).any()
+
+
+class _ScriptedRng:
+    """Hands out given placement integers and angles in order, and never mirrors."""
+
+    def __init__(self, integers, angles):
+        self._integers, self._angles = iter(integers), iter(angles)
+        self.integer_draws = 0
+
+    def integers(self, low, high):
+        self.integer_draws += 1
+        return next(self._integers)
+
+    def random(self, n):
+        return np.ones(n)
+
+    def uniform(self, low, high):
+        return next(self._angles)
+
+
+def test_candidate_rotated_off_the_grid_is_redrawn():
+    dims = (9, 9, 5)
+    brain = MaskVolume(np.ones(dims, bool), role="brain")
+    tumor_bits = np.zeros(dims, bool)
+    tumor_bits[6, 6, 2] = True
+    tumor = MaskVolume(tumor_bits, role="unhealthy")
+    # first attempt: the corner, turned off the grid; second: (1, 1, 2), unturned
+    rng = _ScriptedRng(integers=(0, 0, 2, 1, 1, 2), angles=(45.0, 0.0, 0.0, 0.0))
+    (healthy,) = generate_mask_set(brain, tumor, MaskGenParams(margin=1, variants=1), rng)
+    assert rng.integer_draws == 6
+    assert np.array_equal(np.argwhere(healthy.bits), [[1, 1, 2]])
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +254,7 @@ def test_sample_healthy_mask_is_deterministic():
     forbidden, block = placement_inputs(tumor, params)
     a = sample_healthy_mask(brain, forbidden, block, params, np.random.default_rng(5))
     b = sample_healthy_mask(brain, forbidden, block, params, np.random.default_rng(5))
-    assert np.array_equal(a.bits, b.bits)
+    assert a.start == b.start and np.array_equal(a.bits, b.bits)
 
 
 def test_sample_healthy_mask_volume_fraction():
@@ -218,7 +305,7 @@ def test_erosion_fallback_places_shrunken_shape():
     tumor = MaskVolume(tumor_bits, role="unhealthy")
     params = MaskGenParams(margin=1, max_attempts=100)
     healthy = sample_healthy_mask(brain, *placement_inputs(tumor, params), params,
-                                  np.random.default_rng(2))
+                                  np.random.default_rng(2)).volume()
     assert 0 < healthy.bits.sum() < tumor.bits.sum()
     # Only the eroded 10 x 10 x 3 block fits, and only inside slab B.
     assert healthy.bits.sum() == 10 * 10 * 3
@@ -262,13 +349,44 @@ def test_generate_mask_set_pinned_output(seed, margin, fraction, count, rng_seed
     assert hashlib.sha256(b"".join(m.bits.tobytes() for m in masks)).hexdigest() == digest
 
 
-def test_augment_mask_deterministic_and_role_preserving():
-    _, _, _, healthy = build_case(3500)
-    a = augment_mask(healthy, np.random.default_rng(9))
-    b = augment_mask(healthy, np.random.default_rng(9))
-    assert np.array_equal(a.bits, b.bits)
-    assert a.role == "healthy"
-    assert a.bits.shape == healthy.bits.shape
+def test_augment_mask_deterministic_and_inside_the_grid():
+    _, brain, tumor, _ = build_case(3500)
+    params = MaskGenParams(margin=1)
+    placed = sample_healthy_mask(brain, *placement_inputs(tumor, params), params,
+                                 np.random.default_rng(9))
+    a = augment_mask(placed, np.random.default_rng(10))
+    b = augment_mask(placed, np.random.default_rng(10))
+    assert a.start == b.start and np.array_equal(a.bits, b.bits)
+    assert a.dims == placed.dims == brain.dims
+    assert all(0 <= s and s + e <= n for s, e, n in zip(a.start, a.bits.shape, a.dims))
+    assert a.volume().role == "healthy"
+
+
+def test_generate_mask_set_memory_stays_near_the_masks_it_returns():
+    # a BraTS grid: placement works on the mask's box, so the traced peak above
+    # the returned masks stays far below one volume (the whole-volume
+    # placement of earlier versions peaked 4.4 volumes above them here, this
+    # one 0.14)
+    dims = (240, 240, 155)
+    x, y, z = (np.arange(n, dtype=np.float32).reshape([-1 if a == i else 1 for a in range(3)])
+               for i, n in enumerate(dims))
+    brain_bits = ((x - 119.5) / 100) ** 2 + ((y - 119.5) / 110) ** 2 + ((z - 77) / 70) ** 2 <= 1
+    tumor_bits = (x - 150) ** 2 + (y - 110) ** 2 + (z - 80) ** 2 <= 18.0 ** 2
+    brain = MaskVolume(np.asfortranarray(brain_bits), role="brain")
+    tumor = MaskVolume(np.asfortranarray(tumor_bits), role="unhealthy")
+    del brain_bits, tumor_bits
+    volume = float(np.prod(dims))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        masks = generate_mask_set(brain, tumor, MaskGenParams(margin=4, variants=5),
+                                  np.random.default_rng(11))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    returned = sum(m.bits.nbytes for m in masks)
+    assert len(masks) == 5 and returned == 5 * volume
+    assert (peak - returned) / volume < 1.0
 
 
 # ---------------------------------------------------------------------------

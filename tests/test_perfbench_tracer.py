@@ -11,7 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from voxelpaint import autodiff, optim, unet
+from conftest import build_case
+from voxelpaint import autodiff, masks, optim, unet
+from voxelpaint.masks import MaskGenParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -70,3 +72,29 @@ def test_tracer_times_backward_closures_without_changing_gradients(monkeypatch):
     names = {span[0] for span in tracer.spans}
     assert {"autodiff.elementwise.bwd", "autodiff.conv3d.bwd"} <= names, sorted(names)
     assert traced.tobytes() == untraced.tobytes()
+
+
+def test_tracer_sees_one_augment_per_placement(monkeypatch):
+    # the per-layer mask figures rest on generate_mask_set calling the traced
+    # sample_healthy_mask and augment_mask once each per placement attempt
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    _, brain, tumor, _ = build_case(3300)
+    params = MaskGenParams(margin=1, variants=5)
+    untraced = masks.generate_mask_set(brain, tumor, params, np.random.default_rng(7))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("test"):
+            traced = masks.generate_mask_set(brain, tumor, params, np.random.default_rng(7))
+    finally:
+        tracer.remove()
+    names = [span[0] for span in tracer.spans]
+    placements = names.count("masks.sample_healthy_mask")
+    assert placements >= params.variants
+    assert names.count("masks.augment_mask") == placements
+    assert names.count("masks.generate_mask_set") == 1 and names.count("masks.dilate") == 1
+    summary = tracer.summary()
+    assert summary["masks.sample_healthy_mask.calls"] == placements
+    assert summary["masks.placement_attempts_per_variant"] >= 1.0
+    assert [m.bits.tobytes() for m in traced] == [m.bits.tobytes() for m in untraced]

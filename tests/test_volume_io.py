@@ -10,7 +10,7 @@ import pytest
 
 from conftest import evaluate_case_reference, make_nifti_bytes
 from voxelpaint.errors import DataError, NiftiError, ShapeError
-from voxelpaint.masks import (MaskGenParams, _shape_block, generate_mask_set,
+from voxelpaint.masks import (MaskGenParams, generate_mask_set,
                               make_training_sample, void_image)
 from voxelpaint import nifti
 from voxelpaint.nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
@@ -189,8 +189,10 @@ def test_bounding_box_matches_argwhere_oracle():
 def test_bounding_box_of_an_empty_mask_raises():
     with pytest.raises(DataError):
         bounding_box(np.zeros((3, 4, 5), bool))
+    brain = MaskVolume(np.ones((3, 4, 5), bool), role="brain")
     with pytest.raises(DataError, match="tumor mask is empty"):
-        _shape_block(np.zeros((3, 4, 5), bool))
+        generate_mask_set(brain, MaskVolume(np.zeros((3, 4, 5), bool), role="unhealthy"),
+                          MaskGenParams(), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
