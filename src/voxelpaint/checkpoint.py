@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import CheckpointError
 from .unet import UNet, UNetConfig, build_unet
-from .util import atomic_open
+from .util import atomic_open, build_record
 
 MAGIC = b"VXPT"
 VERSION = 1
@@ -77,8 +77,8 @@ def load_checkpoint(path) -> tuple[UNet, dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError("truncated", f"unreadable checkpoint metadata: {exc}") from exc
     try:
-        config = UNetConfig(**meta["config"])
-    except (KeyError, TypeError) as exc:
+        config = build_record(UNetConfig, meta["config"])
+    except (LookupError, TypeError, ValueError) as exc:
         raise CheckpointError("mismatch", f"checkpoint metadata lacks a usable config: {exc}") from exc
 
     model = build_unet(config, np.random.default_rng(0))

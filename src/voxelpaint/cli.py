@@ -1,10 +1,12 @@
 """Command line front end: prepare, train, infer, evaluate, report.
 
 Each command reads its own section of a single JSON config file; the
---seed and --out flags override the file. The fully resolved config is
-echoed to stdout and written next to the outputs, so a run can always
-be reproduced. Exit codes: 0 success, 2 missing input, 3 invalid
-config or data, 4 numeric failure.
+--seed and --out flags override the file. ``util.build_record`` builds the
+section and the top-level seed into the command's record, so an invalid
+value exits 3 before anything is written. The resolved config is then
+echoed to stdout and written next to the outputs, so a run can always be
+reproduced. Exit codes: 0 success, 2 missing input, 3 invalid config or
+data, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
@@ -24,55 +26,54 @@ from .masks import MaskGenParams, MaskVolume, generate_mask_set, make_training_s
 from .metrics import (aggregate_stats, evaluate_case, region_max_intensity, render_report_table,
                       write_cases_csv)
 from .nifti import read_nifti, read_nifti_mask, write_nifti
-from .trainer import TrainConfig, infer_case, prepare_sample, train_fold
-from .util import atomic_open, concurrently, derive_seed, make_rng
-
-_SCHEMAS = {
-    "prepare": {"required": ("input_dir", "out_dir"),
-                "optional": tuple(f.name for f in fields(MaskGenParams))},
-    "train": {"required": ("dataset_dir", "out_dir"),
-              "optional": tuple(f.name for f in fields(TrainConfig) if f.name != "seed")},
-    "infer": {"required": ("dataset_dir", "checkpoints", "out_dir"),
-              "optional": ("crop_dims",)},
-    "evaluate": {"required": ("pred_dir", "gt_dir", "out_dir"), "optional": ()},
-    "report": {"required": ("summary",), "optional": ("out_dir",)},
-}
+from .trainer import TrainConfig, check_crop_dims, infer_case, prepare_sample, train_fold
+from .util import atomic_open, build_record, concurrently, derive_seed, make_rng
 
 
-def _typed(section: dict, key: str, default, element=None):
-    """section[key], or default when absent, converted to default's type.
-
-    A tuple or list value is converted element by element, to ``element``
-    or else to the type of default's first element; a string is not taken
-    for a sequence, and only a string converts to str. A bool is not taken
-    for a number, nor a float with a fraction for an int. A value that does
-    not convert raises ConfigError naming the key, so a malformed config
-    exits 3 like any other invalid config.
-    """
-    value = section.get(key, default)
-    kind = type(default)
-    try:
-        if kind in (tuple, list):
-            if isinstance(value, str):
-                raise TypeError("a string is not a sequence")
-            item = element or type(default[0])
-            return kind(_strict(item, v) for v in value)
-        return _strict(kind, value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key!r}: {value!r} is not a valid {kind.__name__}") from exc
+@dataclass(frozen=True, kw_only=True)
+class PrepareSection(MaskGenParams):
+    input_dir: str
+    out_dir: str
+    seed: int = 0
 
 
-def _strict(kind, value):
-    if kind is str and not isinstance(value, str):
-        raise TypeError(f"{value!r} is not a string")
-    if kind in (int, float) and isinstance(value, bool):
-        raise TypeError(f"{value!r} is a bool, not a number")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is not a whole number")
-    return kind(value)
+@dataclass(frozen=True, kw_only=True)
+class TrainSection(TrainConfig):
+    dataset_dir: str
+    out_dir: str
 
 
-def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str | None) -> dict:
+@dataclass(frozen=True)
+class InferSection:
+    dataset_dir: str
+    checkpoints: list[str]
+    out_dir: str
+    crop_dims: tuple[int, int, int] = TrainConfig.crop_dims
+    seed: int = 0
+
+    def __post_init__(self):
+        check_crop_dims(self.crop_dims)
+        if not self.checkpoints:
+            raise ConfigError("config key 'checkpoints' lists no checkpoint")
+
+
+@dataclass(frozen=True)
+class EvaluateSection:
+    pred_dir: str
+    gt_dir: str
+    out_dir: str
+    seed: int = 0
+
+
+@dataclass(frozen=True)
+class ReportSection:
+    summary: str
+    out_dir: str = ""
+    seed: int = 0
+
+
+def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str | None) -> tuple:
+    """The command's section record, and the resolved config to echo."""
     cfg_path = Path(path)
     if not cfg_path.exists():
         raise FileNotFoundError(f"config file {cfg_path} does not exist")
@@ -82,32 +83,25 @@ def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str |
         raise ConfigError(f"config {cfg_path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
-
-    allowed_top = set(_HANDLERS) | {"seed"}
-    unknown_top = set(payload) - allowed_top
+    unknown_top = sorted(set(payload) - set(_COMMANDS) - {"seed"})
     if unknown_top:
-        raise ConfigError(f"unknown top-level config keys: {sorted(unknown_top)}")
-    if command not in payload:
-        raise ConfigError(f"config has no {command!r} section")
-    section = payload[command]
+        raise ConfigError(f"config key {unknown_top[0]!r} is unknown")
+    section = payload.get(command)
     if not isinstance(section, dict):
-        raise ConfigError(f"config section {command!r} must be an object")
+        raise ConfigError(f"config has no {command!r} section holding an object")
+    if "seed" in section:
+        raise ConfigError(f"config key 'seed' belongs at the top level, not in {command!r}")
 
-    schema = _SCHEMAS[command]
-    allowed = set(schema["required"]) | set(schema["optional"])
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {command!r} section: {sorted(unknown)}")
-
-    resolved = dict(section)
-    resolved["seed"] = seed_flag if seed_flag is not None else _typed(payload, "seed", 0)
+    resolved = {**section, "seed": payload.get("seed", 0) if seed_flag is None else seed_flag}
     if out_flag is not None:
         resolved["out_dir"] = out_flag
-    missing = [k for k in schema["required"] if k not in resolved]
-    if missing:
-        raise ConfigError(f"{command!r} section lacks required keys: {missing}")
-    resolved["command"] = command
-    return resolved
+    checkpoints = resolved.get("checkpoints")  # infer also takes one path as a string
+    given = {**resolved, "checkpoints": [checkpoints]} if isinstance(checkpoints, str) else resolved
+    try:
+        record = build_record(_COMMANDS[command][0], given)
+    except ValueError as exc:
+        raise ConfigError(f"config {exc}") from exc
+    return record, {**resolved, "seed": record.seed, "command": command}
 
 
 def _echo_config(resolved: dict) -> None:
@@ -131,11 +125,9 @@ def _require_dir(path_str: str, what: str) -> Path:
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_prepare(cfg: dict) -> int:
-    input_dir = _require_dir(cfg["input_dir"], "input")
-    out_dir = Path(cfg["out_dir"])
-    params = MaskGenParams(**{f.name: _typed(cfg, f.name, f.default) for f in fields(MaskGenParams)})
-    seed = cfg["seed"]
+def cmd_prepare(cfg: PrepareSection) -> int:
+    input_dir = _require_dir(cfg.input_dir, "input")
+    out_dir = Path(cfg.out_dir)
 
     scans: dict[str, list[Path]] = {}
     for path in sorted(set(input_dir.glob("*-t1n.nii")) | set(input_dir.glob("*-t1n.nii.gz"))):
@@ -143,7 +135,7 @@ def cmd_prepare(cfg: dict) -> int:
     if not scans:
         raise FileNotFoundError(f"no *-t1n.nii[.gz] scans under {input_dir}")
 
-    manifest = Manifest(seed=seed)
+    manifest = Manifest(seed=cfg.seed, samples=[])
     for case_id, paths in scans.items():
         tumors = [p for p in (input_dir / f"{case_id}-mask-unhealthy{suffix}"
                               for suffix in (".nii", ".nii.gz")) if p.exists()]
@@ -162,9 +154,9 @@ def cmd_prepare(cfg: dict) -> int:
             t1n, tumor = concurrently(lambda: read_nifti(t1n_path),
                                       lambda: read_nifti_mask(tumor_path, "unhealthy"))
             brain = MaskVolume(t1n.voxels > 0, role="brain")
-            case_seed = derive_seed(seed, "case", case_id)
-            rng = make_rng(seed, "case", case_id)
-            healthy_masks = generate_mask_set(brain, tumor, params, rng)
+            case_seed = derive_seed(cfg.seed, "case", case_id)
+            rng = make_rng(cfg.seed, "case", case_id)
+            healthy_masks = generate_mask_set(brain, tumor, cfg, rng)
         except (MaskPlacementError, DataError, NiftiError, ShapeError) as exc:
             manifest.skipped.append({"case_id": case_id, "reason": str(exc)})
             continue
@@ -181,12 +173,9 @@ def cmd_prepare(cfg: dict) -> int:
     return 0
 
 
-def cmd_train(cfg: dict) -> int:
-    dataset_dir = _require_dir(cfg["dataset_dir"], "dataset")
-    out_dir = Path(cfg["out_dir"])
-    config = TrainConfig(seed=cfg["seed"],
-                         **{key: _typed(cfg, key, getattr(TrainConfig, key))
-                            for key in _SCHEMAS["train"]["optional"]})
+def cmd_train(cfg: TrainSection) -> int:
+    dataset_dir = _require_dir(cfg.dataset_dir, "dataset")
+    out_dir = Path(cfg.out_dir)
 
     manifest = load_manifest(dataset_dir)
     if not manifest.samples:
@@ -194,13 +183,13 @@ def cmd_train(cfg: dict) -> int:
     # each full-size sample is freed once cropped, before the next one is read
     samples = [prepare_sample(read_sample(dataset_dir / entry.directory, entry.sample_id,
                                           entry.case_id),
-                              config.crop_dims, config.mae_region)
+                              cfg.crop_dims, cfg.mae_region)
                for entry in manifest.samples]
 
     results = []
     with open(out_dir / "train_log.jsonl", "w") as log_fh:
-        for fold in range(config.folds):
-            result = train_fold(samples, config, fold, out_dir, log_fh=log_fh)
+        for fold in range(cfg.folds):
+            result = train_fold(samples, cfg, fold, out_dir, log_fh=log_fh)
             results.append(result)
             print(f"fold {fold}: best val loss {result.best_val_loss:.6f} "
                   f"at epoch {result.best_epoch} -> {result.checkpoint_path}")
@@ -211,16 +200,11 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def cmd_infer(cfg: dict) -> int:
-    dataset_dir = _require_dir(cfg["dataset_dir"], "dataset")
-    out_dir = Path(cfg["out_dir"])
-    crop_dims = _typed(cfg, "crop_dims", TrainConfig.crop_dims)
-    ckpt_paths = cfg["checkpoints"]
-    ckpt_paths = [ckpt_paths] if isinstance(ckpt_paths, str) else _typed(cfg, "checkpoints", [], element=str)
-    if not ckpt_paths:
-        raise ConfigError("infer needs at least one checkpoint path")
+def cmd_infer(cfg: InferSection) -> int:
+    dataset_dir = _require_dir(cfg.dataset_dir, "dataset")
+    out_dir = Path(cfg.out_dir)
     models = []
-    for p in ckpt_paths:
+    for p in cfg.checkpoints:
         if not Path(p).exists():
             raise FileNotFoundError(f"checkpoint {p} does not exist")
         models.append(load_checkpoint(p)[0])
@@ -239,7 +223,7 @@ def cmd_infer(cfg: dict) -> int:
             continue
         volume, combined = concurrently(lambda: read_nifti(volume_path),
                                         lambda: read_nifti_mask(mask_path, "combined"))
-        result = infer_case(models, volume, combined, crop_dims)
+        result = infer_case(models, volume, combined, cfg.crop_dims)
         write_nifti(result, inpainted_path(out_dir, sid))
         produced += 1
     if produced == 0:
@@ -248,10 +232,10 @@ def cmd_infer(cfg: dict) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: dict) -> int:
-    pred_dir = _require_dir(cfg["pred_dir"], "prediction")
-    gt_dir = _require_dir(cfg["gt_dir"], "ground truth")
-    out_dir = Path(cfg["out_dir"])
+def cmd_evaluate(cfg: EvaluateSection) -> int:
+    pred_dir = _require_dir(cfg.pred_dir, "prediction")
+    gt_dir = _require_dir(cfg.gt_dir, "ground truth")
+    out_dir = Path(cfg.out_dir)
 
     cases = []
     sample_dirs = sorted(d for d in gt_dir.iterdir() if d.is_dir())
@@ -281,8 +265,8 @@ def cmd_evaluate(cfg: dict) -> int:
     return 0
 
 
-def cmd_report(cfg: dict) -> int:
-    summary_path = Path(cfg["summary"])
+def cmd_report(cfg: ReportSection) -> int:
+    summary_path = Path(cfg.summary)
     if not summary_path.exists():
         raise FileNotFoundError(f"summary file {summary_path} does not exist")
     try:
@@ -291,15 +275,15 @@ def cmd_report(cfg: dict) -> int:
         raise DataError(f"summary {summary_path} is not valid JSON: {exc}") from exc
     table = render_report_table(summary)
     print(table, end="")
-    out_dir = cfg.get("out_dir")
-    if out_dir:
-        with atomic_open(Path(out_dir) / "report.txt") as fh:
+    if cfg.out_dir:
+        with atomic_open(Path(cfg.out_dir) / "report.txt") as fh:
             fh.write(table)
     return 0
 
 
-_HANDLERS = {"prepare": cmd_prepare, "train": cmd_train, "infer": cmd_infer,
-             "evaluate": cmd_evaluate, "report": cmd_report}
+_COMMANDS = {"prepare": (PrepareSection, cmd_prepare), "train": (TrainSection, cmd_train),
+             "infer": (InferSection, cmd_infer), "evaluate": (EvaluateSection, cmd_evaluate),
+             "report": (ReportSection, cmd_report)}
 
 
 def main(argv=None) -> int:
@@ -307,7 +291,7 @@ def main(argv=None) -> int:
         prog="voxelpaint",
         description="Mask synthesis, inpainting U-Net training, and evaluation for brain MRI.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
@@ -315,9 +299,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        resolved = _load_config(args.config, args.command, args.seed, args.out)
+        record, resolved = _load_config(args.config, args.command, args.seed, args.out)
         _echo_config(resolved)
-        return _HANDLERS[args.command](resolved)
+        return _COMMANDS[args.command][1](record)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ from pathlib import Path
 from .errors import DataError
 from .masks import TrainingSample
 from .nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
-from .util import atomic_open, check_field_types, concurrently
+from .util import atomic_open, build_record, concurrently
 
 COMPONENTS = ("t1n", "t1n-voided", "mask-healthy", "mask-unhealthy", "mask")
 MANIFEST_NAME = "manifest.json"
@@ -88,14 +88,11 @@ class ManifestEntry:
     directory: str
     seed: int
 
-    def __post_init__(self):
-        check_field_types(self)
-
 
 @dataclass
 class Manifest:
     seed: int
-    samples: list[ManifestEntry] = field(default_factory=list)
+    samples: list[ManifestEntry]
     skipped: list[dict] = field(default_factory=list)
 
 
@@ -107,20 +104,15 @@ def save_manifest(manifest: Manifest, dataset_dir) -> Path:
 
 
 def load_manifest(dataset_dir) -> Manifest:
-    """The manifest of a prepared dataset; a missing or malformed one, or one
-    that lists a sample id twice, raises DataError."""
+    """The manifest of a prepared dataset; a missing or malformed one (by
+    ``util.build_record``), or one that lists a sample id twice, raises DataError."""
     path = Path(dataset_dir) / MANIFEST_NAME
     if not path.exists():
         raise DataError(f"no {MANIFEST_NAME} in {dataset_dir}")
     try:
-        payload = json.loads(path.read_text())
-        manifest = Manifest(
-            seed=payload["seed"],
-            samples=[ManifestEntry(**e) for e in payload["samples"]],
-            skipped=payload.get("skipped", []),
-        )
-    except (ValueError, LookupError, TypeError) as exc:
-        raise DataError(f"manifest {path} is malformed: {exc!r}") from exc
+        manifest = build_record(Manifest, json.loads(path.read_text()))
+    except ValueError as exc:
+        raise DataError(f"manifest {path} is malformed: {exc}") from exc
     repeated = sorted(sid for sid, n in Counter(e.sample_id for e in manifest.samples).items() if n > 1)
     if repeated:
         raise DataError(f"manifest {path} lists sample ids more than once: {repeated}")

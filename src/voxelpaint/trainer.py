@@ -68,8 +68,7 @@ class TrainConfig:
         if self.lambda_mae < 0 or self.lambda_ssim < 0:
             raise ConfigError(f"lambda_mae and lambda_ssim must be >= 0, got "
                               f"({self.lambda_mae}, {self.lambda_ssim})")
-        if any(e % 8 for e in self.crop_dims):
-            raise ConfigError(f"crop_dims {self.crop_dims} must be divisible by 8")
+        check_crop_dims(self.crop_dims)
         if self.mae_region not in ("non_tumor", "healthy_only"):
             raise ConfigError(f"mae_region must be non_tumor or healthy_only, got {self.mae_region!r}")
 
@@ -77,6 +76,12 @@ class TrainConfig:
     def unet(self) -> UNetConfig:
         """The architecture each fold trains."""
         return UNetConfig(base_channels=self.base_channels, dropout_rate=self.dropout_rate)
+
+
+def check_crop_dims(crop_dims) -> None:
+    """Refuse a crop that the U-Net's three pooling stages cannot halve evenly."""
+    if len(crop_dims) != 3 or any(e < 1 or e % 8 for e in crop_dims):
+        raise ConfigError(f"config key 'crop_dims': {crop_dims} is not 3 positive multiples of 8")
 
 
 @dataclass

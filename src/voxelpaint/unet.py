@@ -17,15 +17,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
-from .util import check_field_types
 
 ENCODER_LEVELS = 3
 
 
 @dataclass(frozen=True)
 class UNetConfig:
-    """The architecture a checkpoint stores. A field of the wrong type raises
-    TypeError, an out-of-range one ConfigError."""
+    """The architecture a checkpoint stores; an out-of-range field raises ConfigError."""
 
     base_channels: int = 32
     in_channels: int = 2
@@ -33,7 +31,6 @@ class UNetConfig:
     dropout_rate: float = 0.2
 
     def __post_init__(self):
-        check_field_types(self)
         if self.base_channels < 1:
             raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.in_channels < 1 or self.out_channels < 1:

@@ -1,6 +1,6 @@
 """Seed derivation for reproducible per-scope RNG streams, atomic writes,
-the field type check of records read from files, and the thread pool that
-runs independent calls side by side.
+the one builder of records read from JSON, and the thread pool that runs
+independent calls side by side.
 
 Python's builtin hash() is salted per process, so seeds are derived from
 sha256 instead; the same parts always map to the same stream.
@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,15 +49,45 @@ def atomic_open(path, mode: str = "w", **kwargs):
         tmp.unlink(missing_ok=True)
 
 
-def check_field_types(record) -> None:
-    """Raise TypeError unless each field of the dataclass ``record`` holds its
-    declared type. A bool is not taken for a number; an int is taken for a float."""
-    for name, kind in get_type_hints(type(record)).items():
-        value = getattr(record, name)
-        accepted = (int, float) if kind is float else kind
-        if not isinstance(value, accepted) or (kind in (int, float) and isinstance(value, bool)):
-            raise TypeError(f"{type(record).__name__} field {name!r} is {value!r}, "
-                            f"not a {kind.__name__}")
+def build_record(cls, obj):
+    """The dataclass ``cls`` built from the JSON object ``obj`` by its type hints.
+
+    A non-object, an unknown key, a missing key without a default, or a value
+    its hint refuses raises ValueError naming the key. ``str`` takes a string,
+    ``int`` an int, whole float or int string, ``float`` a finite number or
+    numeric string, never a bool. ``tuple[...]`` takes a list of its length,
+    ``list[X]`` any list, each element by its hint; a dataclass an object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{obj!r} is not an object")
+    hints, values = get_type_hints(cls), {}
+    unknown = sorted(obj.keys() - hints.keys())
+    if unknown:
+        raise ValueError(f"key {unknown[0]!r} is unknown")
+    for f in fields(cls):
+        if f.name in obj:
+            values[f.name] = _convert(hints[f.name], obj[f.name], f.name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"key {f.name!r} is missing")
+    return cls(**values)
+
+
+def _convert(kind, value, key: str):
+    if is_dataclass(kind) and isinstance(value, dict):
+        return build_record(kind, value)
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (list, tuple) and isinstance(value, list):
+        args = args * len(value) if origin is list else args
+        if len(args) == len(value):
+            return origin(_convert(a, v, key) for a, v in zip(args, value))
+    elif isinstance(value, (str, dict)) and kind is type(value):
+        return value
+    elif kind in (int, float) and not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            number = kind(value)
+            whole = number == value or isinstance(value, str)   # a string int() parses is whole
+            if whole if kind is int else math.isfinite(number):
+                return number
+    raise ValueError(f"key {key!r}: {value!r} is not a valid {kind.__name__}")
 
 
 _pool: ThreadPoolExecutor | None = None

@@ -56,7 +56,7 @@ def _report(v, path):
     with tempfile.TemporaryDirectory() as tmp:
         summary = Path(tmp) / "summary.json"
         summary.write_text(json.dumps(asdict(aggregate_stats([_case(0.5 + 0.1 * v)]))))
-        cli.cmd_report({"summary": str(summary), "out_dir": str(path.parent)})
+        cli.cmd_report(cli.ReportSection(summary=str(summary), out_dir=str(path.parent)))
 
 
 # (file name, writer of version `v` of that file at the given path)

@@ -12,11 +12,14 @@ import pytest
 
 from conftest import build_case, make_input_dir, write_config
 from voxelpaint import cli
+from voxelpaint.checkpoint import save_checkpoint
 from voxelpaint.dataset import (Manifest, ManifestEntry, load_manifest, read_sample, sample_id,
                                 save_manifest, write_sample)
 from voxelpaint.masks import make_training_sample
 from voxelpaint.nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
-from voxelpaint.trainer import prepare_sample
+from voxelpaint.trainer import TrainConfig, prepare_sample
+from voxelpaint.unet import UNetConfig, build_unet
+from voxelpaint.util import build_record
 from voxelpaint.volume import MaskVolume, Volume
 
 
@@ -124,9 +127,20 @@ def test_missing_required_key_exits_3(tmp_path, capsys):
     ("train", {"crop_dims": [16, True, 16]}, {}),
     ("train", {"lr": True}, {}),
     ("prepare", {}, {"seed": True}),
+    ("train", {"lr": float("nan")}, {}),
+    ("train", {"lr": "inf"}, {}),
+    ("train", {"lambda_mae": float("nan")}, {}),
+    ("train", {"lambda_ssim": "inf"}, {}),
+    ("train", {"crop_dims": [0, 16, 16]}, {}),
+    ("train", {"crop_dims": [-8, 16, 16]}, {}),
+    ("train", {"crop_dims": [16, 16]}, {}),
+    ("infer", {"crop_dims": [12, 12, 12]}, {}),
+    ("infer", {"crop_dims": [16, 16, 16, 16]}, {}),
 ], ids=["epochs", "crop_dims", "checkpoints", "margin", "seed",
         "crop_dims_element", "crop_dims_string", "checkpoints_element",
-        "epochs_fraction", "crop_dims_fraction", "crop_dims_bool", "lr_bool", "seed_bool"])
+        "epochs_fraction", "crop_dims_fraction", "crop_dims_bool", "lr_bool", "seed_bool",
+        "lr_nan", "lr_inf", "lambda_mae_nan", "lambda_ssim_inf", "crop_dims_zero",
+        "crop_dims_negative", "crop_dims_two", "infer_crop_dims_12", "infer_crop_dims_four"])
 def test_malformed_config_value_exits_3(tmp_path, capsys, command, section, top):
     data_dir = tmp_path / "data"
     data_dir.mkdir()
@@ -140,12 +154,83 @@ def test_malformed_config_value_exits_3(tmp_path, capsys, command, section, top)
     assert f"config key {key!r}" in capsys.readouterr().err
 
 
+# Every record type the program reads from JSON, with its keys by kind: an
+# int, a float, a string, and one without a default (None where it has none).
+RECORD_KEYS = {
+    "prepare": ("margin", "volume_fraction", "input_dir", "input_dir"),
+    "train": ("epochs", "lr", "out_dir", "dataset_dir"),
+    "infer": ("crop_dims", None, "dataset_dir", "checkpoints"),
+    "evaluate": (None, None, "pred_dir", "gt_dir"),
+    "report": (None, None, "summary", "summary"),
+    "top_level": ("seed", None, None, None),
+    "manifest": ("seed", None, None, "seed"),
+    "manifest_entry": ("variant", None, "directory", "sample_id"),
+    "checkpoint_config": ("base_channels", "dropout_rate", None, None),
+}
+
+
+def _bad_records():
+    for record, (int_key, float_key, str_key, required) in RECORD_KEYS.items():
+        cases = []
+        if int_key:
+            cases += [(int_key, "bool", True), (int_key, "fraction", 2.5)]
+        if float_key:
+            cases += [(float_key, "string", "abc"), (float_key, "inf", "inf")]
+        for key in filter(None, (int_key, float_key, str_key)):
+            cases += [(key, "null", None), (key, "nan", float("nan"))]
+        if required:
+            cases.append((required, "missing", KeyError))
+        cases.append(("bogus", "unknown", 1))
+        for key, label, value in cases:
+            yield pytest.param(record, key, value, id=f"{record}-{key}-{label}")
+
+
+@pytest.mark.parametrize("record, key, value", _bad_records())
+def test_every_record_refuses_the_same_bad_values(tmp_path, capsys, record, key, value):
+    data = tmp_path / "data"
+    data.mkdir()
+    out = str(tmp_path / "out")
+    sections = {
+        "prepare": {"input_dir": str(data), "out_dir": out},
+        "train": {"dataset_dir": str(data), "out_dir": out},
+        "infer": {"dataset_dir": str(data), "checkpoints": [str(data / "m.vxpt")], "out_dir": out},
+        "evaluate": {"pred_dir": str(data), "gt_dir": str(data), "out_dir": out},
+        "report": {"summary": str(data / "summary.json")},
+    }
+    command = {"top_level": "prepare", "manifest": "train", "manifest_entry": "train",
+               "checkpoint_config": "infer"}.get(record, record)
+    config = {"seed": 1, command: sections[command]}
+    entry = {"case_id": "a", "variant": 0, "sample_id": "a-m0", "directory": "a-m0", "seed": 0}
+    manifest = {"seed": 0, "samples": [entry], "skipped": []}
+    unet = {"base_channels": 1, "in_channels": 2, "out_channels": 1, "dropout_rate": 0.2}
+    obj = {"top_level": config, "manifest": manifest, "manifest_entry": entry,
+           "checkpoint_config": unet}.get(record) or sections[record]
+    if value is KeyError:
+        del obj[key]
+    else:
+        obj[key] = [16, value, 16] if key == "crop_dims" else value
+
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    checkpoint = data / "m.vxpt"
+    save_checkpoint(build_unet(UNetConfig(base_channels=1), np.random.default_rng(0)), {},
+                    checkpoint)
+    raw = checkpoint.read_bytes()
+    (meta_len,) = struct.unpack("<I", raw[8:12])
+    blob = json.dumps({**json.loads(raw[12:12 + meta_len]), "config": unet}).encode()
+    checkpoint.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + meta_len:])
+    path = write_config(tmp_path / "c.json", config)
+
+    assert cli.main([command, "--config", path]) == 3
+    assert f"key {key!r}" in capsys.readouterr().err
+
+
 def test_lossless_config_values_still_convert():
     section = {"epochs": 2.0, "lr": 1, "crop_dims": [16.0, "24", 32], "seed": "7"}
-    assert cli._typed(section, "epochs", 500) == 2
-    assert cli._typed(section, "lr", 1e-4) == 1.0
-    assert cli._typed(section, "crop_dims", (8, 8, 8)) == (16, 24, 32)
-    assert cli._typed(section, "seed", 0) == 7
+    config = build_record(TrainConfig, section)
+    assert config.epochs == 2
+    assert config.lr == 1.0
+    assert config.crop_dims == (16, 24, 32)
+    assert config.seed == 7
 
 
 def test_resolved_config_is_echoed_and_saved(tmp_path, capsys):
@@ -382,6 +467,7 @@ def test_train_invalid_hyperparameters_exit_3(cli_workspace, tmp_path, capsys):
         assert cli.main(["train", "--config", config]) == 3, key
         assert key in capsys.readouterr().err, key
     assert not (tmp_path / "out" / "train_log.jsonl").exists()
+    assert not (tmp_path / "out" / "resolved_config.json").exists()
 
 
 def test_train_bad_base_channels_exits_3_before_reading_samples(tmp_path, capsys):
@@ -429,7 +515,7 @@ def test_train_holds_one_full_size_sample_at_a_time(tmp_path):
     # each full-size sample freed once cropped, train peaks no higher than
     # one sample's read, however many samples the manifest lists
     dataset_dir = tmp_path / "dataset"
-    manifest = Manifest(seed=0)
+    manifest = Manifest(seed=0, samples=[])
     for i in range(4):
         t1n, _, tumor, healthy = build_case(4100 + i, n=64)
         sid = sample_id(f"case{i}", 0)
@@ -480,8 +566,12 @@ def test_train_empty_manifest_exits_3(tmp_path):
     '{"seed": 0, "samples": [{"case_id": "a", "variant": 0, "sample_id": "a-m0",'
     ' "directory": "a-m0", "seed": 0}, {"case_id": "a", "variant": 0, "sample_id": "a-m0",'
     ' "directory": "a-m0", "seed": 0}]}',
+    '{"seed": "x", "samples": []}',
+    '{"seed": 0, "samples": [], "skipped": 7}',
+    '{"seed": 0, "samples": [], "extra": 1}',
+    '{"seed": 0}',
 ], ids=["truncated", "list_root", "entry_lacks_fields", "number_directory", "bool_variant",
-        "repeated_sample_id"])
+        "repeated_sample_id", "string_seed", "number_skipped", "unknown_key", "no_samples"])
 def test_train_malformed_manifest_exits_3(tmp_path, capsys, manifest):
     dataset_dir = tmp_path / "dataset"
     dataset_dir.mkdir()

@@ -49,7 +49,7 @@ def test_sample_round_trip(tmp_path):
 
 
 def test_manifest_round_trip(tmp_path):
-    manifest = Manifest(seed=99)
+    manifest = Manifest(seed=99, samples=[])
     for case in ("caseB", "caseA"):
         for variant in range(2):
             manifest.samples.append(ManifestEntry(

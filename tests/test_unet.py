@@ -13,6 +13,7 @@ from voxelpaint.errors import CheckpointError, ConfigError, ShapeError
 from voxelpaint.losses import composite_loss
 from voxelpaint.optim import Adam
 from voxelpaint.unet import UNet, UNetConfig, build_unet
+from voxelpaint.util import build_record
 
 
 def make_model(base=8, seed=0, dropout=0.2):
@@ -89,11 +90,13 @@ def test_config_validation():
         UNetConfig(base_channels=0)
     with pytest.raises(ConfigError):
         UNetConfig(dropout_rate=1.0)
-    # an int field takes no float and no bool, a float field no bool
-    for bad in ({"base_channels": 2.5}, {"base_channels": 2.0}, {"in_channels": True},
-                {"dropout_rate": False}, {"dropout_rate": "0.2"}):
-        with pytest.raises(TypeError):
-            UNetConfig(**bad)
+    # read from a checkpoint, an int field takes no fraction and no bool, a
+    # float field no bool; a whole float or a numeric string converts
+    for bad in ({"base_channels": 2.5}, {"in_channels": True}, {"dropout_rate": False}):
+        with pytest.raises(ValueError, match=repr(next(iter(bad)))):
+            build_record(UNetConfig, bad)
+    assert build_record(UNetConfig, {"base_channels": 2.0}).base_channels == 2
+    assert build_record(UNetConfig, {"dropout_rate": "0.2"}).dropout_rate == 0.2
     assert UNetConfig(dropout_rate=0).dropout_rate == 0
 
 
