@@ -63,7 +63,7 @@ def load_checkpoint(path) -> tuple[UNet, dict]:
     """Rebuild the model described by the file and return (model, metadata).
 
     Raises CheckpointError with code bad_magic, version, truncated, or
-    mismatch (unknown/missing parameter name or wrong record shape).
+    mismatch (unknown, missing or repeated parameter name, or wrong record shape).
     """
     raw = Path(path).read_bytes()
     r = _Reader(raw)
@@ -93,6 +93,8 @@ def load_checkpoint(path) -> tuple[UNet, dict]:
         data = np.frombuffer(r.take(4 * int(np.prod(shape))), dtype="<f4").reshape(shape)
         if name not in expected:
             raise CheckpointError("mismatch", f"unexpected parameter {name!r} in checkpoint")
+        if name in seen:
+            raise CheckpointError("mismatch", f"parameter {name!r} appears twice in checkpoint")
         if expected[name].data.shape != data.shape:
             raise CheckpointError(
                 "mismatch",

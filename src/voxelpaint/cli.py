@@ -15,11 +15,13 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
-from .dataset import (Manifest, ManifestEntry, component_path, inpainted_path, load_manifest,
-                      read_sample, sample_id, save_manifest, write_sample)
+from .dataset import (Manifest, ManifestEntry, component_path, component_reads, inpainted_path,
+                      load_manifest, read_sample, sample_dirs, sample_id, save_manifest,
+                      write_sample)
 from .errors import (ConfigError, DataError, MaskPlacementError, NiftiError, NumericError,
                      ShapeError, VoxelPaintError)
 from .masks import MaskGenParams, MaskVolume, generate_mask_set, make_training_sample
@@ -209,26 +211,14 @@ def cmd_infer(cfg: InferSection) -> int:
             raise FileNotFoundError(f"checkpoint {p} does not exist")
         models.append(load_checkpoint(p)[0])
 
-    sample_dirs = sorted(d for d in dataset_dir.iterdir() if d.is_dir())
-    produced = 0
-    for d in sample_dirs:
-        sid = d.name
-        mask_path = component_path(d, sid, "mask")
-        if not mask_path.exists():
-            continue
-        volume_path = component_path(d, sid, "t1n-voided")
-        if not volume_path.exists():
-            volume_path = component_path(d, sid, "t1n")
-        if not volume_path.exists():
-            continue
-        volume, combined = concurrently(lambda: read_nifti(volume_path),
-                                        lambda: read_nifti_mask(mask_path, "combined"))
+    dirs = sample_dirs(dataset_dir)
+    for d in dirs:
+        # the challenge's layout gives the voided scan; a prepared sample also has t1n
+        scan = "t1n-voided" if component_path(d, d.name, "t1n-voided").exists() else "t1n"
+        volume, combined = concurrently(*component_reads(d, d.name, (scan, "mask")))
         result = infer_case(models, volume, combined, cfg.crop_dims)
-        write_nifti(result, inpainted_path(out_dir, sid))
-        produced += 1
-    if produced == 0:
-        raise FileNotFoundError(f"no inferable samples (mask plus volume) under {dataset_dir}")
-    print(f"inpainted {produced} sample(s) -> {out_dir}")
+        write_nifti(result, inpainted_path(out_dir, d.name))
+    print(f"inpainted {len(dirs)} sample(s) -> {out_dir}")
     return 0
 
 
@@ -238,24 +228,15 @@ def cmd_evaluate(cfg: EvaluateSection) -> int:
     out_dir = Path(cfg.out_dir)
 
     cases = []
-    sample_dirs = sorted(d for d in gt_dir.iterdir() if d.is_dir())
-    for d in sample_dirs:
+    for d in sample_dirs(gt_dir):
         sid = d.name
-        gt_path = component_path(d, sid, "t1n")
-        if not gt_path.exists():
-            continue
-        pred_path = inpainted_path(pred_dir, sid)
-        if not pred_path.exists():
-            raise FileNotFoundError(f"no prediction {pred_path} for sample {sid}")
+        read_gt, *read_masks = component_reads(d, sid, ("t1n", "mask-healthy", "mask-unhealthy"))
+        # one call for all four files (a concurrently call nested in another runs
+        # inline), the two scans first so that their decoding overlaps
         gt, pred, healthy, unhealthy = concurrently(
-            lambda: read_nifti(gt_path),
-            lambda: read_nifti(pred_path),
-            lambda: read_nifti_mask(component_path(d, sid, "mask-healthy"), "healthy"),
-            lambda: read_nifti_mask(component_path(d, sid, "mask-unhealthy"), "unhealthy"))
+            read_gt, partial(read_nifti, inpainted_path(pred_dir, sid)), *read_masks)
         vmax = region_max_intensity(gt, healthy, unhealthy)
         cases.append(evaluate_case(sid, pred, gt, healthy, vmax))
-    if not cases:
-        raise FileNotFoundError(f"no evaluable samples under {gt_dir}")
 
     summary = asdict(aggregate_stats(cases))
     write_cases_csv(cases, out_dir / "cases.csv")

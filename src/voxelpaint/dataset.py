@@ -60,19 +60,36 @@ def write_sample(sample_dir, sid: str, sample: TrainingSample) -> None:
                  lambda: write_nifti_mask(sample.combined, path("mask")))
 
 
+def sample_dirs(root) -> list[Path]:
+    """Every directory under ``root``, sorted: the samples infer and evaluate
+    take. A root without one raises FileNotFoundError."""
+    dirs = sorted(d for d in Path(root).iterdir() if d.is_dir())
+    if not dirs:
+        raise FileNotFoundError(f"no sample directories under {root}")
+    return dirs
+
+
+# the role each mask component is read with; scans have none
+_MASK_ROLES = {"mask-healthy": "healthy", "mask-unhealthy": "unhealthy", "mask": "combined"}
+
+
+def component_reads(sample_dir, sid: str, components) -> list:
+    """One read call per named component, for ``util.concurrently``: scans
+    through ``read_nifti``, masks through ``read_nifti_mask`` with their role.
+    A missing file raises FileNotFoundError naming its path."""
+    path = partial(component_path, sample_dir, sid)
+    return [partial(read_nifti_mask, path(c), _MASK_ROLES[c]) if c in _MASK_ROLES
+            else partial(read_nifti, path(c)) for c in components]
+
+
 def read_sample(sample_dir, sid: str, case_id: str) -> TrainingSample:
     """Read the five component files, side by side (``util.concurrently``).
 
     A damaged file raises its NiftiError; when several are, the error of
     the first in COMPONENTS order is raised, as a one-by-one read would.
     """
-    path = partial(component_path, sample_dir, sid)
     t1n, voided, healthy, unhealthy, combined = concurrently(
-        lambda: read_nifti(path("t1n")),
-        lambda: read_nifti(path("t1n-voided")),
-        lambda: read_nifti_mask(path("mask-healthy"), "healthy"),
-        lambda: read_nifti_mask(path("mask-unhealthy"), "unhealthy"),
-        lambda: read_nifti_mask(path("mask"), "combined"))
+        *component_reads(sample_dir, sid, COMPONENTS))
     for component, part in zip(COMPONENTS[1:], (voided, healthy, unhealthy, combined)):
         if part.dims != t1n.dims:
             raise DataError(f"sample {sid}: {component} dims {part.dims} differ from t1n dims {t1n.dims}")

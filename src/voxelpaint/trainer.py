@@ -7,9 +7,10 @@ Every random choice derives from the global seed, so a rerun reproduces
 the loss curves bit for bit.
 
 Training and inference see one window of each scan: the ``crop_dims``
-box that ``volume.crop_center`` centres on the whole volume. Every array
-is indexed by that box directly and only the crop is normalized, by its
-whole volume's max. Inference runs each model once on that window, not a
+box that ``volume.crop_center`` centres on the whole volume, and
+``network_inputs`` turns it into the network's two inputs for both. Every
+array is indexed by that box directly and only the crop is normalized, by
+its whole volume's max. Inference runs each model once on that window, not a
 sliding window; masked voxels outside it keep their voided value
 (ROADMAP item 1), and ``volume.stitch`` writes the prediction back
 through the same box. An ensemble's models run one after another: their
@@ -143,32 +144,30 @@ class PreparedSample:
     region: np.ndarray      # [1,1,D,H,W] bool, MAE region
 
 
+def network_inputs(voided: Volume, combined: MaskVolume, box, vmax: float) -> tuple:
+    """The network's two inputs for the window ``box``: the voided scan's
+    voxels normalized by ``vmax``, the max of the whole volume, and the
+    combined mask's bits, each a C-ordered [1,1,D,H,W] float32 array,
+    whatever the order of the volumes they come from."""
+    x = normalize_two_stage(np.ascontiguousarray(voided.voxels[box]), vmax)
+    return x[None, None], combined.bits[box].astype(np.float32, order="C")[None, None]
+
+
 def prepare_sample(sample: TrainingSample, crop_dims, mae_region: str = "non_tumor") -> PreparedSample:
     """Cut the centred crop from every component, then normalize each scan
-    crop by its whole volume's max.
-
-    The crops are C-ordered copies, whatever the order of the volumes they
-    come from, so every array the network and the loss take in has one
-    layout.
-    """
+    crop by its whole volume's max. The crops are C-ordered copies, so
+    every array the network and the loss take in has one layout."""
     box = crop_center(sample.t1n.dims, crop_dims, (slice(None),) * 3)
-
-    def crop(array: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(array[box])[None, None]
-
-    combined = crop(sample.combined.bits)
-    region = ~crop(sample.unhealthy.bits)
+    region = ~np.ascontiguousarray(sample.unhealthy.bits[box])[None, None]
     if mae_region == "healthy_only":
-        region &= combined
+        region &= sample.combined.bits[box]
     if not region.any():
         raise DataError(f"{sample.case_id}: empty MAE region after cropping")
-    return PreparedSample(
-        case_id=sample.case_id,
-        voided=normalize_two_stage(crop(sample.t1n_voided.voxels), float(sample.t1n_voided.voxels.max())),
-        mask=combined.astype(np.float32),
-        gt=normalize_two_stage(crop(sample.t1n.voxels), float(sample.t1n.voxels.max())),
-        region=region,
-    )
+    voided, mask = network_inputs(sample.t1n_voided, sample.combined, box,
+                                  float(sample.t1n_voided.voxels.max()))
+    gt = normalize_two_stage(np.ascontiguousarray(sample.t1n.voxels[box]), float(sample.t1n.voxels.max()))
+    return PreparedSample(case_id=sample.case_id, voided=voided, mask=mask, gt=gt[None, None],
+                          region=region)
 
 
 # -- training --------------------------------------------------------------------
@@ -280,11 +279,7 @@ def infer_case(models: list[UNet], volume: Volume, combined: MaskVolume,
     voided = void_image(volume, combined)
     vmax = float(voided.voxels.max())
     box = crop_center(volume.dims, crop_dims, (slice(None),) * 3)
-    mask_bits = combined.bits[box]
-
-    # C-ordered network inputs, as in prepare_sample
-    x = Tensor(normalize_two_stage(np.ascontiguousarray(voided.voxels[box]), vmax)[None, None])
-    m = Tensor(mask_bits.astype(np.float32, order="C")[None, None])
+    x, m = (Tensor(a) for a in network_inputs(voided, combined, box, vmax))
     acc: np.ndarray | None = None
     with no_grad():
         for model in models:
@@ -292,4 +287,4 @@ def infer_case(models: list[UNet], volume: Volume, combined: MaskVolume,
             acc = pred if acc is None else acc + pred
     mean_pred = acc / np.float32(len(models))
     clipped = np.clip(mean_pred, -1.0, 1.0)
-    return stitch(volume, denormalize(clipped, vmax), mask_bits, box)
+    return stitch(volume, denormalize(clipped, vmax), combined.bits[box], box)

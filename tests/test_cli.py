@@ -683,6 +683,39 @@ def test_infer_truncated_gzip_exits_3(cli_workspace, tmp_path, capsys):
     assert "compressed stream ends" in capsys.readouterr().err
 
 
+def test_infer_sample_without_mask_exits_2_naming_it(cli_workspace, tmp_path, capsys):
+    dataset_dir = tmp_path / "dataset"
+    shutil.copytree(cli_workspace["dataset_dir"], dataset_dir)
+    entry = load_manifest(dataset_dir).samples[1]
+    missing = dataset_dir / entry.directory / f"{entry.sample_id}-mask.nii.gz"
+    missing.unlink()
+    config = write_config(tmp_path / "c.json", {
+        "infer": {"dataset_dir": str(dataset_dir),
+                  "checkpoints": [str(cli_workspace["train_dir"] / "fold0-best.vxpt")],
+                  "out_dir": str(tmp_path / "pred"), "crop_dims": [16, 16, 16]}})
+    assert cli.main(["infer", "--config", config]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_infer_reads_challenge_layout_without_manifest(cli_workspace, tmp_path):
+    # the challenge's validation layout: per-case t1n-voided and mask, nothing else
+    source = cli_workspace["dataset_dir"]
+    infer_in = tmp_path / "challenge"
+    sids = [e.sample_id for e in load_manifest(source).samples[:2]]
+    for sid in sids:
+        (infer_in / sid).mkdir(parents=True)
+        for part in ("t1n-voided", "mask"):
+            shutil.copyfile(source / sid / f"{sid}-{part}.nii.gz", infer_in / sid / f"{sid}-{part}.nii.gz")
+    out_dir = tmp_path / "pred"
+    config = write_config(tmp_path / "c.json", {
+        "infer": {"dataset_dir": str(infer_in),
+                  "checkpoints": [str(cli_workspace["train_dir"] / "fold0-best.vxpt")],
+                  "out_dir": str(out_dir), "crop_dims": [16, 16, 16]}})
+    assert cli.main(["infer", "--config", config]) == 0
+    assert sorted(p.name for p in out_dir.glob("*-t1n-inpainted.nii.gz")) == \
+        [f"{sid}-t1n-inpainted.nii.gz" for sid in sids]
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -793,6 +826,24 @@ def test_evaluate_junk_after_gzip_exits_3(cli_workspace, tmp_path, capsys):
                      "out_dir": str(tmp_path / "eval")}})
     assert cli.main(["evaluate", "--config", config]) == 3
     assert "not a valid gzip stream" in capsys.readouterr().err
+
+
+def test_evaluate_sample_without_t1n_exits_2_naming_it(cli_workspace, tmp_path, capsys):
+    gt_dir = tmp_path / "gt"
+    shutil.copytree(cli_workspace["dataset_dir"], gt_dir)
+    pred_dir = tmp_path / "pred"
+    pred_dir.mkdir()
+    for entry in load_manifest(gt_dir).samples:
+        shutil.copyfile(gt_dir / entry.directory / f"{entry.sample_id}-t1n.nii.gz",
+                        pred_dir / f"{entry.sample_id}-t1n-inpainted.nii.gz")
+    missing = gt_dir / entry.directory / f"{entry.sample_id}-t1n.nii.gz"
+    missing.unlink()
+    config = write_config(tmp_path / "c.json", {
+        "evaluate": {"pred_dir": str(pred_dir), "gt_dir": str(gt_dir),
+                     "out_dir": str(tmp_path / "eval")}})
+    assert cli.main(["evaluate", "--config", config]) == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "eval" / "summary.json").exists()
 
 
 # ---------------------------------------------------------------------------

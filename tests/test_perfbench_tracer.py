@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import build_case
-from voxelpaint import autodiff, masks, optim, unet
+from conftest import build_case, make_input_dir, write_config
+from voxelpaint import autodiff, cli, masks, optim, unet, util
+from voxelpaint.dataset import load_manifest
 from voxelpaint.masks import MaskGenParams
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -98,3 +99,37 @@ def test_tracer_sees_one_augment_per_placement(monkeypatch):
     assert summary["masks.sample_healthy_mask.calls"] == placements
     assert summary["masks.placement_attempts_per_variant"] >= 1.0
     assert [m.bits.tobytes() for m in traced] == [m.bits.tobytes() for m in untraced]
+
+
+def test_tracer_counts_every_scan_the_commands_read(monkeypatch, tmp_path):
+    # the tracer patches module attributes, so a scan read through a reference
+    # taken before it installs would go uncounted. The pool is forced inline:
+    # the span stack is shared by all threads, and pooled reads would race on it.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    dataset, run, pred = tmp_path / "dataset", tmp_path / "run", tmp_path / "pred"
+    sections = {
+        "prepare": {"input_dir": str(make_input_dir(tmp_path)), "out_dir": str(dataset),
+                    "margin": 1, "variants": 1, "max_attempts": 400},
+        "train": {"dataset_dir": str(dataset), "out_dir": str(run), "epochs": 1, "folds": 2,
+                  "crop_dims": [16, 16, 16], "base_channels": 2},
+        "infer": {"dataset_dir": str(dataset), "out_dir": str(pred), "crop_dims": [16, 16, 16],
+                  "checkpoints": [str(run / f"fold{k}-best.vxpt") for k in range(2)]},
+        "evaluate": {"pred_dir": str(pred), "gt_dir": str(dataset), "out_dir": str(tmp_path / "eval")},
+    }
+    configs = {name: write_config(tmp_path / f"{name}.json", {name: section})
+               for name, section in sections.items()}
+    assert cli.main(["prepare", "--config", configs["prepare"]]) == 0
+    monkeypatch.setattr(util._in_worker, "active", True, raising=False)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for name in ("train", "infer", "evaluate"):
+            with tracer.span(f"cli.{name}"):
+                assert cli.main([name, "--config", configs[name]]) == 0, name
+    finally:
+        tracer.remove()
+    samples = len(load_manifest(dataset).samples)
+    assert samples == 2
+    # train reads t1n and t1n-voided, infer t1n-voided, evaluate t1n and the prediction
+    assert tracer.summary()["nifti.read.calls"] == samples * (2 + 1 + 2)

@@ -22,7 +22,7 @@ from voxelpaint.trainer import (
     validation_loss,
 )
 from voxelpaint.unet import UNetConfig, build_unet
-from voxelpaint.volume import MaskVolume
+from voxelpaint.volume import MaskVolume, Volume
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +273,36 @@ def test_infer_case_requires_models_and_matching_dims():
         infer_case([_fresh_model()], t1n,
                    MaskVolume(np.zeros((8, 8, 8), bool), role="combined"),
                    (8, 8, 8))
+
+
+class _RecordingModel:
+    """Stands in for a UNet: records what forward is given, predicts -1."""
+
+    def __init__(self):
+        self.inputs = []
+
+    def forward(self, voided, mask, training=False, rng=None):
+        self.inputs.append((voided.data, mask.data))
+        return Tensor(np.full_like(voided.data, -1.0))
+
+
+def test_training_and_inference_give_the_network_the_same_inputs():
+    # a crop smaller than the scan, from volumes in disk (Fortran) order, as read
+    t1n, _, tumor, healthy = build_case(4800, n=24)
+    t1n = Volume(np.asfortranarray(t1n.voxels))
+    tumor, healthy = (MaskVolume(np.asfortranarray(m.bits), role=m.role) for m in (tumor, healthy))
+    sample = make_training_sample("caseN", t1n, tumor, healthy)
+    crop = (16, 16, 8)
+    prep = prepare_sample(sample, crop)
+    model = _RecordingModel()
+    infer_case([model], sample.t1n_voided, sample.combined, crop)
+    (voided, mask), = model.inputs
+    assert mask.any() and not mask.all()
+    for trained, inferred in ((prep.voided, voided), (prep.mask, mask)):
+        assert inferred.dtype == trained.dtype == np.float32
+        assert inferred.shape == trained.shape == (1, 1, *crop)
+        assert inferred.flags.c_contiguous and trained.flags.c_contiguous
+        assert inferred.tobytes() == trained.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,23 @@ def test_checkpoint_unknown_parameter_is_mismatch(tmp_path):
     assert _code(exc) == "mismatch"
 
 
+def test_checkpoint_repeated_parameter_is_mismatch(tmp_path):
+    # a second record of the last parameter, with other values, must not
+    # silently replace the first
+    path = _saved(tmp_path)
+    version, meta, records = _split_container(path.read_bytes())
+    last = _walk_records(records)[-1]
+    name_len = struct.unpack_from("<H", last)[0]
+    rank = last[2 + name_len]
+    header = 2 + name_len + 1 + 4 * rank
+    again = last[:header] + np.full((len(last) - header) // 4, 5.0, dtype="<f4").tobytes()
+    path.write_bytes(_pack_container(version, meta, records + again))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert _code(exc) == "mismatch"
+    assert "twice" in str(exc.value)
+
+
 def test_checkpoint_non_utf8_parameter_name_is_mismatch(tmp_path):
     path = _saved(tmp_path)
     version, meta, records = _split_container(path.read_bytes())
