@@ -24,7 +24,7 @@ from .unet import UNet, UNetConfig, build_unet
 from .util import atomic_open, build_record
 
 MAGIC = b"VXPT"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(model: UNet, metadata: dict, path) -> None:
@@ -64,44 +64,47 @@ def load_checkpoint(path) -> tuple[UNet, dict]:
 
     Raises CheckpointError with code bad_magic, version, truncated, or
     mismatch (unknown, missing or repeated parameter name, or wrong record shape).
+    A version 1 file loads without its channel counts and norm-cancelled conv biases.
     """
     raw = Path(path).read_bytes()
     r = _Reader(raw)
     if r.take(4) != MAGIC:
         raise CheckpointError("bad_magic", f"{path} is not a checkpoint file")
     version, meta_len = struct.unpack("<II", r.take(8))
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise CheckpointError("version", f"checkpoint version {version}, expected {VERSION}")
     try:
         meta = json.loads(r.take(meta_len).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError("truncated", f"unreadable checkpoint metadata: {exc}") from exc
-    try:
-        config = build_record(UNetConfig, meta["config"])
-    except (LookupError, TypeError, ValueError) as exc:
-        raise CheckpointError("mismatch", f"checkpoint metadata lacks a usable config: {exc}") from exc
-
-    model = build_unet(config, np.random.default_rng(0))
-    expected = dict(model.parameters())
-    seen: set[str] = set()
+    records: dict[str, np.ndarray] = {}
     while not r.done():
         (name_len,) = struct.unpack("<H", r.take(2))
         # a name that is not UTF-8 keeps its bad bytes as \x escapes and so matches no parameter
         name = r.take(name_len).decode("utf-8", errors="backslashreplace")
         (rank,) = struct.unpack("<B", r.take(1))
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
-        data = np.frombuffer(r.take(4 * int(np.prod(shape))), dtype="<f4").reshape(shape)
-        if name not in expected:
-            raise CheckpointError("mismatch", f"unexpected parameter {name!r} in checkpoint")
-        if name in seen:
+        if name in records:
             raise CheckpointError("mismatch", f"parameter {name!r} appears twice in checkpoint")
-        if expected[name].data.shape != data.shape:
-            raise CheckpointError(
-                "mismatch",
-                f"parameter {name!r} has shape {data.shape}, model expects {expected[name].data.shape}")
-        expected[name].data = data.astype(np.float32).copy()
-        seen.add(name)
-    missing = set(expected) - seen
-    if missing:
-        raise CheckpointError("mismatch", f"checkpoint lacks parameters: {sorted(missing)[:3]}...")
+        records[name] = np.frombuffer(r.take(4 * int(np.prod(shape))), dtype="<f4").reshape(shape)
+    try:
+        fields = meta["config"]
+        if version == 1:  # channels were always 2 in and 1 out; every conv had a bias
+            fields = {k: v for k, v in fields.items() if k not in ("in_channels", "out_channels")}
+            records = {n: d for n, d in records.items() if n == "final.bias"
+                       or not (n.endswith(".bias") and n[:-4] + "weight" in records)}
+        config = build_record(UNetConfig, fields)
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise CheckpointError("mismatch", f"checkpoint metadata lacks a usable config: {exc}") from exc
+
+    model = build_unet(config, np.random.default_rng(0))
+    params = dict(model.parameters())
+    if records.keys() != params.keys():
+        raise CheckpointError("mismatch", "checkpoint parameters unknown to the model or missing: "
+                              f"{sorted(records.keys() ^ params.keys())[:3]}")
+    for name, t in params.items():
+        if t.data.shape != records[name].shape:
+            raise CheckpointError("mismatch", f"parameter {name!r} has shape {records[name].shape}, "
+                                  f"model expects {t.data.shape}")
+        t.data = records[name].astype(np.float32)
     return model, meta

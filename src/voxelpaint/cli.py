@@ -19,9 +19,9 @@ from functools import partial
 from pathlib import Path
 
 from .checkpoint import load_checkpoint
-from .dataset import (Manifest, ManifestEntry, component_path, component_reads, inpainted_path,
-                      load_manifest, read_sample, sample_dirs, sample_id, save_manifest,
-                      write_sample)
+from .dataset import (COMPONENTS, MANIFEST_NAME, Manifest, ManifestEntry, component_path,
+                      component_reads, inpainted_path, load_manifest, read_sample, sample_dirs,
+                      sample_id, save_manifest, write_sample)
 from .errors import (ConfigError, DataError, MaskPlacementError, NiftiError, NumericError,
                      ShapeError, VoxelPaintError)
 from .masks import MaskGenParams, MaskVolume, generate_mask_set, make_training_sample
@@ -136,6 +136,13 @@ def cmd_prepare(cfg: PrepareSection) -> int:
         scans.setdefault(path.name.split("-t1n.nii")[0], []).append(path)
     if not scans:
         raise FileNotFoundError(f"no *-t1n.nii[.gz] scans under {input_dir}")
+    # prepare owns the samples that the manifest already in out_dir lists, and no other path
+    old = load_manifest(out_dir).samples if (out_dir / MANIFEST_NAME).exists() else []
+    for entry in old:
+        if any(name in ("", ".", "..") or Path(name).name != name
+               for name in (entry.directory, entry.sample_id)):
+            raise DataError(f"manifest in {out_dir} lists sample {entry.sample_id!r} in directory "
+                            f"{entry.directory!r}; each must be a plain name")
 
     manifest = Manifest(seed=cfg.seed, samples=[])
     for case_id, paths in scans.items():
@@ -169,6 +176,14 @@ def cmd_prepare(cfg: PrepareSection) -> int:
             manifest.samples.append(ManifestEntry(case_id=case_id, variant=variant,
                                                   sample_id=sid, directory=sid,
                                                   seed=case_seed))
+    written = {entry.directory for entry in manifest.samples}
+    for entry in old:
+        if entry.directory not in written:
+            sample_dir = out_dir / entry.directory
+            for component in COMPONENTS:
+                component_path(sample_dir, entry.sample_id, component).unlink(missing_ok=True)
+            if sample_dir.is_dir() and not any(sample_dir.iterdir()):
+                sample_dir.rmdir()
     save_manifest(manifest, out_dir)
     print(f"prepared {len(manifest.samples)} samples "
           f"({len(manifest.skipped)} case(s) skipped) -> {out_dir}")
@@ -205,11 +220,7 @@ def cmd_train(cfg: TrainSection) -> int:
 def cmd_infer(cfg: InferSection) -> int:
     dataset_dir = _require_dir(cfg.dataset_dir, "dataset")
     out_dir = Path(cfg.out_dir)
-    models = []
-    for p in cfg.checkpoints:
-        if not Path(p).exists():
-            raise FileNotFoundError(f"checkpoint {p} does not exist")
-        models.append(load_checkpoint(p)[0])
+    models = [load_checkpoint(p)[0] for p in cfg.checkpoints]
 
     dirs = sample_dirs(dataset_dir)
     for d in dirs:

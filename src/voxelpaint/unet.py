@@ -5,7 +5,8 @@ Three encoder levels, a bridge, three decoder levels. Every conv is
 activate with PReLU, the bridge with ReLU. Downsampling is 2x2x2 max
 pooling, upsampling nearest-neighbor doubling with skip concatenation.
 Dropout sits at the end of the bridge and of each decoder block. The
-head is a single linear 1x1x1 conv.
+head is a single linear 1x1x1 conv, the only conv with a bias: the norm
+after each other conv subtracts every channel's mean, cancelling a bias.
 """
 
 from __future__ import annotations
@@ -26,15 +27,11 @@ class UNetConfig:
     """The architecture a checkpoint stores; an out-of-range field raises ConfigError."""
 
     base_channels: int = 32
-    in_channels: int = 2
-    out_channels: int = 1
     dropout_rate: float = 0.2
 
     def __post_init__(self):
         if self.base_channels < 1:
             raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ConfigError("in_channels and out_channels must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
@@ -82,7 +79,7 @@ class UNet:
 
         def conv_block(x, prefix, act):
             for j in (1, 2):
-                x = ad.conv3d(x, p[f"{prefix}.conv{j}.weight"], p[f"{prefix}.conv{j}.bias"], padding=1)
+                x = ad.conv3d(x, p[f"{prefix}.conv{j}.weight"], padding=1)
                 x = ad.instance_norm(x, p[f"{prefix}.norm{j}.gamma"], p[f"{prefix}.norm{j}.beta"])
                 if act == "prelu":
                     x = ad.prelu(x, p[f"{prefix}.act{j}.alpha"])
@@ -114,8 +111,8 @@ def build_unet(config: UNetConfig, rng: np.random.Generator,
     """Create a U-Net with fan-in-scaled normal conv weights.
 
     Conv weights draw from N(0, sqrt(2 / fan_in)) with fan_in the number
-    of inputs feeding one output voxel; biases and norm shifts start at
-    zero, norm scales at one, PReLU alphas at 0.25.
+    of inputs feeding one output voxel; the head's bias and norm shifts
+    start at zero, norm scales at one, PReLU alphas at 0.25.
     """
     params: dict[str, Tensor] = {}
 
@@ -126,7 +123,6 @@ def build_unet(config: UNetConfig, rng: np.random.Generator,
         fan_in = cin * k ** 3
         std = np.sqrt(2.0 / fan_in)
         add(f"{prefix}.weight", rng.normal(0.0, std, size=(cout, cin, k, k, k)))
-        add(f"{prefix}.bias", np.zeros(cout))
 
     def add_norm(prefix, c):
         add(f"{prefix}.gamma", np.ones(c))
@@ -140,7 +136,7 @@ def build_unet(config: UNetConfig, rng: np.random.Generator,
                 add(f"{prefix}.act{j}.alpha", np.full(1, 0.25))
 
     enc = [config.base_channels * 2 ** i for i in range(ENCODER_LEVELS)]
-    prev = config.in_channels
+    prev = 2  # the voided scan and the mask
     for i, c in enumerate(enc):
         add_block(f"enc{i}", prev, c, "prelu")
         prev = c
@@ -149,6 +145,7 @@ def build_unet(config: UNetConfig, rng: np.random.Generator,
     for i in reversed(range(ENCODER_LEVELS)):
         add_block(f"dec{i}", prev + enc[i], enc[i], "prelu")
         prev = enc[i]
-    add_conv("final", prev, config.out_channels, 1)
+    add_conv("final", prev, 1, 1)
+    add("final.bias", np.zeros(1))
 
     return UNet(config, params)

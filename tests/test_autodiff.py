@@ -498,6 +498,29 @@ def test_instance_norm_keeps_precision_on_an_offset_slice():
         assert err <= 1e-5, f"relative error {err:.2e}"
 
 
+def test_instance_norm_cancels_a_conv_bias():
+    # why the U-Net's norm-fed convs carry no bias: the norm subtracts each
+    # channel's mean, and with it any per-channel constant the conv adds
+    rng = np.random.default_rng(29)
+    x0 = rng.standard_normal((1, 2, 6, 6, 6))
+    w0 = rng.standard_normal((3, 2, 3, 3, 3))
+    gamma = Tensor(rng.uniform(0.5, 1.5, 3))
+    beta = Tensor(rng.standard_normal(3))
+    g = Tensor(rng.standard_normal((1, 3, 6, 6, 6)))
+
+    def run(bias):
+        x, w = Tensor(x0.copy(), requires_grad=True), Tensor(w0.copy(), requires_grad=True)
+        out = instance_norm(conv3d(x, w, bias, padding=1), gamma, beta)
+        (out * g).sum().backward()
+        return out.data, x.grad, w.grad
+
+    bias = Tensor(rng.normal(0.0, 5.0, 3), requires_grad=True)
+    for got, want in zip(run(bias), run(None)):
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(bias.grad)) <= 1e-12
+
+
 def test_relu_and_prelu_values():
     x = Tensor(np.array([-2.0, -0.5, 0.0, 0.5, 2.0]).reshape(1, 1, 1, 1, 5))
     assert np.allclose(relu(x).data.ravel(), [0.0, 0.0, 0.0, 0.5, 2.0])

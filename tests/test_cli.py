@@ -13,8 +13,8 @@ import pytest
 from conftest import build_case, make_input_dir, write_config
 from voxelpaint import cli
 from voxelpaint.checkpoint import save_checkpoint
-from voxelpaint.dataset import (Manifest, ManifestEntry, load_manifest, read_sample, sample_id,
-                                save_manifest, write_sample)
+from voxelpaint.dataset import (Manifest, ManifestEntry, load_manifest, read_sample, sample_dirs,
+                                sample_id, save_manifest, write_sample)
 from voxelpaint.masks import make_training_sample
 from voxelpaint.nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
 from voxelpaint.trainer import TrainConfig, prepare_sample
@@ -202,7 +202,7 @@ def test_every_record_refuses_the_same_bad_values(tmp_path, capsys, record, key,
     config = {"seed": 1, command: sections[command]}
     entry = {"case_id": "a", "variant": 0, "sample_id": "a-m0", "directory": "a-m0", "seed": 0}
     manifest = {"seed": 0, "samples": [entry], "skipped": []}
-    unet = {"base_channels": 1, "in_channels": 2, "out_channels": 1, "dropout_rate": 0.2}
+    unet = {"base_channels": 1, "dropout_rate": 0.2}
     obj = {"top_level": config, "manifest": manifest, "manifest_entry": entry,
            "checkpoint_config": unet}.get(record) or sections[record]
     if value is KeyError:
@@ -415,6 +415,55 @@ def test_prepare_variants_below_one_exits_3(tmp_path, capsys, variants):
     assert not (out_dir / "manifest.json").exists()
 
 
+def _prepare_into(out_dir, input_dir, variants):
+    config = write_config(out_dir.parent / f"prepare-{variants}.json", {
+        "prepare": {"input_dir": str(input_dir), "out_dir": str(out_dir),
+                    "margin": 1, "variants": variants, "max_attempts": 400}})
+    return cli.main(["prepare", "--config", config])
+
+
+def test_prepare_again_leaves_only_its_manifest_samples(tmp_path):
+    # infer and evaluate take every sample directory, so one the new
+    # manifest does not list must not survive a rerun
+    input_dir = make_input_dir(tmp_path, n_cases=2, seed=475)
+    out_dir = tmp_path / "out"
+    assert _prepare_into(out_dir, input_dir, 2) == 0
+    assert _prepare_into(out_dir, input_dir, 1) == 0
+    listed = sorted(e.directory for e in load_manifest(out_dir).samples)
+    assert listed == ["case00-m0", "case01-m0"]
+    assert [d.name for d in sample_dirs(out_dir)] == listed
+
+
+def test_prepare_again_keeps_what_no_manifest_lists(tmp_path):
+    input_dir = make_input_dir(tmp_path, n_cases=2, seed=476)
+    out_dir = tmp_path / "out"
+    assert _prepare_into(out_dir, input_dir, 2) == 0
+    (out_dir / "case00-m1" / "notes.txt").write_text("mine")
+    (out_dir / "case01-m1" / "case01-m1-t1n-inpainted.nii.gz").write_bytes(b"mine")
+    assert _prepare_into(out_dir, input_dir, 1) == 0
+    assert [p.name for p in (out_dir / "case00-m1").iterdir()] == ["notes.txt"]
+    assert [p.name for p in (out_dir / "case01-m1").iterdir()] == ["case01-m1-t1n-inpainted.nii.gz"]
+    assert (out_dir / "case00-m0" / "case00-m0-t1n.nii.gz").exists()
+
+
+@pytest.mark.parametrize("directory", ["../x", "..", ".", "", "a/b"])
+def test_prepare_refuses_an_old_manifest_entry_that_is_not_a_plain_name(tmp_path, capsys,
+                                                                         directory):
+    input_dir = make_input_dir(tmp_path, n_cases=1, seed=477)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (tmp_path / "x").mkdir()
+    (tmp_path / "x" / "a-m0-t1n.nii.gz").write_bytes(b"not prepare's")
+    entry = ManifestEntry(case_id="a", variant=0, sample_id="a-m0", directory=directory, seed=0)
+    save_manifest(Manifest(seed=0, samples=[entry]), out_dir)
+    before = (out_dir / "manifest.json").read_bytes()
+    assert _prepare_into(out_dir, input_dir, 1) == 3
+    assert "plain name" in capsys.readouterr().err
+    assert (out_dir / "manifest.json").read_bytes() == before
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json", "resolved_config.json"]
+    assert (tmp_path / "x" / "a-m0-t1n.nii.gz").read_bytes() == b"not prepare's"
+
+
 def test_prepare_without_scans_exits_2(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -616,12 +665,13 @@ def test_infer_accepts_single_checkpoint_string(cli_workspace, tmp_path):
     assert len(list(out_dir.glob("*-t1n-inpainted.nii.gz"))) == 4
 
 
-def test_infer_missing_checkpoint_exits_2(cli_workspace, tmp_path):
+def test_infer_missing_checkpoint_exits_2(cli_workspace, tmp_path, capsys):
     config = write_config(tmp_path / "c.json", {
         "infer": {"dataset_dir": str(cli_workspace["dataset_dir"]),
                   "checkpoints": [str(tmp_path / "nope.ckpt")],
                   "out_dir": str(tmp_path / "pred")}})
     assert cli.main(["infer", "--config", config]) == 2
+    assert str(tmp_path / "nope.ckpt") in capsys.readouterr().err
 
 
 def test_infer_empty_checkpoint_list_exits_3(cli_workspace, tmp_path):
@@ -938,7 +988,9 @@ def _digest(paths):
 def test_whole_loop_outputs_are_pinned(tmp_path):
     # digests computed before evaluation moved into the SSIM box, volumes
     # kept disk order and normalization moved after the crop: those changes
-    # must not move a byte. The prepared dataset involves no BLAS call; the
+    # must not move a byte. The trained digests were re-pinned when the
+    # norm-fed convs lost their biases, a change of float32 rounding only
+    # (checkpoint version 2). The prepared dataset involves no BLAS call; the
     # trained outputs do (numpy 2.4, OpenBLAS on x86-64), so a different
     # GEMM kernel can change the second digest without a defect here.
     input_dir = _non_cubic_inputs(tmp_path)
@@ -960,7 +1012,7 @@ def test_whole_loop_outputs_are_pinned(tmp_path):
     assert _digest(dataset.glob("*/*.nii.gz")) == (
         "3ff5f24cdf58660102617d7445bb5f796fa376043c525e117b4609688c62e925")
     assert _digest([*pred.glob("*.nii.gz"), ev / "cases.csv", ev / "summary.json"]) == (
-        "0eb54595bb1e1e494a885d29d479feaa870c6e0a99d6a428fddf66d41088502c")
+        "74d98e80d902ba72ee92a3492c66db51053716be547746a6bad69fdb60593ea4")
     # the checkpoints too, metadata block included
     assert _digest(run.glob("fold*-best.vxpt")) == (
-        "7711d67a024ff6ac447b62c771d4db77be96a29583b721bca61da0ac0cb456ff")
+        "628afddeedce2244eba4d4fcaf6d3dbc6d09b51c5bafccb03a9c3f979ba87930")

@@ -13,6 +13,7 @@ import numpy as np
 
 from conftest import build_case, make_input_dir, write_config
 from voxelpaint import autodiff, cli, masks, optim, unet, util
+from voxelpaint.checkpoint import load_checkpoint
 from voxelpaint.dataset import load_manifest
 from voxelpaint.masks import MaskGenParams
 
@@ -133,3 +134,18 @@ def test_tracer_counts_every_scan_the_commands_read(monkeypatch, tmp_path):
     assert samples == 2
     # train reads t1n and t1n-voided, infer t1n-voided, evaluate t1n and the prediction
     assert tracer.summary()["nifti.read.calls"] == samples * (2 + 1 + 2)
+
+
+def test_benchmark_ensemble_checkpoints_load(monkeypatch, tmp_path):
+    # scan-pipeline's ensemble is written by perfbench's generator; a change to
+    # the checkpoint format that it no longer matches shows here first
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    gen = importlib.import_module("gen")
+    paths = gen.write_checkpoints(tmp_path, 1, 2, base_channels=8)
+    assert len(paths) == 2
+    for path in paths:
+        model, meta = load_checkpoint(path)
+        names = [n for n, _ in model.parameters()]
+        assert len(names) == 56, path
+        assert not [n for n in names if n.endswith(".bias") and n != "final.bias"], path
+        assert meta["config"] == {"base_channels": 8, "dropout_rate": 0.2}

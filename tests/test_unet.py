@@ -34,10 +34,11 @@ def param_table(b):
 
     Two-conv blocks (conv3 -> instance norm -> activation, twice) along
     encoder channels [b, 2b, 4b], an 8b bridge with plain ReLU, decoder
-    blocks fed by skip concatenation, and a final 1x1x1 projection.
+    blocks fed by skip concatenation, and a final 1x1x1 projection. The
+    norm after each 3x3x3 conv cancels a bias, so only the projection has one.
     """
     def conv(cin, cout, k=3):
-        return k ** 3 * cin * cout + cout
+        return k ** 3 * cin * cout
 
     def norm(c):
         return 2 * c
@@ -56,12 +57,12 @@ def param_table(b):
         out = skip
         total += conv(prev + skip, out) + norm(out) + 1
         total += conv(out, out) + norm(out) + 1
-    # Final projection to one channel.
-    total += conv(b, 1, k=1)
+    # Final projection to one channel, with its bias.
+    total += conv(b, 1, k=1) + 1
     return total
 
 
-@pytest.mark.parametrize("base,expected", [(8, 366_117), (32, 5_839_725)])
+@pytest.mark.parametrize("base,expected", [(8, 365_765), (32, 5_838_317)])
 def test_param_count_pinned_values(base, expected):
     assert param_total(make_model(base)) == expected
     assert param_table(base) == expected
@@ -75,10 +76,12 @@ def test_param_count_matches_table_for_other_widths():
 def test_parameter_names_cover_all_blocks():
     model = make_model(4)
     names = [n for n, _ in model.parameters()]
-    assert len(names) == len(set(names))
+    assert len(names) == len(set(names)) == 56
     for prefix in ["enc0", "enc1", "enc2", "bridge", "dec2", "dec1", "dec0"]:
         assert f"{prefix}.conv1.weight" in names
         assert f"{prefix}.norm2.beta" in names
+        # the instance norm after each of these convs cancels a bias
+        assert f"{prefix}.conv1.bias" not in names and f"{prefix}.conv2.bias" not in names
     assert "final.weight" in names and "final.bias" in names
     # Bridge uses plain ReLU: no learned activation slope there.
     assert not any(n.startswith("bridge.act") for n in names)
@@ -92,7 +95,7 @@ def test_config_validation():
         UNetConfig(dropout_rate=1.0)
     # read from a checkpoint, an int field takes no fraction and no bool, a
     # float field no bool; a whole float or a numeric string converts
-    for bad in ({"base_channels": 2.5}, {"in_channels": True}, {"dropout_rate": False}):
+    for bad in ({"base_channels": 2.5}, {"base_channels": True}, {"dropout_rate": False}):
         with pytest.raises(ValueError, match=repr(next(iter(bad)))):
             build_record(UNetConfig, bad)
     assert build_record(UNetConfig, {"base_channels": 2.0}).base_channels == 2
@@ -347,17 +350,24 @@ def test_checkpoint_missing_parameter_is_mismatch(tmp_path):
     assert _code(exc) == "mismatch"
 
 
+def _record(name, data):
+    data = np.asarray(data, dtype="<f4")
+    name_b = name.encode("utf-8")
+    return (struct.pack("<H", len(name_b)) + name_b + struct.pack("<B", data.ndim)
+            + struct.pack(f"<{data.ndim}I", *data.shape) + data.tobytes())
+
+
 def test_checkpoint_unknown_parameter_is_mismatch(tmp_path):
     path = _saved(tmp_path)
     version, meta, records = _split_container(path.read_bytes())
-    bogus_name = b"nonexistent.weight"
-    bogus = (struct.pack("<H", len(bogus_name)) + bogus_name
-             + struct.pack("<B", 1) + struct.pack("<I", 2)
-             + np.zeros(2, dtype="<f4").tobytes())
-    path.write_bytes(_pack_container(version, meta, records + bogus))
-    with pytest.raises(CheckpointError) as exc:
-        load_checkpoint(path)
-    assert _code(exc) == "mismatch"
+    assert version == 2
+    # a version 2 file may not hold a bias that the loader drops from version 1 files
+    for name in ("nonexistent.weight", "enc0.conv1.bias"):
+        path.write_bytes(_pack_container(version, meta, records + _record(name, np.zeros(2))))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert _code(exc) == "mismatch"
+        assert name in str(exc.value)
 
 
 def test_checkpoint_repeated_parameter_is_mismatch(tmp_path):
@@ -386,6 +396,49 @@ def test_checkpoint_non_utf8_parameter_name_is_mismatch(tmp_path):
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
     assert _code(exc) == "mismatch"
+
+
+def _v1_container(model, rng, in_channels=2):
+    """``model`` as version 1 wrote it: the config also holds the channel
+    counts, and each norm-fed conv has a bias record, here random, after its weight."""
+    config = {"base_channels": model.config.base_channels, "in_channels": in_channels,
+              "out_channels": 1, "dropout_rate": model.config.dropout_rate}
+    records = []
+    for name, t in model.parameters():
+        records.append(_record(name, t.data))
+        if name.endswith(".weight") and name != "final.weight":
+            records.append(_record(name[:-len("weight")] + "bias", rng.normal(0, 5, t.data.shape[0])))
+    meta = {"epoch": 0, "fold": 0, "val_loss": 1.0, "seed": 0, "config": config}
+    return _pack_container(1, meta, b"".join(records))
+
+
+def test_checkpoint_version_1_loads_without_norm_cancelled_biases(tmp_path):
+    rng = np.random.default_rng(21)
+    model = make_model(2, seed=11)
+    for _, t in model.parameters():  # distinct values, so a record read into the wrong place shows
+        t.data = rng.normal(size=t.data.shape).astype(np.float32)
+    path = tmp_path / "v1.vxpt"
+    path.write_bytes(_v1_container(model, rng))
+    assert len(_walk_records(_split_container(path.read_bytes())[2])) == 70
+    loaded, _ = load_checkpoint(path)
+    assert loaded.config == model.config
+    assert [n for n, _ in loaded.parameters()] == [n for n, _ in model.parameters()]
+    for (name, want), (_, got) in zip(model.parameters(), loaded.parameters()):
+        assert got.data.dtype == np.float32 and got.data.tobytes() == want.data.tobytes(), name
+
+
+def test_checkpoint_version_1_with_three_input_channels_is_mismatch(tmp_path):
+    # records consistent with a 3-channel input: the shapes alone refuse it
+    rng = np.random.default_rng(22)
+    model = make_model(2, seed=11)
+    weight = model.params["enc0.conv1.weight"]
+    weight.data = rng.normal(size=(weight.data.shape[0], 3, 3, 3, 3)).astype(np.float32)
+    path = tmp_path / "v1.vxpt"
+    path.write_bytes(_v1_container(model, rng, in_channels=3))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert _code(exc) == "mismatch"
+    assert "enc0.conv1.weight" in str(exc.value)
 
 
 def test_loaded_model_reproduces_outputs(tmp_path):
