@@ -65,6 +65,7 @@ def load_checkpoint(path) -> tuple[UNet, dict]:
     Raises CheckpointError with code bad_magic, version, truncated, or
     mismatch (unknown, missing or repeated parameter name, or wrong record shape).
     A version 1 file loads without its channel counts and norm-cancelled conv biases.
+    The returned metadata's ``config`` is the loaded model's, for either version.
     """
     raw = Path(path).read_bytes()
     r = _Reader(raw)
@@ -107,4 +108,4 @@ def load_checkpoint(path) -> tuple[UNet, dict]:
             raise CheckpointError("mismatch", f"parameter {name!r} has shape {records[name].shape}, "
                                   f"model expects {t.data.shape}")
         t.data = records[name].astype(np.float32)
-    return model, meta
+    return model, dict(meta, config=asdict(config))

@@ -138,11 +138,6 @@ def cmd_prepare(cfg: PrepareSection) -> int:
         raise FileNotFoundError(f"no *-t1n.nii[.gz] scans under {input_dir}")
     # prepare owns the samples that the manifest already in out_dir lists, and no other path
     old = load_manifest(out_dir).samples if (out_dir / MANIFEST_NAME).exists() else []
-    for entry in old:
-        if any(name in ("", ".", "..") or Path(name).name != name
-               for name in (entry.directory, entry.sample_id)):
-            raise DataError(f"manifest in {out_dir} lists sample {entry.sample_id!r} in directory "
-                            f"{entry.directory!r}; each must be a plain name")
 
     manifest = Manifest(seed=cfg.seed, samples=[])
     for case_id, paths in scans.items():

@@ -99,11 +99,21 @@ def read_sample(sample_dir, sid: str, case_id: str) -> TrainingSample:
 
 @dataclass
 class ManifestEntry:
+    """One prepared sample. Its ``directory`` and ``sample_id`` must be plain
+    names, so that no entry reaches outside the dataset; either one empty,
+    ``.``, ``..`` or holding a path separator raises ValueError."""
+
     case_id: str
     variant: int
     sample_id: str
     directory: str
     seed: int
+
+    def __post_init__(self):
+        for name in (self.directory, self.sample_id):
+            if name in ("", ".", "..") or Path(name).name != name:
+                raise ValueError(f"sample {self.sample_id!r} in directory {self.directory!r}: "
+                                 "each must be a plain name")
 
 
 @dataclass

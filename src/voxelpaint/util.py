@@ -1,6 +1,7 @@
 """Seed derivation for reproducible per-scope RNG streams, atomic writes,
-the one builder of records read from JSON, and the thread pool that runs
-independent calls side by side.
+the one builder of records read from JSON, the thread pool that runs
+independent calls side by side, and the count of workers that the pool
+may keep busy beside BLAS's own threads.
 
 Python's builtin hash() is salted per process, so seeds are derived from
 sha256 instead; the same parts always map to the same stream.
@@ -9,6 +10,8 @@ sha256 instead; the same parts always map to the same stream.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import hashlib
 import math
 import os
@@ -101,6 +104,34 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+# thread-count getters of scipy-openblas (64- and 32-bit integers) and plain OpenBLAS
+_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                        "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS that numpy's wheel bundles (``numpy.libs``), or
+    None if none answers; opening the library numpy loaded reuses its handle."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        with contextlib.suppress(OSError):
+            lib = ctypes.CDLL(str(path))
+            for name in _BLAS_THREAD_GETTERS:
+                if hasattr(lib, name):
+                    getter = getattr(lib, name)
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    return getter()
+    return None
+
+
+@functools.cache
+def free_workers() -> int:
+    """Calls the pool may run side by side beside BLAS's own threads, read once
+    per process: ``usable CPUs // BLAS threads``, at least 1, and 1 when the
+    BLAS thread count cannot be read (BLAS is then taken to use every core)."""
+    threads = _blas_threads()
+    return max(1, _usable_cpus() // threads) if threads else 1
+
+
 def _mark_worker() -> None:
     _in_worker.active = True
 
@@ -109,10 +140,11 @@ def concurrently(*calls) -> list:
     """``[call() for call in calls]``, the calls run side by side on the process's pool.
 
     The pool has one thread per CPU the process may use; threads pay off
-    because zlib releases the interpreter lock. It is built on first use and
-    kept for the process, since building one per call cost more than it
-    saved on small scans. No more calls run at once than were passed, so
-    the caller bounds the memory in flight: at most five files, a sample's.
+    because zlib and BLAS release the interpreter lock. It is built on first
+    use and kept for the process, since building one per call cost more than
+    it saved on small scans. No more calls run at once than were passed, so
+    the caller bounds the memory in flight: at most five files, a sample's,
+    or one part of a conv walk per ``free_workers``.
     Every call finishes before this returns. Results come back in call
     order, and if calls raise, the exception of the first failing call in
     that order is raised. A call made from inside a pool thread runs its

@@ -12,6 +12,7 @@ import struct
 import numpy as np
 import pytest
 
+from voxelpaint import util
 from voxelpaint.autodiff import Tensor
 from voxelpaint.losses import ssim3d
 from voxelpaint.metrics import CaseMetrics
@@ -19,6 +20,7 @@ from voxelpaint.masks import (BoxMask, MaskGenParams, _shrink_to_fraction, apply
                               dilate, make_training_sample, sample_healthy_mask)
 from voxelpaint.nifti import write_nifti, write_nifti_mask
 from voxelpaint.trainer import prepare_sample
+from voxelpaint.util import concurrently
 from voxelpaint.volume import MaskVolume, Volume, bounding_box
 
 
@@ -429,6 +431,20 @@ def make_input_dir(root, n_cases=2, n=16, seed=400):
 def write_config(path, payload):
     path.write_text(json.dumps(payload, indent=2))
     return str(path)
+
+
+def split_walks(monkeypatch, workers):
+    """Give the tap-conv walk ``workers`` workers; the returned list gets the
+    part count of every walk that splits."""
+    monkeypatch.setattr(util, "free_workers", lambda: workers)
+    parts = []
+
+    def spy(*calls):
+        parts.append(len(calls))
+        return concurrently(*calls)
+
+    monkeypatch.setattr(util, "concurrently", spy)
+    return parts
 
 
 # ---------------------------------------------------------------------------

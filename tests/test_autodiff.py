@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (away_from_zero, conv3d_oracle, conv3d_vjp_oracle, gradcheck, leaf,
-                      maxpool3d_reference, prelu_reference, separated_pool_input)
+                      maxpool3d_reference, prelu_reference, separated_pool_input, split_walks)
 from voxelpaint import autodiff
 from voxelpaint.autodiff import (
     Tensor,
@@ -419,6 +419,45 @@ def test_conv3d_default_blocks_are_deterministic():
 
     for first, second in zip(run(), run()):
         assert np.array_equal(first, second)
+
+
+def test_tap_conv_bytes_do_not_depend_on_the_worker_count(monkeypatch):
+    # 16 blocks of 13 columns, the last one 11, split in 2 and in 3; the
+    # last part holds the short block
+    rng = np.random.default_rng(64)
+    _short_blocks(monkeypatch, 2, 2, 3, np.float32, (6, 7, 8), (3, 3, 3))
+    x0 = rng.uniform(-1, 1, (2, 2, 4, 5, 6)).astype(np.float32)
+    w0 = rng.uniform(-1, 1, (3, 2, 3, 3, 3)).astype(np.float32)
+    g = Tensor(rng.uniform(-1, 1, (2, 3, 4, 5, 6)).astype(np.float32))
+    # blur3d's D pass on these [2,1] slices: 8 blocks of 30 columns
+    b0 = rng.uniform(-1, 1, (2, 1, 7, 6, 8)).astype(np.float32)
+    gb = Tensor(rng.uniform(-1, 1, (2, 1, 5, 4, 6)).astype(np.float32))
+    taps = np.array([0.2, 0.5, 0.3])
+
+    def run(workers):
+        parts = split_walks(monkeypatch, workers)
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x0, w0, b0))
+        out, blurred = conv3d(x, w, padding=1), blur3d(b, taps)
+        ((out * g).sum() + (blurred * gb).sum()).backward()
+        return [a.tobytes() for a in (out.data, x.grad, w.grad, blurred.data, b.grad)], set(parts)
+
+    (one, none), (two, halves), (three, thirds) = run(1), run(2), run(3)
+    # blur3d's shorter H and W passes split in 2 at most
+    assert none == set() and halves == {2} and thirds == {2, 3}
+    assert one == two == three
+
+
+def test_tap_conv_runs_three_blocks_as_one_part(monkeypatch):
+    # span 28 in 3 blocks of 10: split in two, one part would hold fewer than PART_BLOCKS
+    rng = np.random.default_rng(65)
+    monkeypatch.setattr(autodiff, "BLOCK", 10 * 1 * (1 + 1) * 4)
+    span = autodiff._taps((1, 1, 30), (1, 1, 3))[1]
+    assert -(-span // autodiff._block_columns(span, 1, 1, 1, 4)) == 3 < 2 * autodiff.PART_BLOCKS
+    parts = split_walks(monkeypatch, 2)
+    x = rng.uniform(-1, 1, (1, 1, 1, 1, 30)).astype(np.float32)
+    out = autodiff._tap_conv(x, np.array([1.0, 2.0, 3.0], dtype=np.float32).reshape(1, 1, 1, 1, 3))
+    assert parts == []
+    assert np.allclose(out[0, 0, 0, 0], x[0, 0, 0, 0, :-2] + 2 * x[0, 0, 0, 0, 1:-1] + 3 * x[0, 0, 0, 0, 2:])
 
 
 def test_conv3d_validation():

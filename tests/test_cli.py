@@ -454,8 +454,9 @@ def test_prepare_refuses_an_old_manifest_entry_that_is_not_a_plain_name(tmp_path
     out_dir.mkdir()
     (tmp_path / "x").mkdir()
     (tmp_path / "x" / "a-m0-t1n.nii.gz").write_bytes(b"not prepare's")
-    entry = ManifestEntry(case_id="a", variant=0, sample_id="a-m0", directory=directory, seed=0)
-    save_manifest(Manifest(seed=0, samples=[entry]), out_dir)
+    # written by hand: ManifestEntry itself refuses such a directory
+    entry = {"case_id": "a", "variant": 0, "sample_id": "a-m0", "directory": directory, "seed": 0}
+    (out_dir / "manifest.json").write_text(json.dumps({"seed": 0, "samples": [entry], "skipped": []}))
     before = (out_dir / "manifest.json").read_bytes()
     assert _prepare_into(out_dir, input_dir, 1) == 3
     assert "plain name" in capsys.readouterr().err
@@ -629,6 +630,26 @@ def test_train_malformed_manifest_exits_3(tmp_path, capsys, manifest):
         "train": {"dataset_dir": str(dataset_dir), "out_dir": str(tmp_path / "out")}})
     assert cli.main(["train", "--config", config]) == 3
     assert str(dataset_dir / "manifest.json") in capsys.readouterr().err
+
+
+def test_train_refuses_a_manifest_entry_outside_the_dataset(cli_workspace, tmp_path, capsys):
+    # every sample is complete, only moved beside the dataset: read through
+    # ../outside it would train
+    dataset_dir, outside = tmp_path / "dataset", tmp_path / "outside"
+    shutil.copytree(cli_workspace["dataset_dir"], dataset_dir)
+    outside.mkdir()
+    manifest = json.loads((dataset_dir / "manifest.json").read_text())
+    for entry in manifest["samples"]:
+        (dataset_dir / entry["directory"]).rename(outside / entry["directory"])
+        entry["directory"] = f"../outside/{entry['directory']}"
+    (dataset_dir / "manifest.json").write_text(json.dumps(manifest))
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", {
+        "train": {"dataset_dir": str(dataset_dir), "out_dir": str(out_dir), "epochs": 1,
+                  "folds": 2, "crop_dims": [16, 16, 16], "base_channels": 2}})
+    assert cli.main(["train", "--config", config]) == 3
+    assert "plain name" in capsys.readouterr().err
+    assert not list(out_dir.glob("*.vxpt"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,19 @@
-"""util.concurrently: call order, the first failure, nested calls."""
+"""util.concurrently: call order, the first failure, nested calls; and
+util.free_workers, the side-by-side calls that leave BLAS its cores."""
 
+import os
+import subprocess
 import sys
 import threading
 import time
 from functools import partial
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import build_case
+from voxelpaint import util
 from voxelpaint.dataset import component_path, read_sample, sample_id, write_sample
 from voxelpaint.errors import NiftiError
 from voxelpaint.masks import make_training_sample
@@ -72,3 +78,21 @@ def test_nested_call_returns():
 
     got = _in_thread(lambda: concurrently(*(partial(outer, i) for i in range(16))))
     assert got == [6 * i for i in range(16)]
+
+
+@pytest.mark.parametrize("blas,cpus,workers", [(1, 2, 2), (2, 2, 1), (None, 2, 1), (1, 1, 1)],
+                         ids=["pinned_blas", "blas_on_every_core", "unknown_blas", "one_cpu"])
+def test_free_workers_are_the_cpus_blas_leaves(monkeypatch, blas, cpus, workers):
+    monkeypatch.setattr(util, "_blas_threads", lambda: blas)
+    monkeypatch.setattr(util, "_usable_cpus", lambda: cpus)
+    assert util.free_workers.__wrapped__() == workers
+
+
+@pytest.mark.skipif(not list((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")),
+                    reason="numpy bundles no OpenBLAS here")
+def test_blas_threads_reads_the_bundled_openblas():
+    code = "from voxelpaint.util import _blas_threads; print(_blas_threads())"
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "1"

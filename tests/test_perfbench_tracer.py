@@ -7,13 +7,16 @@ name, and ``perfbench/workloads.py`` imports names from it; a rename in
 
 import importlib
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from conftest import build_case, make_input_dir, write_config
+from conftest import build_case, make_input_dir, split_walks, write_config
 from voxelpaint import autodiff, cli, masks, optim, unet, util
 from voxelpaint.checkpoint import load_checkpoint
+from voxelpaint.losses import composite_loss
 from voxelpaint.dataset import load_manifest
 from voxelpaint.masks import MaskGenParams
 
@@ -74,6 +77,49 @@ def test_tracer_times_backward_closures_without_changing_gradients(monkeypatch):
     names = {span[0] for span in tracer.spans}
     assert {"autodiff.elementwise.bwd", "autodiff.conv3d.bwd"} <= names, sorted(names)
     assert traced.tobytes() == untraced.tobytes()
+
+
+def test_split_tap_conv_walks_open_no_span_off_the_main_thread(monkeypatch):
+    # the span stack is shared by all threads, so a traced call on a pool
+    # thread would nest its span at random; the split walk must make none
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    monkeypatch.setattr(autodiff, "BLOCK", 4096)   # a 2-to-2-channel walk at 16^3: 20 blocks
+    rng = np.random.default_rng(4)
+    x0 = rng.standard_normal((1, 2, 16, 16, 16)).astype(np.float32)
+    w0 = rng.standard_normal((2, 2, 3, 3, 3)).astype(np.float32)
+    voided = autodiff.Tensor(rng.uniform(-1, 1, (1, 1, 16, 16, 16)).astype(np.float32))
+    mask = autodiff.Tensor((rng.random(voided.shape) < 0.2).astype(np.float32))
+    gt = rng.uniform(-1, 1, voided.shape).astype(np.float32)
+
+    def traced_run(workers):
+        parts = split_walks(monkeypatch, workers)
+        tracer, threads = spans.Tracer(), set()
+        opened = tracer._open
+
+        def recording_open(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return opened(*args, **kwargs)
+
+        tracer._open = recording_open
+        tracer.install()
+        try:
+            with tracer.span("test"):
+                x = autodiff.Tensor(x0.copy(), requires_grad=True)
+                w = autodiff.Tensor(w0.copy(), requires_grad=True)
+                (autodiff.conv3d(x, w, padding=1) * 0.5).sum().backward()
+                model = unet.build_unet(unet.UNetConfig(base_channels=2), np.random.default_rng(5))
+                pred = model.forward(voided, mask, training=True, rng=np.random.default_rng(6))
+                composite_loss(pred, gt, gt > 0, 1.0, 1.0).backward()
+        finally:
+            tracer.remove()
+        return Counter(span[0] for span in tracer.spans), threads, parts
+
+    one, one_threads, unsplit = traced_run(1)
+    two, two_threads, split = traced_run(2)
+    assert unsplit == [] and split and set(split) == {2}
+    assert one_threads == two_threads == {threading.get_ident()}
+    assert one == two and one["autodiff.conv3d"] == 16 and one["autodiff.conv3d.bwd"] == 16
 
 
 def test_tracer_sees_one_augment_per_placement(monkeypatch):

@@ -1,12 +1,15 @@
 """U-Net construction, forward pass, parameter accounting, checkpoints."""
 
+import hashlib
 import json
 import struct
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from conftest import split_walks
 from voxelpaint.autodiff import Tensor
 from voxelpaint.checkpoint import load_checkpoint, save_checkpoint
 from voxelpaint.errors import CheckpointError, ConfigError, ShapeError
@@ -173,6 +176,25 @@ def test_forward_propagates_gradients_to_every_parameter():
     assert missing == []
     model.zero_grad()
     assert all(t.grad is None for _, t in model.parameters())
+
+
+def test_train_step_bytes_do_not_depend_on_the_worker_count(monkeypatch):
+    # at 32^3 base 8 and the default BLOCK, the walks of 5 to 9 blocks split on 2 workers
+    voided, mask = _inputs(n=32, seed=9)
+    gt = np.random.default_rng(10).uniform(-1, 1, voided.shape).astype(np.float32)
+    region = np.random.default_rng(11).random(voided.shape) < 0.5
+
+    def digests(workers):
+        parts = split_walks(monkeypatch, workers)
+        model = make_model(8, seed=12)
+        pred = model.forward(voided, mask, training=True, rng=np.random.default_rng(13))
+        composite_loss(pred, gt, region, 1.0, 1.0).backward()
+        arrays = [pred.data] + [t.grad for _, t in model.parameters()]
+        return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays], len(parts)
+
+    (one, none), (two, split) = digests(1), digests(2)
+    assert none == 0 and split > 0
+    assert one == two
 
 
 def _graph_nodes(root):
@@ -420,8 +442,9 @@ def test_checkpoint_version_1_loads_without_norm_cancelled_biases(tmp_path):
     path = tmp_path / "v1.vxpt"
     path.write_bytes(_v1_container(model, rng))
     assert len(_walk_records(_split_container(path.read_bytes())[2])) == 70
-    loaded, _ = load_checkpoint(path)
+    loaded, meta = load_checkpoint(path)
     assert loaded.config == model.config
+    assert meta["config"] == asdict(model.config)
     assert [n for n, _ in loaded.parameters()] == [n for n, _ in model.parameters()]
     for (name, want), (_, got) in zip(model.parameters(), loaded.parameters()):
         assert got.data.dtype == np.float32 and got.data.tobytes() == want.data.tobytes(), name
