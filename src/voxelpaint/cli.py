@@ -166,8 +166,7 @@ def cmd_prepare(cfg: PrepareSection) -> int:
             continue
         for variant, healthy in enumerate(healthy_masks):
             sid = sample_id(case_id, variant)
-            sample = make_training_sample(case_id, t1n, tumor, healthy)
-            write_sample(out_dir / sid, sid, sample)
+            write_sample(out_dir / sid, sid, make_training_sample(case_id, t1n, tumor, healthy))
             manifest.samples.append(ManifestEntry(case_id=case_id, variant=variant,
                                                   sample_id=sid, directory=sid,
                                                   seed=case_seed))

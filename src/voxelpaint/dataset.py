@@ -9,6 +9,9 @@ A prepared sample lives in its own directory named by the sample id
     {sid}-mask-unhealthy.nii.gz  expert tumor mask
     {sid}-mask.nii.gz            combined mask
 
+``read_sample`` reads the first, third and fourth; the other two derive
+from them, and ``infer`` reads them as the challenge's layout gives them.
+
 Scans are stored as float32 and masks as uint8 (0/1), each gzipped at
 deflate level 1; the reader also accepts float32 masks, as written by
 earlier versions.
@@ -26,7 +29,7 @@ from functools import partial
 from pathlib import Path
 
 from .errors import DataError
-from .masks import TrainingSample
+from .masks import TrainingSample, make_training_sample, void_image
 from .nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
 from .util import atomic_open, build_record, concurrently
 
@@ -54,7 +57,7 @@ def write_sample(sample_dir, sid: str, sample: TrainingSample) -> None:
     Path(sample_dir).mkdir(parents=True, exist_ok=True)
     path = partial(component_path, sample_dir, sid)
     concurrently(lambda: write_nifti(sample.t1n, path("t1n")),
-                 lambda: write_nifti(sample.t1n_voided, path("t1n-voided")),
+                 lambda: write_nifti(void_image(sample.t1n, sample.combined), path("t1n-voided")),
                  lambda: write_nifti_mask(sample.healthy, path("mask-healthy")),
                  lambda: write_nifti_mask(sample.unhealthy, path("mask-unhealthy")),
                  lambda: write_nifti_mask(sample.combined, path("mask")))
@@ -83,18 +86,19 @@ def component_reads(sample_dir, sid: str, components) -> list:
 
 
 def read_sample(sample_dir, sid: str, case_id: str) -> TrainingSample:
-    """Read the five component files, side by side (``util.concurrently``).
+    """Read the scan and its two masks, side by side (``util.concurrently``),
+    into a sample by ``masks.make_training_sample``, as ``prepare`` builds it.
 
     A damaged file raises its NiftiError; when several are, the error of
     the first in COMPONENTS order is raised, as a one-by-one read would.
+    make_training_sample's DataError is raised naming the sample.
     """
-    t1n, voided, healthy, unhealthy, combined = concurrently(
-        *component_reads(sample_dir, sid, COMPONENTS))
-    for component, part in zip(COMPONENTS[1:], (voided, healthy, unhealthy, combined)):
-        if part.dims != t1n.dims:
-            raise DataError(f"sample {sid}: {component} dims {part.dims} differ from t1n dims {t1n.dims}")
-    return TrainingSample(case_id=case_id, t1n=t1n, t1n_voided=voided,
-                          healthy=healthy, unhealthy=unhealthy, combined=combined)
+    t1n, healthy, unhealthy = concurrently(
+        *component_reads(sample_dir, sid, ("t1n", "mask-healthy", "mask-unhealthy")))
+    try:
+        return make_training_sample(case_id, t1n, unhealthy, healthy)
+    except DataError as exc:
+        raise DataError(f"sample {sid}: {exc}") from None
 
 
 @dataclass

@@ -276,11 +276,10 @@ def void_image(image: Volume, combined: MaskVolume) -> Volume:
 
 @dataclass
 class TrainingSample:
-    """The five on-disk components of one (scan, mask-variant) pair."""
+    """One (scan, mask-variant) pair: what every file of a prepared sample derives from."""
 
     case_id: str
     t1n: Volume
-    t1n_voided: Volume
     healthy: MaskVolume
     unhealthy: MaskVolume
     combined: MaskVolume
@@ -288,16 +287,13 @@ class TrainingSample:
 
 def make_training_sample(case_id: str, t1n: Volume, tumor: MaskVolume,
                          healthy: MaskVolume) -> TrainingSample:
-    """Assemble the sample components from a scan, its tumor, and one mask."""
+    """Assemble a sample from a scan, its tumor, and one healthy mask; a mask
+    of other dims than the scan's, or masks that overlap, raise DataError."""
+    for component, mask in (("mask-healthy", healthy), ("mask-unhealthy", tumor)):
+        if mask.dims != t1n.dims:
+            raise DataError(f"{case_id}: {component} dims {mask.dims} differ from t1n dims {t1n.dims}")
     if (healthy.bits & tumor.bits).any():
         raise DataError(f"{case_id}: healthy and unhealthy masks overlap")
-    combined = MaskVolume(healthy.bits | tumor.bits, role="combined")
-    voided = void_image(t1n, combined)
-    return TrainingSample(
-        case_id=case_id,
-        t1n=t1n,
-        t1n_voided=voided,
-        healthy=MaskVolume(healthy.bits, role="healthy"),
-        unhealthy=MaskVolume(tumor.bits, role="unhealthy"),
-        combined=combined,
-    )
+    return TrainingSample(case_id=case_id, t1n=t1n, healthy=MaskVolume(healthy.bits, role="healthy"),
+                          unhealthy=MaskVolume(tumor.bits, role="unhealthy"),
+                          combined=MaskVolume(healthy.bits | tumor.bits, role="combined"))

@@ -118,6 +118,8 @@ def _read_stored(path: Path):
     if datatype not in _DTYPES:
         raise NiftiError("bad_datatype", f"{path}: datatype code {datatype} not supported")
     (vox_offset,) = struct.unpack_from("<f", raw, _OFF_VOX_OFFSET)
+    if not np.isfinite(vox_offset):
+        raise NiftiError("bad_header", f"{path}: vox_offset is {vox_offset}")
     offset = int(vox_offset) if vox_offset >= HEADER_SIZE else VOX_OFFSET
     slope, inter = struct.unpack_from("<2f", raw, _OFF_SCL_SLOPE)
 

@@ -7,15 +7,14 @@ Every random choice derives from the global seed, so a rerun reproduces
 the loss curves bit for bit.
 
 Training and inference see one window of each scan: the ``crop_dims``
-box that ``volume.crop_center`` centres on the whole volume, and
-``network_inputs`` turns it into the network's two inputs for both. Every
-array is indexed by that box directly and only the crop is normalized, by
-its whole volume's max. Inference runs each model once on that window, not a
-sliding window; masked voxels outside it keep their voided value
-(ROADMAP item 1), and ``volume.stitch`` writes the prediction back
-through the same box. An ensemble's models run one after another: their
-GEMMs already use BLAS's threads, and forwards run side by side measured
-slower once BLAS had more than one thread (ROADMAP item 4).
+box that ``volume.crop_center`` centres on the whole volume, which
+``network_inputs`` voids and scales for both, by the voided scan's max: the
+one scale of the input, the target and the prediction. Inference runs each
+model once on that window, not a sliding window; masked voxels outside it
+keep their given value (ROADMAP item 1), and ``volume.stitch`` writes the
+prediction back through the same box. An ensemble's models run one after
+another: their GEMMs already use BLAS's threads, and forwards run side by
+side measured slower once BLAS had more than one thread (ROADMAP item 4).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .autodiff import Tensor, no_grad
 from .checkpoint import save_checkpoint
 from .errors import ConfigError, DataError, NumericError
 from .losses import composite_loss
-from .masks import TrainingSample, void_image
+from .masks import TrainingSample
 from .optim import Adam
 from .unet import UNet, UNetConfig, build_unet
 from .util import make_rng
@@ -116,9 +115,9 @@ def kfold_split(case_ids: list[str], k: int, seed: int) -> tuple[tuple[str, ...]
 def normalize_two_stage(voxels: np.ndarray, vmax: float) -> np.ndarray:
     """Map raw intensities to [-1, 1]: divide by vmax, then 2v - 1.
 
-    ``vmax`` is the max of the whole volume the voxels were cut from, so
-    zero maps to -1 and that volume's maximum voxel to +1, and a crop comes
-    out exactly as the same voxels of the whole normalized volume would.
+    ``vmax`` is the max of the whole voided scan (``network_inputs``), so a
+    crop comes out exactly as the same voxels of the whole normalized volume
+    would; a target voxel under the mask brighter than ``vmax`` maps above +1.
     """
     if vmax <= 0:
         raise DataError(f"volume max {vmax} must be positive to normalize")
@@ -144,28 +143,32 @@ class PreparedSample:
     region: np.ndarray      # [1,1,D,H,W] bool, MAE region
 
 
-def network_inputs(voided: Volume, combined: MaskVolume, box, vmax: float) -> tuple:
-    """The network's two inputs for the window ``box``: the voided scan's
-    voxels normalized by ``vmax``, the max of the whole volume, and the
-    combined mask's bits, each a C-ordered [1,1,D,H,W] float32 array,
-    whatever the order of the volumes they come from."""
-    x = normalize_two_stage(np.ascontiguousarray(voided.voxels[box]), vmax)
-    return x[None, None], combined.bits[box].astype(np.float32, order="C")[None, None]
+def network_inputs(scan: Volume, combined: MaskVolume, box) -> tuple:
+    """``(x, m, vmax)``: the window ``box`` of the scan, voided under the
+    combined mask and normalized by ``vmax``, the max of the whole voided
+    scan, and the mask's bits, each a C-ordered [1,1,D,H,W] float32 array.
+    Only the window is copied, and any values under the mask give the same x."""
+    if scan.dims != combined.dims:
+        raise DataError(f"volume dims {scan.dims} and mask dims {combined.dims} disagree")
+    vmax = float(np.max(scan.voxels, where=~combined.bits, initial=0.0))
+    bits = np.ascontiguousarray(combined.bits[box])
+    window = np.array(scan.voxels[box], order="C")   # always a copy: the scan stays as given
+    window[bits] = 0.0
+    return normalize_two_stage(window, vmax)[None, None], bits.astype(np.float32)[None, None], vmax
 
 
 def prepare_sample(sample: TrainingSample, crop_dims, mae_region: str = "non_tumor") -> PreparedSample:
-    """Cut the centred crop from every component, then normalize each scan
-    crop by its whole volume's max. The crops are C-ordered copies, so
-    every array the network and the loss take in has one layout."""
+    """Cut the centred crop from every component, input and target on
+    ``network_inputs``'s one scale: outside the mask they agree bit for bit.
+    The crops are C-ordered copies, so every array has one layout."""
     box = crop_center(sample.t1n.dims, crop_dims, (slice(None),) * 3)
     region = ~np.ascontiguousarray(sample.unhealthy.bits[box])[None, None]
     if mae_region == "healthy_only":
         region &= sample.combined.bits[box]
     if not region.any():
         raise DataError(f"{sample.case_id}: empty MAE region after cropping")
-    voided, mask = network_inputs(sample.t1n_voided, sample.combined, box,
-                                  float(sample.t1n_voided.voxels.max()))
-    gt = normalize_two_stage(np.ascontiguousarray(sample.t1n.voxels[box]), float(sample.t1n.voxels.max()))
+    voided, mask, vmax = network_inputs(sample.t1n, sample.combined, box)
+    gt = normalize_two_stage(np.ascontiguousarray(sample.t1n.voxels[box]), vmax)
     return PreparedSample(case_id=sample.case_id, voided=voided, mask=mask, gt=gt[None, None],
                           region=region)
 
@@ -266,24 +269,19 @@ def infer_case(models: list[UNet], volume: Volume, combined: MaskVolume,
                crop_dims) -> Volume:
     """Predict the masked region and stitch it into the given volume.
 
-    Accepts the ground-truth scan or an already-voided one: voiding is
-    idempotent, so it is always applied first. With several models the
-    signed-unit predictions are averaged before denormalization. Voxels
-    outside the mask pass through bit for bit.
+    Accepts the ground-truth scan or an already-voided one: ``network_inputs``
+    voids the window itself. With several models the signed-unit predictions
+    are averaged before denormalization. Voxels outside the mask pass through
+    bit for bit.
     """
     if not models:
         raise DataError("infer_case needs at least one model")
-    if volume.dims != combined.dims:
-        raise DataError(f"volume dims {volume.dims} and mask dims {combined.dims} disagree")
-
-    voided = void_image(volume, combined)
-    vmax = float(voided.voxels.max())
     box = crop_center(volume.dims, crop_dims, (slice(None),) * 3)
-    x, m = (Tensor(a) for a in network_inputs(voided, combined, box, vmax))
+    x, m, vmax = network_inputs(volume, combined, box)
     acc: np.ndarray | None = None
     with no_grad():
         for model in models:
-            pred = model.forward(x, m, training=False).data[0, 0]
+            pred = model.forward(Tensor(x), Tensor(m), training=False).data[0, 0]
             acc = pred if acc is None else acc + pred
     mean_pred = acc / np.float32(len(models))
     clipped = np.clip(mean_pred, -1.0, 1.0)

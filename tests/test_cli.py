@@ -23,6 +23,15 @@ from voxelpaint.util import build_record
 from voxelpaint.volume import MaskVolume, Volume
 
 
+def _train_config(path, dataset_dir, out_dir):
+    """The train section of cli_workspace, for any dataset and output."""
+    return write_config(path, {
+        "seed": 9,
+        "train": {"dataset_dir": str(dataset_dir), "out_dir": str(out_dir),
+                  "epochs": 2, "folds": 2, "lr": 1e-3, "crop_dims": [16, 16, 16],
+                  "base_channels": 2, "dropout_rate": 0.0}})
+
+
 @pytest.fixture(scope="session")
 def cli_workspace(tmp_path_factory):
     """Prepared dataset plus trained checkpoints, shared by the command tests."""
@@ -38,14 +47,7 @@ def cli_workspace(tmp_path_factory):
     assert cli.main(["prepare", "--config", str(config)]) == 0
 
     train_dir = root / "run"
-    config = root / "train.json"
-    write_config(config, {
-        "seed": 9,
-        "train": {"dataset_dir": str(dataset_dir), "out_dir": str(train_dir),
-                  "epochs": 2, "folds": 2, "lr": 1e-3, "crop_dims": [16, 16, 16],
-                  "base_channels": 2, "dropout_rate": 0.0},
-    })
-    assert cli.main(["train", "--config", str(config)]) == 0
+    assert cli.main(["train", "--config", _train_config(root / "train.json", dataset_dir, train_dir)]) == 0
     return {"root": root, "input_dir": input_dir, "dataset_dir": dataset_dir,
             "train_dir": train_dir}
 
@@ -328,6 +330,25 @@ def test_prepare_skips_case_with_non_finite_scan(tmp_path, capsys):
     assert "1 case(s) skipped" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("offset", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_prepare_skips_case_whose_vox_offset_is_not_finite(tmp_path, offset):
+    input_dir = make_input_dir(tmp_path, n_cases=2, seed=450)
+    path = input_dir / "case01-t1n.nii.gz"
+    raw = bytearray(gzip.decompress(path.read_bytes()))
+    struct.pack_into("<f", raw, 108, offset)
+    path.write_bytes(gzip.compress(bytes(raw)))
+    out_dir = tmp_path / "out"
+    config = write_config(tmp_path / "c.json", {
+        "prepare": {"input_dir": str(input_dir), "out_dir": str(out_dir),
+                    "margin": 1, "variants": 1, "max_attempts": 400},
+    })
+    assert cli.main(["prepare", "--config", config]) == 0
+    manifest = load_manifest(out_dir)
+    assert [e.case_id for e in manifest.samples] == ["case00"]
+    assert [s["case_id"] for s in manifest.skipped] == ["case01"]
+    assert "vox_offset" in manifest.skipped[0]["reason"]
+
+
 def test_prepare_skips_case_with_truncated_gzip(tmp_path, capsys):
     input_dir = make_input_dir(tmp_path, n_cases=2, seed=450)
     cut_in_half(input_dir / "case01-t1n.nii.gz")
@@ -546,18 +567,44 @@ def test_train_numeric_blowup_exits_4(cli_workspace, tmp_path, capsys):
 
 
 def test_train_sample_dims_disagree_exits_3(cli_workspace, tmp_path, capsys):
-    # a voided scan larger than its scan would still centre-crop to crop_dims
+    # a healthy mask larger than its scan would still centre-crop to crop_dims
     dataset_dir = tmp_path / "dataset"
     shutil.copytree(cli_workspace["dataset_dir"], dataset_dir)
     entry = load_manifest(dataset_dir).samples[0]
-    voided = dataset_dir / entry.directory / f"{entry.sample_id}-t1n-voided.nii.gz"
-    write_nifti(Volume(np.ones((20, 20, 20), np.float32)), voided)
-    config = write_config(tmp_path / "c.json", {
-        "train": {"dataset_dir": str(dataset_dir), "out_dir": str(tmp_path / "out"),
-                  "epochs": 1, "folds": 2, "crop_dims": [16, 16, 16],
-                  "base_channels": 2, "dropout_rate": 0.0}})
+    healthy = dataset_dir / entry.directory / f"{entry.sample_id}-mask-healthy.nii.gz"
+    write_nifti_mask(MaskVolume(np.zeros((20, 20, 20), bool)), healthy)
+    config = _train_config(tmp_path / "c.json", dataset_dir, tmp_path / "out")
     assert cli.main(["train", "--config", config]) == 3
-    assert "t1n-voided" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "mask-healthy" in err and entry.sample_id in err
+
+
+def test_train_refuses_overlapping_masks_naming_the_sample(cli_workspace, tmp_path, capsys):
+    dataset_dir = tmp_path / "dataset"
+    shutil.copytree(cli_workspace["dataset_dir"], dataset_dir)
+    entry = load_manifest(dataset_dir).samples[1]
+    path = dataset_dir / entry.directory / f"{entry.sample_id}-mask-healthy.nii.gz"
+    unhealthy = read_nifti_mask(path.with_name(f"{entry.sample_id}-mask-unhealthy.nii.gz"), "unhealthy")
+    healthy = read_nifti_mask(path, "healthy")
+    write_nifti_mask(MaskVolume(healthy.bits | unhealthy.bits), path)
+    config = _train_config(tmp_path / "c.json", dataset_dir, tmp_path / "out")
+    assert cli.main(["train", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert "overlap" in err and entry.sample_id in err
+
+
+def test_train_reads_only_the_scan_and_its_two_masks(cli_workspace, tmp_path):
+    # the voided scan and the combined mask derive from the other three files
+    dataset_dir = tmp_path / "dataset"
+    shutil.copytree(cli_workspace["dataset_dir"], dataset_dir)
+    for entry in load_manifest(dataset_dir).samples:
+        for component in ("t1n-voided", "mask"):
+            (dataset_dir / entry.directory / f"{entry.sample_id}-{component}.nii.gz").unlink()
+    out_dir = tmp_path / "out"
+    assert cli.main(["train", "--config", _train_config(tmp_path / "c.json", dataset_dir, out_dir)]) == 0
+    for fold in range(2):
+        name = f"fold{fold}-best.vxpt"
+        assert (out_dir / name).read_bytes() == (cli_workspace["train_dir"] / name).read_bytes()
 
 
 def test_train_holds_one_full_size_sample_at_a_time(tmp_path):
@@ -591,7 +638,7 @@ def test_train_holds_one_full_size_sample_at_a_time(tmp_path):
                   "epochs": 1, "folds": 2, "crop_dims": [8, 8, 8], "base_channels": 2}})
     train_peak = peak(lambda: cli.main(["train", "--config", config]))
     assert (tmp_path / "out" / "train_result.json").exists()
-    sample_bytes = (2 * 4 + 3) * 64 ** 3   # two float32 scans, three bool masks
+    sample_bytes = (4 + 3) * 64 ** 3   # one float32 scan, three bool masks
     assert train_peak - one_read < sample_bytes / 2, (train_peak, one_read)
 
 

@@ -62,14 +62,14 @@ def test_read_sample_raises_the_first_damaged_component(tmp_path):
     t1n, _, tumor, healthy = build_case(5001)
     sid = sample_id("caseE", 0)
     write_sample(tmp_path, sid, make_training_sample("caseE", t1n, tumor, healthy))
-    for component in ("t1n-voided", "mask-unhealthy"):
+    for component in ("mask-healthy", "mask-unhealthy"):
         path = component_path(tmp_path, sid, component)
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2])
     with pytest.raises(NiftiError) as info:
         read_sample(tmp_path, sid, "caseE")
     assert info.value.code == "bad_gzip"
-    assert str(component_path(tmp_path, sid, "t1n-voided")) in str(info.value)
+    assert str(component_path(tmp_path, sid, "mask-healthy")) in str(info.value)
 
 
 def test_nested_call_returns():

@@ -40,7 +40,6 @@ def test_sample_round_trip(tmp_path):
     back = read_sample(tmp_path, sid, case_id="caseD")
     assert back.case_id == "caseD"
     assert np.array_equal(back.t1n.voxels, sample.t1n.voxels)
-    assert np.array_equal(back.t1n_voided.voxels, sample.t1n_voided.voxels)
     assert np.array_equal(back.healthy.bits, sample.healthy.bits)
     assert np.array_equal(back.unhealthy.bits, sample.unhealthy.bits)
     assert np.array_equal(back.combined.bits, sample.combined.bits)

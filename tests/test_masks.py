@@ -416,11 +416,16 @@ def test_make_training_sample_assembles_components():
     assert s.case_id == "caseA"
     assert np.array_equal(s.combined.bits, healthy.bits | tumor.bits)
     assert s.combined.role == "combined"
-    # Scans void to zero inside the combined mask.
-    assert np.all(s.t1n_voided.voxels[s.combined.bits] == 0.0)
-    outside = ~s.combined.bits
-    assert np.array_equal(s.t1n_voided.voxels[outside], t1n.voxels[outside])
     assert np.array_equal(s.t1n.voxels, t1n.voxels)
+
+
+@pytest.mark.parametrize("component", ["mask-healthy", "mask-unhealthy"])
+def test_make_training_sample_rejects_a_mask_of_other_dims(component):
+    t1n, _, tumor, healthy = build_case(3650)
+    other = MaskVolume(np.zeros((16, 16, 8), bool))
+    masks = {"mask-healthy": healthy, "mask-unhealthy": tumor, component: other}
+    with pytest.raises(DataError, match=f"caseC: {component} dims"):
+        make_training_sample("caseC", t1n, masks["mask-unhealthy"], masks["mask-healthy"])
 
 
 def test_make_training_sample_rejects_overlap():

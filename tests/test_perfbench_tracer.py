@@ -178,8 +178,8 @@ def test_tracer_counts_every_scan_the_commands_read(monkeypatch, tmp_path):
         tracer.remove()
     samples = len(load_manifest(dataset).samples)
     assert samples == 2
-    # train reads t1n and t1n-voided, infer t1n-voided, evaluate t1n and the prediction
-    assert tracer.summary()["nifti.read.calls"] == samples * (2 + 1 + 2)
+    # train reads t1n, infer t1n-voided, evaluate t1n and the prediction
+    assert tracer.summary()["nifti.read.calls"] == samples * (1 + 1 + 2)
 
 
 def test_benchmark_ensemble_checkpoints_load(monkeypatch, tmp_path):

@@ -10,7 +10,7 @@ from voxelpaint import trainer
 from voxelpaint.autodiff import Tensor, no_grad
 from voxelpaint.errors import ConfigError, DataError, NumericError
 from voxelpaint.checkpoint import load_checkpoint
-from voxelpaint.masks import make_training_sample
+from voxelpaint.masks import make_training_sample, void_image
 from voxelpaint.trainer import (
     TrainConfig,
     denormalize,
@@ -120,6 +120,19 @@ def test_prepare_sample_region_modes():
     assert not (healthy_only.region[0, 0] & tumor_bits).any()
 
 
+def test_prepare_sample_scales_input_and_target_alike():
+    # the scan's brightest voxel lies under the healthy mask, so the voided
+    # scan's max is lower than the scan's: one scale must serve both
+    t1n, _, tumor, healthy = build_case(4150)
+    voxels = t1n.voxels.copy()
+    voxels[tuple(np.argwhere(healthy.bits)[0])] = 4000.0
+    sample = make_training_sample("caseS", Volume(voxels), tumor, healthy)
+    prep = prepare_sample(sample, (16, 16, 16))
+    outside = prep.mask == 0.0
+    assert prep.gt[outside].tobytes() == prep.voided[outside].tobytes()
+    assert prep.voided.max() == 1.0 and prep.gt.max() > 1.0
+
+
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
@@ -161,6 +174,35 @@ def test_train_fold_is_bit_deterministic(tmp_path):
     bytes_a = open(res_a.checkpoint_path, "rb").read()
     bytes_b = open(res_b.checkpoint_path, "rb").read()
     assert bytes_a == bytes_b
+
+
+def test_train_fold_at_batch_size_2(tmp_path, monkeypatch):
+    samples = build_prepared_samples(count=7)
+    cfg = _quick_config(batch_size=2)
+    val_cases = set(kfold_split([s.case_id for s in samples], cfg.folds, cfg.seed)[0])
+    n = sum(s.case_id not in val_cases for s in samples)
+    assert n % 2 == 1   # the last batch of an epoch holds one sample
+    batches = []
+    loss_for = trainer._loss_for
+
+    def spy(model, batch, config, training, rng):
+        if training:
+            batches.append(len(batch))
+        return loss_for(model, batch, config, training, rng)
+
+    monkeypatch.setattr(trainer, "_loss_for", spy)
+    res_a = train_fold(samples, cfg, 0, tmp_path / "a")
+    assert batches == ([2] * (n // 2) + [1]) * cfg.epochs   # ceil(n / 2) steps an epoch
+    assert all(np.isfinite([h["train_loss"], h["val_loss"]]).all() for h in res_a.history)
+    res_b = train_fold(samples, cfg, 0, tmp_path / "b")
+    res_1 = train_fold(samples, _quick_config(batch_size=1), 0, tmp_path / "one")
+
+    def data(res):
+        return [{k: v for k, v in h.items() if k != "seconds"} for h in res.history], \
+            open(res.checkpoint_path, "rb").read()
+
+    assert data(res_a) == data(res_b)
+    assert data(res_a)[1] != data(res_1)[1]
 
 
 def test_train_fold_writes_log_lines(tmp_path):
@@ -229,14 +271,34 @@ def test_infer_case_changes_only_masked_voxels():
 
 
 def test_infer_case_idempotent_voiding():
-    # Feeding the ground truth or the pre-voided scan must give identical
-    # output, because inference re-voids unconditionally.
+    # Feeding the ground truth, the pre-voided scan or one with any values
+    # under the mask must give identical output, because inference re-voids
+    # unconditionally.
     t1n, _, tumor, healthy = build_case(4300)
     sample = make_training_sample("caseI", t1n, tumor, healthy)
+    sentinel = t1n.voxels.copy()
+    sentinel[sample.combined.bits] = -4096.0
     models = [_fresh_model()]
     from_gt = infer_case(models, t1n, sample.combined, (16, 16, 16))
-    from_voided = infer_case(models, sample.t1n_voided, sample.combined, (16, 16, 16))
-    assert np.array_equal(from_gt.voxels, from_voided.voxels)
+    for given in (void_image(t1n, sample.combined), Volume(sentinel)):
+        assert infer_case(models, given, sample.combined, (16, 16, 16)).voxels.tobytes() == \
+            from_gt.voxels.tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_network_inputs_void_the_window_at_the_voided_scans_max(order):
+    t1n, _, tumor, healthy = build_case(4310, n=24)
+    sample = make_training_sample("caseV", Volume(np.array(t1n.voxels, order=order)), tumor, healthy)
+    voided = void_image(sample.t1n, sample.combined)
+    before = sample.t1n.voxels.copy()
+    for box in ((slice(None),) * 3, (slice(4, 20), slice(2, 18), slice(8, 16))):
+        x, m, vmax = trainer.network_inputs(sample.t1n, sample.combined, box)
+        assert vmax == float(voided.voxels.max())
+        assert x.tobytes() == normalize_two_stage(voided.voxels[box], vmax)[None, None].tobytes()
+        assert m.tobytes() == sample.combined.bits[box].astype(np.float32)[None, None].tobytes()
+        assert x.flags.c_contiguous and m.flags.c_contiguous
+    # only the window is copied and voided: the scan stays as given
+    assert np.array_equal(sample.t1n.voxels, before)
 
 
 def test_infer_case_ensemble_averages_predictions():
@@ -295,7 +357,7 @@ def test_training_and_inference_give_the_network_the_same_inputs():
     crop = (16, 16, 8)
     prep = prepare_sample(sample, crop)
     model = _RecordingModel()
-    infer_case([model], sample.t1n_voided, sample.combined, crop)
+    infer_case([model], void_image(t1n, sample.combined), sample.combined, crop)
     (voided, mask), = model.inputs
     assert mask.any() and not mask.all()
     for trained, inferred in ((prep.voided, voided), (prep.mask, mask)):

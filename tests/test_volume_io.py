@@ -219,7 +219,7 @@ def test_scan_path_keeps_disk_order(tmp_path):
     healthy = generate_mask_set(brain, tumor, MaskGenParams(margin=1, variants=2),
                                 np.random.default_rng(46))
     sample = make_training_sample("s", t1n, tumor, healthy[0])
-    for array in (sample.t1n_voided.voxels, sample.healthy.bits, sample.combined.bits):
+    for array in (sample.healthy.bits, sample.combined.bits):
         assert array.flags.f_contiguous
     voided = void_image(t1n, sample.combined)
     box = crop_center(t1n.dims, (16, 16, 8), WHOLE)
@@ -379,6 +379,19 @@ def test_nifti_honors_larger_vox_offset(tmp_path):
     raw = make_nifti_bytes((2, 2, 2), data=data, vox_offset=400.0)
     (tmp_path / "o.nii").write_bytes(raw)
     assert np.all(read_nifti(tmp_path / "o.nii").voxels == 3.0)
+
+
+@pytest.mark.parametrize("offset", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("read", [read_nifti, lambda path: read_nifti_mask(path, "healthy")],
+                         ids=["scan", "mask"])
+def test_nifti_refuses_a_vox_offset_that_is_not_finite(tmp_path, read, offset):
+    raw = bytearray(make_nifti_bytes((2, 2, 2), datatype=2, data=np.ones((2, 2, 2), np.uint8)))
+    struct.pack_into("<f", raw, 108, offset)
+    path = tmp_path / "o.nii"
+    path.write_bytes(raw)
+    with pytest.raises(NiftiError, match="vox_offset") as exc:
+        read(path)
+    assert exc.value.code == "bad_header"
 
 
 def test_nifti_accepts_trailing_singleton_dims(tmp_path):
