@@ -24,7 +24,8 @@ finite-difference test harnesses can run the same code at full precision.
 from __future__ import annotations
 
 import contextlib
-from functools import partial
+import ctypes
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -34,16 +35,16 @@ from .errors import ShapeError
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # Bytes of input plus accumulator rows in one block of the tap-conv walk.
 # Measured on one OpenBLAS thread: 512 KiB gives the 48^3 base-8 U-Net's
-# 24-to-8-channel layer a target of 4096 columns, near which its forward
-# runs fastest, and gives the one-channel blur3d passes blocks long enough
-# to amortize each call (a fixed 4096 columns made them 1.0-1.6x slower
-# than one pass over the grid, across three probes).
+# 24-to-8-channel layer 4096 columns a block, and its forward ran 12-16 ms
+# there, 16-20 ms at 256 KiB and 1 MiB, 37-39 ms in one pass over the grid.
+# The one-channel blur3d runs within 1.2x of one pass (7-9x slower at 4096).
 BLOCK = 512 * 1024
 # Fewest blocks in each part of a split tap-conv walk. On one BLAS thread and
-# two cores, 2-block walks gained nothing split in two: a 24^3 8-to-8 conv3d
-# forward and backward took 4.33 ms whole and 4.6-4.9 ms split in one probe,
-# 3.3 ms against 3.3-3.6 ms in another. The 48^3 base-8 U-Net's walks of
-# 4 to 29 blocks gain: its train step went 289 -> 266 ms.
+# two cores, a 2-block walk loses split in two: a 24^3 8-to-8 conv3d forward
+# and backward took 4.1 ms whole, 4.7 ms split. The 48^3 base-8 U-Net's walks
+# of 4 to 29 blocks gained (step 289 -> 266 ms) while each GEMM wrote a product
+# buffer; accumulating in place, its step ran 395-427 ms at best on one worker
+# and 416-448 ms split.
 PART_BLOCKS = 2
 _grad_enabled = True
 
@@ -263,17 +264,19 @@ def _pad(a: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=256)
 def _taps(padded: tuple[int, ...], kernel: tuple[int, ...]):
     """Output extent, window length and per-tap flat offsets of a valid correlation.
 
     On the flattened padded grid [Dp*Hp*Wp], the input window of tap
     (a,b,c) is the contiguous run of ``span`` elements starting at
     a*Hp*Wp + b*Wp + c; output voxel (z,y,x) sits at z*Hp*Wp + y*Wp + x.
+    Cached: every call of a layer asks again, and the tuples are immutable.
     """
     _, hp, wp = padded
     d, h, w = (e - k + 1 for e, k in zip(padded, kernel))
     span = (d - 1) * hp * wp + (h - 1) * wp + w
-    offsets = [(tap, tap[0] * hp * wp + tap[1] * wp + tap[2]) for tap in np.ndindex(*kernel)]
+    offsets = tuple((tap, tap[0] * hp * wp + tap[1] * wp + tap[2]) for tap in np.ndindex(*kernel))
     return (d, h, w), span, offsets
 
 
@@ -298,35 +301,58 @@ def _tap_conv(xp: np.ndarray, weight: np.ndarray) -> np.ndarray:
 
     The grid is walked in equal blocks of columns (about ``BLOCK`` bytes of
     input and accumulator rows each), and all taps land on one block before
-    the walk moves on. The block's accumulator, its product and the input
-    rows it reads stay in cache, instead of the whole grid streaming through
-    memory once per tap.
+    the walk moves on. The block's accumulator and the input rows it reads
+    stay in cache, instead of the whole grid streaming through memory once
+    per tap.
+
+    Each tap's GEMM adds its product straight into the block's accumulator
+    rows (``util.gemm``: BLAS with beta = 1), one call per batch item, so
+    no product buffer is written and read back. Where numpy bundles no
+    such BLAS, ``np.matmul`` writes each product to a buffer that is then
+    added; the sums are the same, so either path gives the same bytes.
 
     Blocks write disjoint columns, so on the cores BLAS leaves free
     (``util.free_workers``) the walk is cut into contiguous runs of blocks,
-    at least ``PART_BLOCKS`` each, run side by side on the pool, each with
-    its own product buffer. Every block runs the same GEMMs and sums in
-    either case, so the output is byte-identical at any worker count. The
-    parts run numpy alone and call nothing a tracer wraps.
+    at least ``PART_BLOCKS`` each, run side by side on the pool. Every
+    block runs the same GEMMs and sums in either case, so the output is
+    byte-identical at any worker count. The parts call nothing a tracer
+    wraps.
     """
     n, cin, dp, hp, wp = xp.shape
     cout = weight.shape[0]
     (d, h, w), span, offsets = _taps((dp, hp, wp), weight.shape[2:])
-    flat = xp.reshape(n, cin, dp * hp * wp)
-    # [kd,kh,kw,Cout,Cin]: each tap's matrix contiguous, as BLAS needs
-    wt = np.ascontiguousarray(weight.transpose(2, 3, 4, 0, 1))
     dtype = np.result_type(xp, weight)
+    # both operands contiguous in the result dtype, so the BLAS path can take their addresses
+    flat = np.ascontiguousarray(xp.reshape(n, cin, dp * hp * wp), dtype=dtype)
+    # [kd,kh,kw,Cout,Cin]: each tap's matrix contiguous, as BLAS needs
+    wt = np.ascontiguousarray(weight.transpose(2, 3, 4, 0, 1), dtype=dtype)
     acc = np.zeros((n, cout, d * hp * wp), dtype=dtype)
     cols = _block_columns(span, n, cin, cout, dtype.itemsize)
+    gemm = util.gemm(dtype)
 
-    def walk(starts):
-        prod = np.empty((n, cout, cols), dtype=dtype)
-        for lo in starts:
-            hi = min(lo + cols, span)
-            block, part = acc[:, :, lo:hi], prod[:, :, :hi - lo]
-            for tap, off in offsets:
-                np.matmul(wt[tap], flat[:, :, off + lo:off + hi], out=part)
-                block += part
+    if gemm is None:
+        def walk(starts):
+            prod = np.empty((n, cout, cols), dtype=dtype)
+            for lo in starts:
+                hi = min(lo + cols, span)
+                block, part = acc[:, :, lo:hi], prod[:, :, :hi - lo]
+                for tap, off in offsets:
+                    np.matmul(wt[tap], flat[:, :, off + lo:off + hi], out=part)
+                    block += part
+    else:
+        # sizes made C integers once per call rather than once per GEMM
+        m, k, ldb, ldc = (ctypes.c_int64(v) for v in (cout, cin, flat.shape[2], acc.shape[2]))
+        size = dtype.itemsize
+        x0, w0, c0 = flat.ctypes.data, wt.ctypes.data, acc.ctypes.data
+        xstep, wstep, cstep = cin * flat.shape[2] * size, cout * cin * size, cout * acc.shape[2] * size
+
+        def walk(starts):
+            for lo in starts:
+                width = ctypes.c_int64(min(cols, span - lo))
+                for i in range(n):
+                    x, c = x0 + i * xstep + lo * size, c0 + i * cstep + lo * size
+                    for t, (_, off) in enumerate(offsets):
+                        gemm(m, width, k, w0 + t * wstep, k, x + off * size, ldb, c, ldc)
 
     starts = range(0, span, cols)
     parts = min(util.free_workers(), len(starts) // PART_BLOCKS)

@@ -118,9 +118,12 @@ def _read_stored(path: Path):
     if datatype not in _DTYPES:
         raise NiftiError("bad_datatype", f"{path}: datatype code {datatype} not supported")
     (vox_offset,) = struct.unpack_from("<f", raw, _OFF_VOX_OFFSET)
-    if not np.isfinite(vox_offset):
-        raise NiftiError("bad_header", f"{path}: vox_offset is {vox_offset}")
-    offset = int(vox_offset) if vox_offset >= HEADER_SIZE else VOX_OFFSET
+    # 0 is how some writers leave it; voxels then follow the 4 extension-flag bytes
+    offset = VOX_OFFSET if vox_offset == 0 else vox_offset
+    if not (np.isfinite(offset) and offset >= VOX_OFFSET and offset == int(offset)):
+        raise NiftiError("bad_header", f"{path}: vox_offset is {vox_offset}, "
+                                       f"not 0 or a whole number of bytes from {VOX_OFFSET}")
+    offset = int(offset)
     slope, inter = struct.unpack_from("<2f", raw, _OFF_SCL_SLOPE)
 
     dtype = _DTYPES[datatype]

@@ -1,7 +1,8 @@
 """Seed derivation for reproducible per-scope RNG streams, atomic writes,
 the one builder of records read from JSON, the thread pool that runs
-independent calls side by side, and the count of workers that the pool
-may keep busy beside BLAS's own threads.
+independent calls side by side, the count of workers that the pool
+may keep busy beside BLAS's own threads, and the accumulating GEMM of the
+OpenBLAS that numpy bundles.
 
 Python's builtin hash() is salted per process, so seeds are derived from
 sha256 instead; the same parts always map to the same stream.
@@ -107,20 +108,58 @@ def _usable_cpus() -> int:
 # thread-count getters of scipy-openblas (64- and 32-bit integers) and plain OpenBLAS
 _BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
                         "openblas_get_num_threads64_", "openblas_get_num_threads")
+# CBLAS enum values: row-major order, no transpose
+_ROW_MAJOR, _NO_TRANS = ctypes.c_int(101), ctypes.c_int(111)
+
+
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS that numpy's wheel bundles (``numpy.libs``), or None;
+    opening the library numpy loaded reuses its handle."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        with contextlib.suppress(OSError):
+            return ctypes.CDLL(str(path))
+    return None
 
 
 def _blas_threads() -> int | None:
-    """Threads of the OpenBLAS that numpy's wheel bundles (``numpy.libs``), or
-    None if none answers; opening the library numpy loaded reuses its handle."""
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
-        with contextlib.suppress(OSError):
-            lib = ctypes.CDLL(str(path))
-            for name in _BLAS_THREAD_GETTERS:
-                if hasattr(lib, name):
-                    getter = getattr(lib, name)
-                    getter.argtypes, getter.restype = [], ctypes.c_int
-                    return getter()
+    """Threads of numpy's bundled OpenBLAS, or None if none answers."""
+    lib = _openblas()
+    for name in _BLAS_THREAD_GETTERS:
+        if hasattr(lib, name):
+            getter = getattr(lib, name)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter()
     return None
+
+
+@functools.cache
+def gemm(dtype: np.dtype):
+    """``C += A @ B`` by numpy's bundled OpenBLAS (``cblas_?gemm``, alpha =
+    beta = 1, row-major, no transposes) for native float32 or float64; None
+    for other dtypes or where numpy bundles no ILP64 scipy-openblas.
+
+    Called as ``gemm(m, n, k, a, lda, b, ldb, c, ldc)``, with A m x k, B k x n
+    and C m x n each given by the address of its first element and its row
+    stride in elements; sizes as ``ctypes.c_int64`` skip a conversion per
+    call. Nothing is checked: the caller keeps the rows inside live arrays.
+    ctypes releases the interpreter lock for the call.
+    """
+    name = {np.dtype(np.float32): "scipy_cblas_sgemm64_",
+            np.dtype(np.float64): "scipy_cblas_dgemm64_"}.get(np.dtype(dtype), "")
+    lib = _openblas()
+    if not hasattr(lib, name):
+        return None
+    func, scalar = getattr(lib, name), np.ctypeslib.as_ctypes_type(dtype)
+    size, ptr = ctypes.c_int64, ctypes.c_void_p
+    func.argtypes = [ctypes.c_int] * 3 + [size] * 3 + [scalar, ptr, size, ptr, size, scalar, ptr, size]
+    func.restype = None
+    one = scalar(1.0)
+
+    def accumulate(m, n, k, a, lda, b, ldb, c, ldc):
+        func(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, n, k, one, a, lda, b, ldb, one, c, ldc)
+
+    return accumulate
 
 
 @functools.cache

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import (away_from_zero, conv3d_oracle, conv3d_vjp_oracle, gradcheck, leaf,
                       maxpool3d_reference, prelu_reference, separated_pool_input, split_walks)
-from voxelpaint import autodiff
+from voxelpaint import autodiff, util
 from voxelpaint.autodiff import (
     Tensor,
     blur3d,
@@ -23,6 +23,7 @@ from voxelpaint.autodiff import (
 )
 from voxelpaint.errors import ShapeError
 from voxelpaint.optim import Adam
+from voxelpaint.unet import UNetConfig, build_unet
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +422,9 @@ def test_conv3d_default_blocks_are_deterministic():
         assert np.array_equal(first, second)
 
 
-def test_tap_conv_bytes_do_not_depend_on_the_worker_count(monkeypatch):
+def _worker_runs(monkeypatch):
+    """Bytes of a conv3d and a blur3d forward and backward in 16 short blocks,
+    on 1, 2 and 3 workers, and the part counts of the split walks."""
     # 16 blocks of 13 columns, the last one 11, split in 2 and in 3; the
     # last part holds the short block
     rng = np.random.default_rng(64)
@@ -441,7 +444,11 @@ def test_tap_conv_bytes_do_not_depend_on_the_worker_count(monkeypatch):
         ((out * g).sum() + (blurred * gb).sum()).backward()
         return [a.tobytes() for a in (out.data, x.grad, w.grad, blurred.data, b.grad)], set(parts)
 
-    (one, none), (two, halves), (three, thirds) = run(1), run(2), run(3)
+    return run(1), run(2), run(3)
+
+
+def test_tap_conv_bytes_do_not_depend_on_the_worker_count(monkeypatch):
+    (one, none), (two, halves), (three, thirds) = _worker_runs(monkeypatch)
     # blur3d's shorter H and W passes split in 2 at most
     assert none == set() and halves == {2} and thirds == {2, 3}
     assert one == two == three
@@ -458,6 +465,87 @@ def test_tap_conv_runs_three_blocks_as_one_part(monkeypatch):
     out = autodiff._tap_conv(x, np.array([1.0, 2.0, 3.0], dtype=np.float32).reshape(1, 1, 1, 1, 3))
     assert parts == []
     assert np.allclose(out[0, 0, 0, 0], x[0, 0, 0, 0, :-2] + 2 * x[0, 0, 0, 0, 1:-1] + 3 * x[0, 0, 0, 0, 2:])
+
+
+# -- the BLAS walk against the numpy walk ---------------------------------------
+#
+# Where numpy bundles scipy-openblas, _tap_conv's GEMMs add straight into
+# the accumulator (util.gemm); elsewhere np.matmul writes a product that is
+# then added. The two must give the same bytes.
+
+needs_blas = pytest.mark.skipif(util.gemm(np.dtype(np.float32)) is None,
+                                reason="numpy bundles no ILP64 scipy-openblas here")
+
+
+def _on_both_walks(monkeypatch, fn):
+    """fn() on the BLAS walk, then fn() with util.gemm forced to None."""
+    blas = fn()
+    with monkeypatch.context() as patch:
+        patch.setattr(util, "gemm", lambda dtype: None)
+        return blas, fn()
+
+
+def _conv_bytes(seed, n, cin, cout, k, dtype, grid=6):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.uniform(-1, 1, (n, cin, grid, grid + 1, grid + 2)).astype(dtype), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (cout, cin, k, k, k)).astype(dtype), requires_grad=True)
+    out = conv3d(x, w, padding=k // 2)
+    (out * Tensor(rng.uniform(-1, 1, out.shape).astype(dtype))).sum().backward()
+    return [a.tobytes() for a in (out.data, x.grad, w.grad)]
+
+
+# every (Cin, Cout, k) of the base-8 U-Net in f32, then batch 2 and f64
+_CONVS = [(1, cin, cout, k, np.float32) for cin, cout, k in sorted(
+    {(w.shape[1], w.shape[0], w.shape[2]) for _, w in
+     build_unet(UNetConfig(base_channels=8), np.random.default_rng(0)).parameters() if w.data.ndim == 5})]
+_CONVS += [(2, 8, 16, 3, np.float32), (1, 8, 16, 3, np.float64), (2, 8, 16, 3, np.float64)]
+
+
+@needs_blas
+@pytest.mark.parametrize("n,cin,cout,k,dtype", _CONVS,
+                         ids=[f"n{n}_{a}to{b}_k{k}_{np.dtype(t).name}" for n, a, b, k, t in _CONVS])
+def test_blas_walk_matches_numpy_walk_on_conv3d(monkeypatch, n, cin, cout, k, dtype):
+    blas, numpy = _on_both_walks(monkeypatch, lambda: _conv_bytes(70 + cin + 100 * cout, n, cin, cout, k, dtype))
+    assert blas == numpy
+
+
+@needs_blas
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blas_walk_matches_numpy_walk_on_the_blur_passes(monkeypatch, dtype):
+    # 2x3 slices of 9x10x11 through the D, H and W passes, forward and backward
+    rng = np.random.default_rng(72)
+    x0 = rng.uniform(-1, 1, (2, 3, 9, 10, 11)).astype(dtype)
+    g = rng.uniform(-1, 1, (2, 3, 5, 6, 7)).astype(dtype)
+    taps = rng.uniform(0, 1, 5)
+
+    def run():
+        x = Tensor(x0.copy(), requires_grad=True)
+        out = blur3d(x, taps)
+        (out * Tensor(g)).sum().backward()
+        return out.data.tobytes(), x.grad.tobytes()
+
+    blas, numpy = _on_both_walks(monkeypatch, run)
+    assert blas == numpy
+
+
+@needs_blas
+def test_blas_walk_matches_numpy_walk_on_mixed_and_strided_operands(monkeypatch):
+    # f32 input with f64 weights, and an input that is a strided view
+    rng = np.random.default_rng(73)
+    base = rng.uniform(-1, 1, (2, 4, 8, 9, 20))
+    cases = [(base[:, :, :, :, :10].astype(np.float32), rng.uniform(-1, 1, (3, 4, 3, 3, 3))),
+             (base[:, :, :, :, ::2], rng.uniform(-1, 1, (5, 4, 3, 3, 3))),
+             (base.transpose(0, 1, 4, 3, 2)[:, ::2], rng.uniform(-1, 1, (2, 2, 3, 3, 3)).astype(np.float32))]
+    for xp, w in cases:
+        blas, numpy = _on_both_walks(monkeypatch, lambda: autodiff._tap_conv(xp, w))
+        assert blas.dtype == numpy.dtype == np.result_type(xp, w)
+        assert blas.tobytes() == numpy.tobytes()
+
+
+@needs_blas
+def test_blas_walk_matches_numpy_walk_at_any_worker_count(monkeypatch):
+    blas, numpy = _on_both_walks(monkeypatch, lambda: [run[0] for run in _worker_runs(monkeypatch)])
+    assert blas == numpy
 
 
 def test_conv3d_validation():

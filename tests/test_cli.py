@@ -330,8 +330,8 @@ def test_prepare_skips_case_with_non_finite_scan(tmp_path, capsys):
     assert "1 case(s) skipped" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("offset", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
-def test_prepare_skips_case_whose_vox_offset_is_not_finite(tmp_path, offset):
+def _prepare_skips_case01_for_its_vox_offset(tmp_path, offset):
+    """A prepare over two cases, case01's scan with ``offset`` as vox_offset, lists case01 as skipped."""
     input_dir = make_input_dir(tmp_path, n_cases=2, seed=450)
     path = input_dir / "case01-t1n.nii.gz"
     raw = bytearray(gzip.decompress(path.read_bytes()))
@@ -347,6 +347,16 @@ def test_prepare_skips_case_whose_vox_offset_is_not_finite(tmp_path, offset):
     assert [e.case_id for e in manifest.samples] == ["case00"]
     assert [s["case_id"] for s in manifest.skipped] == ["case01"]
     assert "vox_offset" in manifest.skipped[0]["reason"]
+
+
+@pytest.mark.parametrize("offset", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_prepare_skips_case_whose_vox_offset_is_not_finite(tmp_path, offset):
+    _prepare_skips_case01_for_its_vox_offset(tmp_path, offset)
+
+
+@pytest.mark.parametrize("offset", [350.0, 351.9, 400.5])
+def test_prepare_skips_case_whose_vox_offset_is_in_the_header_or_fractional(tmp_path, offset):
+    _prepare_skips_case01_for_its_vox_offset(tmp_path, offset)
 
 
 def test_prepare_skips_case_with_truncated_gzip(tmp_path, capsys):

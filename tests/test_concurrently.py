@@ -96,3 +96,31 @@ def test_blas_threads_reads_the_bundled_openblas():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "1"
+
+
+@pytest.mark.skipif(not list((Path(np.__file__).parent.parent / "numpy.libs").glob("*scipy_openblas*")),
+                    reason="numpy bundles no scipy-openblas here")
+def test_gemm_binds_the_bundled_openblas():
+    # C += A @ B on a 2x3 by 3x4 product whose rows sit in wider arrays, for both dtypes
+    code = """if True:
+        import numpy as np
+        from voxelpaint import util
+        print(util._openblas()._name)
+        for dtype in (np.float32, np.float64):
+            a, b = np.arange(10, dtype=dtype).reshape(2, 5), np.arange(18, dtype=dtype).reshape(3, 6)
+            c = np.ones((2, 7), dtype=dtype)
+            util.gemm(np.dtype(dtype))(2, 4, 3, a.ctypes.data, 5, b.ctypes.data, 6, c.ctypes.data, 7)
+            want = np.ones((2, 7)); want[:, :4] += a[:, :3].astype(np.float64) @ b[:, :4]
+            print(np.array_equal(c, want))
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    library, *checks = out.stdout.split()
+    assert Path(library).parent.name == "numpy.libs" and "scipy_openblas" in Path(library).name
+    assert checks == ["True", "True"]
+
+
+def test_gemm_is_none_for_other_dtypes():
+    assert util.gemm(np.dtype(np.float16)) is None
+    assert util.gemm(np.dtype(">f4")) is None

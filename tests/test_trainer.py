@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import build_case, build_prepared_samples
-from voxelpaint import trainer
+from voxelpaint import trainer, util
 from voxelpaint.autodiff import Tensor, no_grad
 from voxelpaint.errors import ConfigError, DataError, NumericError
 from voxelpaint.checkpoint import load_checkpoint
@@ -174,6 +174,16 @@ def test_train_fold_is_bit_deterministic(tmp_path):
     bytes_a = open(res_a.checkpoint_path, "rb").read()
     bytes_b = open(res_b.checkpoint_path, "rb").read()
     assert bytes_a == bytes_b
+
+
+def test_train_fold_writes_the_same_checkpoint_on_the_numpy_walk(tmp_path, monkeypatch):
+    # the conv walk's GEMMs through util.gemm, then through np.matmul and an add
+    samples = build_prepared_samples(count=5)
+    cfg = _quick_config()
+    res_blas = train_fold(samples, cfg, 1, tmp_path / "blas")
+    monkeypatch.setattr(util, "gemm", lambda dtype: None)
+    res_numpy = train_fold(samples, cfg, 1, tmp_path / "numpy")
+    assert open(res_blas.checkpoint_path, "rb").read() == open(res_numpy.checkpoint_path, "rb").read()
 
 
 def test_train_fold_at_batch_size_2(tmp_path, monkeypatch):

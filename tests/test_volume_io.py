@@ -381,6 +381,30 @@ def test_nifti_honors_larger_vox_offset(tmp_path):
     assert np.all(read_nifti(tmp_path / "o.nii").voxels == 3.0)
 
 
+def test_nifti_reads_a_zero_vox_offset_as_352(tmp_path):
+    data = np.full((2, 2, 2), 5, dtype=np.float32)
+    raw = bytearray(make_nifti_bytes((2, 2, 2), data=data))
+    struct.pack_into("<f", raw, 108, 0.0)
+    (tmp_path / "z.nii").write_bytes(raw)
+    assert np.all(read_nifti(tmp_path / "z.nii").voxels == 5.0)
+
+
+@pytest.mark.parametrize("offset", [350.0, 351.9, 400.5, -352.0],
+                         ids=["in_extension_flags", "fraction_in_flags", "fraction", "negative"])
+@pytest.mark.parametrize("read", [read_nifti, lambda path: read_nifti_mask(path, "healthy")],
+                         ids=["scan", "mask"])
+def test_nifti_refuses_a_vox_offset_inside_the_header_or_fractional(tmp_path, read, offset):
+    # float32 voxels of 3 after 48 zero bytes: a reader that truncated 400.5 or started
+    # at 350 would see finite garbage, not an error
+    raw = bytearray(make_nifti_bytes((2, 2, 2), data=np.full((2, 2, 2), 3, np.float32), vox_offset=400.0))
+    struct.pack_into("<f", raw, 108, offset)
+    path = tmp_path / "o.nii"
+    path.write_bytes(raw)
+    with pytest.raises(NiftiError, match="vox_offset") as exc:
+        read(path)
+    assert exc.value.code == "bad_header"
+
+
 @pytest.mark.parametrize("offset", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("read", [read_nifti, lambda path: read_nifti_mask(path, "healthy")],
                          ids=["scan", "mask"])
