@@ -41,10 +41,12 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 BLOCK = 512 * 1024
 # Fewest blocks in each part of a split tap-conv walk. On one BLAS thread and
 # two cores, a 2-block walk loses split in two: a 24^3 8-to-8 conv3d forward
-# and backward took 4.1 ms whole, 4.7 ms split. The 48^3 base-8 U-Net's walks
-# of 4 to 29 blocks gained (step 289 -> 266 ms) while each GEMM wrote a product
-# buffer; accumulating in place, its step ran 395-427 ms at best on one worker
-# and 416-448 ms split.
+# and backward took 4.1 ms whole, 4.7 ms split. Splitting every walk
+# (PART_BLOCKS = 1) is no clear gain per layer: 24^3 8-to-16 slowed on two
+# 2-core hosts, 12^3 96-to-32 slowed on one and gained on the other. The split
+# pays on perfbench train-desk: without it, infer_cases_per_s lost 17 of 22
+# pairs on one host (median ratio 0.895) and 10 of 12 on another (0.869);
+# train_samples_per_s lost 17 of 22 (0.926) on the first, noise on the other.
 PART_BLOCKS = 2
 _grad_enabled = True
 

@@ -62,8 +62,9 @@ class _Reader:
 def load_checkpoint(path) -> tuple[UNet, dict]:
     """Rebuild the model described by the file and return (model, metadata).
 
-    Raises CheckpointError with code bad_magic, version, truncated, or
-    mismatch (unknown, missing or repeated parameter name, or wrong record shape).
+    Raises CheckpointError with code bad_magic, version, truncated,
+    mismatch (unknown, missing or repeated parameter name, or wrong record
+    shape), or non_finite (a parameter holds a NaN or infinity).
     A version 1 file loads without its channel counts and norm-cancelled conv biases.
     The returned metadata's ``config`` is the loaded model's, for either version.
     """
@@ -107,5 +108,7 @@ def load_checkpoint(path) -> tuple[UNet, dict]:
         if t.data.shape != records[name].shape:
             raise CheckpointError("mismatch", f"parameter {name!r} has shape {records[name].shape}, "
                                   f"model expects {t.data.shape}")
+        if not np.isfinite(records[name]).all():
+            raise CheckpointError("non_finite", f"parameter {name!r} holds a NaN or infinite value")
         t.data = records[name].astype(np.float32)
     return model, dict(meta, config=asdict(config))

@@ -1,12 +1,12 @@
 """Command line front end: prepare, train, infer, evaluate, report.
 
-Each command reads its own section of a single JSON config file; the
---seed and --out flags override the file. ``util.build_record`` builds the
-section and the top-level seed into the command's record, so an invalid
-value exits 3 before anything is written. The resolved config is then
-echoed to stdout and written next to the outputs, so a run can always be
-reproduced. Exit codes: 0 success, 2 missing input, 3 invalid config or
-data, 4 numeric failure.
+Each command reads its own section of a single JSON config file; prepare
+and train, the two that draw random numbers, also read its top-level seed.
+--out, and for those two --seed, override the file. ``util.build_record``
+builds the command's record, so an invalid value exits 3 before anything
+is written. The resolved config is then echoed to stdout and written next
+to the outputs, so a run can always be reproduced. Exit codes: 0 success,
+2 missing input, 3 invalid config or data, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -28,7 +28,8 @@ from .masks import MaskGenParams, MaskVolume, generate_mask_set, make_training_s
 from .metrics import (aggregate_stats, evaluate_case, region_max_intensity, render_report_table,
                       write_cases_csv)
 from .nifti import read_nifti, read_nifti_mask, write_nifti
-from .trainer import TrainConfig, check_crop_dims, infer_case, prepare_sample, train_fold
+from .trainer import (TrainConfig, check_crop_dims, infer_case, kfold_split, prepare_sample,
+                      train_fold)
 from .util import atomic_open, build_record, concurrently, derive_seed, make_rng
 
 
@@ -51,12 +52,12 @@ class InferSection:
     checkpoints: list[str]
     out_dir: str
     crop_dims: tuple[int, int, int] = TrainConfig.crop_dims
-    seed: int = 0
 
     def __post_init__(self):
         check_crop_dims(self.crop_dims)
         if not self.checkpoints:
             raise ConfigError("config key 'checkpoints' lists no checkpoint")
+        _check_out_dir(self.out_dir, "dataset_dir", self.dataset_dir)
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,23 @@ class EvaluateSection:
     pred_dir: str
     gt_dir: str
     out_dir: str
-    seed: int = 0
+
+    def __post_init__(self):
+        _check_out_dir(self.out_dir, "gt_dir", self.gt_dir)
+
+
+def _check_out_dir(out_dir: str, key: str, walked: str) -> None:
+    """Refuse an out_dir below the directory whose every sub-directory the
+    command reads as a sample (ROADMAP item 11 would make it safe)."""
+    if Path(walked).resolve() in Path(out_dir).resolve().parents:
+        raise ConfigError(f"config key 'out_dir': {out_dir} lies inside {key} {walked}, "
+                          f"where every directory is read as a sample")
 
 
 @dataclass(frozen=True)
 class ReportSection:
     summary: str
     out_dir: str = ""
-    seed: int = 0
 
 
 def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str | None) -> tuple:
@@ -94,7 +104,9 @@ def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str |
     if "seed" in section:
         raise ConfigError(f"config key 'seed' belongs at the top level, not in {command!r}")
 
-    resolved = {**section, "seed": payload.get("seed", 0) if seed_flag is None else seed_flag}
+    resolved = dict(section)
+    if command in _SEEDED:
+        resolved["seed"] = payload.get("seed", 0) if seed_flag is None else seed_flag
     if out_flag is not None:
         resolved["out_dir"] = out_flag
     checkpoints = resolved.get("checkpoints")  # infer also takes one path as a string
@@ -103,7 +115,9 @@ def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str |
         record = build_record(_COMMANDS[command][0], given)
     except ValueError as exc:
         raise ConfigError(f"config {exc}") from exc
-    return record, {**resolved, "seed": record.seed, "command": command}
+    if command in _SEEDED:
+        resolved["seed"] = record.seed
+    return record, {**resolved, "command": command}
 
 
 def _echo_config(resolved: dict) -> None:
@@ -191,6 +205,7 @@ def cmd_train(cfg: TrainSection) -> int:
     manifest = load_manifest(dataset_dir)
     if not manifest.samples:
         raise DataError(f"manifest in {dataset_dir} lists no samples")
+    folds = kfold_split(sorted({e.case_id for e in manifest.samples}), cfg.folds, cfg.seed)
     # each full-size sample is freed once cropped, before the next one is read
     samples = [prepare_sample(read_sample(dataset_dir / entry.directory, entry.sample_id,
                                           entry.case_id),
@@ -199,8 +214,10 @@ def cmd_train(cfg: TrainSection) -> int:
 
     results = []
     with open(out_dir / "train_log.jsonl", "w") as log_fh:
-        for fold in range(cfg.folds):
-            result = train_fold(samples, cfg, fold, out_dir, log_fh=log_fh)
+        for fold, val_cases in enumerate(folds):
+            result = train_fold([s for s in samples if s.case_id not in val_cases],
+                                [s for s in samples if s.case_id in val_cases],
+                                cfg, fold, out_dir, log_fh=log_fh)
             results.append(result)
             print(f"fold {fold}: best val loss {result.best_val_loss:.6f} "
                   f"at epoch {result.best_epoch} -> {result.checkpoint_path}")
@@ -270,6 +287,8 @@ def cmd_report(cfg: ReportSection) -> int:
 _COMMANDS = {"prepare": (PrepareSection, cmd_prepare), "train": (TrainSection, cmd_train),
              "infer": (InferSection, cmd_infer), "evaluate": (EvaluateSection, cmd_evaluate),
              "report": (ReportSection, cmd_report)}
+# the commands whose record holds a seed: those that draw random numbers
+_SEEDED = {name for name, (cls, _) in _COMMANDS.items() if "seed" in {f.name for f in fields(cls)}}
 
 
 def main(argv=None) -> int:
@@ -280,12 +299,13 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name in _SEEDED:
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
     args = parser.parse_args(argv)
 
     try:
-        record, resolved = _load_config(args.config, args.command, args.seed, args.out)
+        record, resolved = _load_config(args.config, args.command, vars(args).get("seed"), args.out)
         _echo_config(resolved)
         return _COMMANDS[args.command][1](record)
     except FileNotFoundError as exc:

@@ -40,7 +40,7 @@ class NiftiError(VoxelPaintError):
 class CheckpointError(VoxelPaintError):
     """Checkpoint parse failure.
 
-    ``code`` is one of: bad_magic, version, truncated, mismatch.
+    ``code`` is one of: bad_magic, version, truncated, mismatch, non_finite.
     """
 
     def __init__(self, code: str, message: str):

@@ -1,10 +1,12 @@
 """Cross-validated training and stitched inference.
 
 Scans split into k folds by case (all mask variants of a scan stay in
-one fold). Each fold trains its own model; the checkpoint tracks the
-best validation loss seen so far, updating only on strict improvement.
-Every random choice derives from the global seed, so a rerun reproduces
-the loss curves bit for bit.
+one fold). The ``train`` command fixes that plan once, from the
+manifest's case ids, before it reads a sample; ``train_fold`` trains the
+two sets it is given. Each fold trains its own model; the checkpoint
+tracks the best validation loss seen so far, updating only on strict
+improvement. Every random choice derives from the global seed, so a
+rerun reproduces the loss curves bit for bit.
 
 Training and inference see one window of each scan: the ``crop_dims``
 box that ``volume.crop_center`` centres on the whole volume, which
@@ -198,21 +200,12 @@ def validation_loss(model: UNet, samples: list[PreparedSample], config: TrainCon
     return total / len(samples)
 
 
-def train_fold(samples: list[PreparedSample], config: TrainConfig,
-               fold_index: int, out_dir, log_fh=None) -> FoldResult:
-    """Train one fold to completion and keep the best-validation checkpoint.
-
-    The fold plan splits by ``case_id``, so variants never straddle folds.
-    """
+def train_fold(train_set: list[PreparedSample], val_set: list[PreparedSample],
+               config: TrainConfig, fold_index: int, out_dir, log_fh=None) -> FoldResult:
+    """Train one fold on exactly the given sets and keep its best-validation checkpoint.
+    ``fold_index`` labels the fold's random streams, checkpoint and log records."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    case_ids = sorted({s.case_id for s in samples})
-    folds = kfold_split(case_ids, config.folds, config.seed)
-    if not 0 <= fold_index < config.folds:
-        raise ConfigError(f"fold_index {fold_index} out of range for {config.folds} folds")
-    val_cases = set(folds[fold_index])
-    train_set = [s for s in samples if s.case_id not in val_cases]
-    val_set = [s for s in samples if s.case_id in val_cases]
     if not train_set or not val_set:
         raise DataError(f"fold {fold_index} leaves an empty split "
                         f"({len(train_set)} train / {len(val_set)} val)")

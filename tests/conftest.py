@@ -19,7 +19,7 @@ from voxelpaint.metrics import CaseMetrics
 from voxelpaint.masks import (BoxMask, MaskGenParams, _shrink_to_fraction, apply_mask_transform,
                               dilate, make_training_sample, sample_healthy_mask)
 from voxelpaint.nifti import write_nifti, write_nifti_mask
-from voxelpaint.trainer import prepare_sample
+from voxelpaint.trainer import kfold_split, prepare_sample
 from voxelpaint.util import concurrently
 from voxelpaint.volume import MaskVolume, Volume, bounding_box
 
@@ -409,6 +409,14 @@ def build_prepared_samples(count=10, n=16, seed=123):
         sample = make_training_sample(f"case{i:02d}", t1n, tumor, healthy)
         out.append(prepare_sample(sample, (n, n, n)))
     return out
+
+
+def fold_sets(samples, config, fold):
+    """``fold``'s (train, val) sets as the train command plans them: k folds
+    over the samples' distinct case ids, each set in the samples' order."""
+    val_cases = kfold_split(sorted({s.case_id for s in samples}), config.folds, config.seed)[fold]
+    return ([s for s in samples if s.case_id not in val_cases],
+            [s for s in samples if s.case_id in val_cases])
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ import pytest
 from conftest import (
     away_from_zero,
     build_prepared_samples,
+    fold_sets,
     conv3d_oracle,
     gradcheck,
     gradcheck_global,
@@ -377,7 +378,7 @@ def test_criterion_8_training_smoke(tmp_path):
         def run(out_dir):
             out_dir.mkdir()
             samples = build_prepared_samples(count=10, n=16, seed=123)
-            return train_fold(samples, config, 0, out_dir)
+            return train_fold(*fold_sets(samples, config, 0), config, 0, out_dir)
 
         start = time.monotonic()
         first_run = run(tmp_path / "run1")

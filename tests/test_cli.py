@@ -6,13 +6,14 @@ import json
 import shutil
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import build_case, make_input_dir, write_config
 from voxelpaint import cli
-from voxelpaint.checkpoint import save_checkpoint
+from voxelpaint.checkpoint import load_checkpoint, save_checkpoint
 from voxelpaint.dataset import (Manifest, ManifestEntry, load_manifest, read_sample, sample_dirs,
                                 sample_id, save_manifest, write_sample)
 from voxelpaint.masks import make_training_sample
@@ -264,6 +265,57 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     saved = json.loads((out_dir / "resolved_config.json").read_text())
     assert saved["seed"] == 11
     assert load_manifest(out_dir).seed == 11
+
+
+def test_only_prepare_and_train_take_a_seed(tmp_path, capsys):
+    # infer is deterministic, evaluate and report draw nothing
+    config = write_config(tmp_path / "c.json", {
+        "seed": 3,
+        "prepare": {"input_dir": "scans", "out_dir": "dataset"},
+        "train": {"dataset_dir": "dataset", "out_dir": "run"},
+        "infer": {"dataset_dir": "dataset", "checkpoints": ["m.vxpt"], "out_dir": "pred"},
+        "evaluate": {"pred_dir": "pred", "gt_dir": "dataset", "out_dir": "eval"},
+        "report": {"summary": "eval/summary.json"}})
+    for command in cli._COMMANDS:
+        record, resolved = cli._load_config(config, command, None, None)
+        seeded = command in ("prepare", "train")
+        assert hasattr(record, "seed") == seeded == ("seed" in resolved), command
+        assert not seeded or record.seed == resolved["seed"] == 3
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["infer", "--config", config, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_one_shared_config_runs_all_five_commands(tmp_path):
+    input_dir = make_input_dir(tmp_path, n_cases=2, seed=480)
+    dataset, run, pred, ev = (tmp_path / n for n in ("dataset", "run", "pred", "eval"))
+    config = write_config(tmp_path / "c.json", {
+        "seed": 9,
+        "prepare": {"input_dir": str(input_dir), "out_dir": str(dataset), "margin": 1,
+                    "variants": 1, "max_attempts": 400},
+        "train": {"dataset_dir": str(dataset), "out_dir": str(run), "epochs": 1, "folds": 2,
+                  "crop_dims": [16, 16, 16], "base_channels": 2},
+        "infer": {"dataset_dir": str(dataset), "out_dir": str(pred), "crop_dims": [16, 16, 16],
+                  "checkpoints": [str(run / f"fold{k}-best.vxpt") for k in range(2)]},
+        "evaluate": {"pred_dir": str(pred), "gt_dir": str(dataset), "out_dir": str(ev)},
+        "report": {"summary": str(ev / "summary.json"), "out_dir": str(ev)}})
+    for command in cli._COMMANDS:
+        assert cli.main([command, "--config", config]) == 0, command
+    seeds = {d.name: json.loads((d / "resolved_config.json").read_text()).get("seed")
+             for d in (dataset, run, pred, ev)}
+    assert seeds == {"dataset": 9, "run": 9, "pred": None, "eval": None}
+
+
+def test_readme_config_example_loads_for_every_command(tmp_path):
+    # a key the README shows must be one its command takes
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("## Command line", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    config = tmp_path / "config.json"
+    config.write_text(example)
+    assert set(json.loads(example)) == {"seed", *cli._COMMANDS}
+    for command in cli._COMMANDS:
+        assert cli._load_config(str(config), command, None, None)[1]["command"] == command
 
 
 def test_out_flag_overrides_out_dir(tmp_path):
@@ -551,18 +603,39 @@ def test_train_invalid_hyperparameters_exit_3(cli_workspace, tmp_path, capsys):
     assert not (tmp_path / "out" / "resolved_config.json").exists()
 
 
-def test_train_bad_base_channels_exits_3_before_reading_samples(tmp_path, capsys):
-    # the manifest's sample files do not exist: reading one would exit 2
+def _unreadable_dataset(tmp_path):
+    """A dataset whose manifest lists two cases whose sample files do not
+    exist: reading one would exit 2."""
     dataset_dir = tmp_path / "dataset"
     dataset_dir.mkdir()
     save_manifest(Manifest(seed=0, samples=[
         ManifestEntry(case_id=c, variant=0, sample_id=f"{c}-m0", directory=f"{c}-m0", seed=0)
         for c in ("a", "b")]), dataset_dir)
+    return dataset_dir
+
+
+def test_train_bad_base_channels_exits_3_before_reading_samples(tmp_path, capsys):
     config = write_config(tmp_path / "c.json", {
-        "train": {"dataset_dir": str(dataset_dir), "out_dir": str(tmp_path / "out"),
-                  "base_channels": 0}})
+        "train": {"dataset_dir": str(_unreadable_dataset(tmp_path)),
+                  "out_dir": str(tmp_path / "out"), "base_channels": 0}})
     assert cli.main(["train", "--config", config]) == 3
     assert "base_channels" in capsys.readouterr().err
+
+
+def test_train_more_folds_than_cases_exits_3_before_reading_samples(tmp_path, capsys):
+    # the fold plan comes from the manifest alone, before any sample is read
+    # or the log of an earlier run is emptied
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    log = out_dir / "train_log.jsonl"
+    log.write_text('{"fold": 0, "epoch": 0}\n{"fold": 1, "epoch": 0}\n')
+    before = log.read_bytes()
+    config = write_config(tmp_path / "c.json", {
+        "train": {"dataset_dir": str(_unreadable_dataset(tmp_path)), "out_dir": str(out_dir),
+                  "folds": 3}})
+    assert cli.main(["train", "--config", config]) == 3
+    assert "need 2 <= k <= 2 cases, got k=3" in capsys.readouterr().err
+    assert log.read_bytes() == before
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -773,6 +846,45 @@ def test_infer_checkpoint_with_fractional_base_channels_exits_3(cli_workspace, t
                   "checkpoints": [str(checkpoint)], "out_dir": str(tmp_path / "pred")}})
     assert cli.main(["infer", "--config", config]) == 3
     assert "base_channels" in capsys.readouterr().err
+
+
+def test_infer_non_finite_checkpoint_exits_3_before_writing(cli_workspace, tmp_path, capsys):
+    model, meta = load_checkpoint(cli_workspace["train_dir"] / "fold0-best.vxpt")
+    dict(model.parameters())["enc0.conv1.weight"].data.flat[0] = np.nan
+    checkpoint = tmp_path / "nan.vxpt"
+    save_checkpoint(model, meta, checkpoint)
+    out_dir = tmp_path / "pred"
+    config = write_config(tmp_path / "c.json", {
+        "infer": {"dataset_dir": str(cli_workspace["dataset_dir"]),
+                  "checkpoints": [str(cli_workspace["train_dir"] / "fold1-best.vxpt"),
+                                  str(checkpoint)],
+                  "out_dir": str(out_dir), "crop_dims": [16, 16, 16]}})
+    assert cli.main(["infer", "--config", config]) == 3
+    assert "enc0.conv1.weight" in capsys.readouterr().err
+    assert not list(out_dir.glob("*.nii.gz"))
+
+
+@pytest.mark.parametrize("command", ["infer", "evaluate"])
+@pytest.mark.parametrize("inside", ["pred", "sub/../pred"])
+def test_out_dir_inside_the_walked_directory_exits_3(cli_workspace, tmp_path, capsys, command,
+                                                     inside):
+    # every directory under dataset_dir (infer) or gt_dir (evaluate) is read
+    # as a sample, an output directory there too
+    dataset_dir = tmp_path / "dataset"
+    shutil.copytree(cli_workspace["dataset_dir"], dataset_dir)
+    before = sorted(dataset_dir.rglob("*"))
+    out_dir = str(dataset_dir / inside)
+    section = {
+        "infer": {"dataset_dir": str(dataset_dir), "out_dir": out_dir, "crop_dims": [16, 16, 16],
+                  "checkpoints": [str(cli_workspace["train_dir"] / "fold0-best.vxpt")]},
+        "evaluate": {"pred_dir": str(tmp_path), "gt_dir": str(dataset_dir), "out_dir": out_dir},
+    }[command]
+    config = write_config(tmp_path / "c.json", {command: section})
+    assert cli.main([command, "--config", config]) == 3
+    assert "config key 'out_dir'" in capsys.readouterr().err
+    config = write_config(tmp_path / "c.json", {command: {**section, "out_dir": str(tmp_path / "o")}})
+    assert cli.main([command, "--config", config, "--out", out_dir]) == 3
+    assert sorted(dataset_dir.rglob("*")) == before
 
 
 def test_infer_without_samples_exits_2(cli_workspace, tmp_path):

@@ -5,7 +5,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from conftest import build_case, build_prepared_samples
+from conftest import build_case, build_prepared_samples, fold_sets
 from voxelpaint import trainer, util
 from voxelpaint.autodiff import Tensor, no_grad
 from voxelpaint.errors import ConfigError, DataError, NumericError
@@ -146,7 +146,8 @@ def _quick_config(**kw):
 
 def test_train_fold_runs_and_tracks_best(tmp_path):
     samples = build_prepared_samples(count=5)
-    res = train_fold(samples, _quick_config(epochs=3), 0, tmp_path)
+    train_set, val_set = fold_sets(samples, _quick_config(epochs=3), 0)
+    res = train_fold(train_set, val_set, _quick_config(epochs=3), 0, tmp_path)
     assert len(res.history) == 3
     assert res.best_epoch >= 0
     assert res.best_val_loss == min(h["val_loss"] for h in res.history)
@@ -155,8 +156,6 @@ def test_train_fold_runs_and_tracks_best(tmp_path):
     assert meta["epoch"] == res.best_epoch
     assert meta["fold"] == 0
     # The checkpointed model reproduces the recorded validation loss.
-    val_cases = set(kfold_split(sorted({s.case_id for s in samples}), 5, 7)[0])
-    val_set = [s for s in samples if s.case_id in val_cases]
     revalidated = validation_loss(model, val_set, _quick_config(epochs=3))
     assert revalidated == pytest.approx(res.best_val_loss, abs=1e-7)
 
@@ -164,8 +163,8 @@ def test_train_fold_runs_and_tracks_best(tmp_path):
 def test_train_fold_is_bit_deterministic(tmp_path):
     samples = build_prepared_samples(count=5)
     cfg = _quick_config()
-    res_a = train_fold(samples, cfg, 1, tmp_path / "a")
-    res_b = train_fold(samples, cfg, 1, tmp_path / "b")
+    res_a = train_fold(*fold_sets(samples, cfg, 1), cfg, 1, tmp_path / "a")
+    res_b = train_fold(*fold_sets(samples, cfg, 1), cfg, 1, tmp_path / "b")
 
     def curve(res):  # drop the wall-clock field
         return [{k: v for k, v in h.items() if k != "seconds"} for h in res.history]
@@ -180,17 +179,18 @@ def test_train_fold_writes_the_same_checkpoint_on_the_numpy_walk(tmp_path, monke
     # the conv walk's GEMMs through util.gemm, then through np.matmul and an add
     samples = build_prepared_samples(count=5)
     cfg = _quick_config()
-    res_blas = train_fold(samples, cfg, 1, tmp_path / "blas")
+    sets = fold_sets(samples, cfg, 1)
+    res_blas = train_fold(*sets, cfg, 1, tmp_path / "blas")
     monkeypatch.setattr(util, "gemm", lambda dtype: None)
-    res_numpy = train_fold(samples, cfg, 1, tmp_path / "numpy")
+    res_numpy = train_fold(*sets, cfg, 1, tmp_path / "numpy")
     assert open(res_blas.checkpoint_path, "rb").read() == open(res_numpy.checkpoint_path, "rb").read()
 
 
 def test_train_fold_at_batch_size_2(tmp_path, monkeypatch):
     samples = build_prepared_samples(count=7)
     cfg = _quick_config(batch_size=2)
-    val_cases = set(kfold_split([s.case_id for s in samples], cfg.folds, cfg.seed)[0])
-    n = sum(s.case_id not in val_cases for s in samples)
+    sets = fold_sets(samples, cfg, 0)
+    n = len(sets[0])
     assert n % 2 == 1   # the last batch of an epoch holds one sample
     batches = []
     loss_for = trainer._loss_for
@@ -201,11 +201,11 @@ def test_train_fold_at_batch_size_2(tmp_path, monkeypatch):
         return loss_for(model, batch, config, training, rng)
 
     monkeypatch.setattr(trainer, "_loss_for", spy)
-    res_a = train_fold(samples, cfg, 0, tmp_path / "a")
+    res_a = train_fold(*sets, cfg, 0, tmp_path / "a")
     assert batches == ([2] * (n // 2) + [1]) * cfg.epochs   # ceil(n / 2) steps an epoch
     assert all(np.isfinite([h["train_loss"], h["val_loss"]]).all() for h in res_a.history)
-    res_b = train_fold(samples, cfg, 0, tmp_path / "b")
-    res_1 = train_fold(samples, _quick_config(batch_size=1), 0, tmp_path / "one")
+    res_b = train_fold(*sets, cfg, 0, tmp_path / "b")
+    res_1 = train_fold(*sets, _quick_config(batch_size=1), 0, tmp_path / "one")
 
     def data(res):
         return [{k: v for k, v in h.items() if k != "seconds"} for h in res.history], \
@@ -220,16 +220,19 @@ def test_train_fold_writes_log_lines(tmp_path):
     import json
     samples = build_prepared_samples(count=5)
     buf = io.StringIO()
-    train_fold(samples, _quick_config(), 0, tmp_path, log_fh=buf)
+    train_fold(*fold_sets(samples, _quick_config(), 0), _quick_config(), 0, tmp_path, log_fh=buf)
     lines = [json.loads(l) for l in buf.getvalue().strip().split("\n")]
     assert len(lines) == 2
     assert {"fold", "epoch", "train_loss", "val_loss", "seconds"} <= set(lines[0])
 
 
-def test_train_fold_validates_fold_index_and_splits(tmp_path):
+def test_train_fold_refuses_an_empty_set(tmp_path):
+    # an empty train set would divide the epoch's loss by zero
     samples = build_prepared_samples(count=5)
-    with pytest.raises(ConfigError):
-        train_fold(samples, _quick_config(), 7, tmp_path)
+    for train_set, val_set in ((samples, []), ([], samples)):
+        with pytest.raises(DataError, match="empty split"):
+            train_fold(train_set, val_set, _quick_config(), 0, tmp_path)
+    assert not list(tmp_path.glob("*.vxpt"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -238,7 +241,7 @@ def test_train_fold_flags_numeric_blowup(tmp_path):
     samples = build_prepared_samples(count=5)
     cfg = _quick_config(lambda_mae=1e38, lr=1e30)
     with pytest.raises(NumericError):
-        train_fold(samples, cfg, 0, tmp_path)
+        train_fold(*fold_sets(samples, cfg, 0), cfg, 0, tmp_path)
 
 
 def test_train_config_validation():

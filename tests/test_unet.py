@@ -282,6 +282,19 @@ def _saved(tmp_path, base=2):
     return path
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_checkpoint_non_finite_parameter_is_refused(tmp_path, value):
+    # a NaN weight would load and put NaN into every masked voxel infer writes
+    model = make_model(2, seed=11)
+    dict(model.parameters())["enc0.conv1.weight"].data.flat[5] = value
+    path = tmp_path / "m.vxpt"
+    save_checkpoint(model, {"epoch": 0, "fold": 0, "val_loss": 1.0, "seed": 0}, path)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert exc.value.code == "non_finite"
+    assert "enc0.conv1.weight" in str(exc.value)
+
+
 def _code(excinfo):
     return excinfo.value.code
 
