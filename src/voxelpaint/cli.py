@@ -178,9 +178,11 @@ def cmd_prepare(cfg: PrepareSection) -> int:
         except (MaskPlacementError, DataError, NiftiError, ShapeError) as exc:
             manifest.skipped.append({"case_id": case_id, "reason": str(exc)})
             continue
+        shared = {}   # the case's t1n and tumor mask, deflated once for all its variants
         for variant, healthy in enumerate(healthy_masks):
             sid = sample_id(case_id, variant)
-            write_sample(out_dir / sid, sid, make_training_sample(case_id, t1n, tumor, healthy))
+            write_sample(out_dir / sid, sid, make_training_sample(case_id, t1n, tumor, healthy),
+                         shared)
             manifest.samples.append(ManifestEntry(case_id=case_id, variant=variant,
                                                   sample_id=sid, directory=sid,
                                                   seed=case_seed))
@@ -206,6 +208,7 @@ def cmd_train(cfg: TrainSection) -> int:
     if not manifest.samples:
         raise DataError(f"manifest in {dataset_dir} lists no samples")
     folds = kfold_split(sorted({e.case_id for e in manifest.samples}), cfg.folds, cfg.seed)
+    _remove_previous_run(out_dir)
     # each full-size sample is freed once cropped, before the next one is read
     samples = [prepare_sample(read_sample(dataset_dir / entry.directory, entry.sample_id,
                                           entry.case_id),
@@ -226,6 +229,27 @@ def cmd_train(cfg: TrainSection) -> int:
     with atomic_open(out_dir / "train_result.json") as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
     return 0
+
+
+def _remove_previous_run(out_dir: Path) -> None:
+    """Remove an earlier run's train_result.json and the checkpoints it lists,
+    so that out_dir never mixes two runs. train writes its result last: a
+    directory without one holds an unfinished run. A listed checkpoint that is
+    not a fold*-best.vxpt file directly in out_dir raises DataError, and
+    nothing is removed."""
+    result = out_dir / "train_result.json"
+    if not result.exists():
+        return
+    try:
+        listed = [Path(row["checkpoint"]) for row in json.loads(result.read_text())]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DataError(f"{result} is malformed: {exc!r}") from exc
+    for path in listed:
+        if not path.match("fold*-best.vxpt") or path.parent.resolve() != out_dir.resolve():
+            raise DataError(f"{result} lists {path}, which is not a checkpoint in {out_dir}")
+    result.unlink()
+    for path in listed:
+        path.unlink(missing_ok=True)
 
 
 def cmd_infer(cfg: InferSection) -> int:

@@ -12,9 +12,10 @@ A prepared sample lives in its own directory named by the sample id
 ``read_sample`` reads the first, third and fourth; the other two derive
 from them, and ``infer`` reads them as the challenge's layout gives them.
 
-Scans are stored as float32 and masks as uint8 (0/1), each gzipped at
-deflate level 1; the reader also accepts float32 masks, as written by
-earlier versions.
+Scans are stored as float32 and masks as uint8 (0/1), each gzipped as
+``nifti`` writes it; the reader also accepts float32 masks, as written by
+earlier versions. The variants of one case share their t1n and
+mask-unhealthy files byte for byte, and ``prepare`` deflates each once.
 
 The manifest (manifest.json) records the seed, the successful samples,
 and any skipped cases with reasons.
@@ -30,7 +31,8 @@ from pathlib import Path
 
 from .errors import DataError
 from .masks import TrainingSample, make_training_sample, void_image
-from .nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
+from .nifti import (encode_nifti, encode_nifti_mask, read_nifti, read_nifti_mask, write_encoded,
+                    write_nifti, write_nifti_mask)
 from .util import atomic_open, build_record, concurrently
 
 COMPONENTS = ("t1n", "t1n-voided", "mask-healthy", "mask-unhealthy", "mask")
@@ -52,14 +54,26 @@ def inpainted_path(pred_dir: Path, sid: str) -> Path:
     return Path(pred_dir) / f"{sid}-t1n-inpainted.nii.gz"
 
 
-def write_sample(sample_dir, sid: str, sample: TrainingSample) -> None:
-    """Write the five component files, side by side (``util.concurrently``)."""
+def write_sample(sample_dir, sid: str, sample: TrainingSample, shared: dict | None = None) -> None:
+    """Write the five component files, side by side (``util.concurrently``).
+
+    ``shared`` serves one case's variants, whose t1n and mask-unhealthy are
+    the same volumes: the first call stores those two files' encoded bytes
+    in it, and later calls write the same bytes without deflating again.
+    """
     Path(sample_dir).mkdir(parents=True, exist_ok=True)
     path = partial(component_path, sample_dir, sid)
-    concurrently(lambda: write_nifti(sample.t1n, path("t1n")),
+    shared = {} if shared is None else shared
+
+    def write_shared(component, encode, volume):
+        if component not in shared:
+            shared[component] = encode(volume, path(component))
+        write_encoded(shared[component], path(component))
+
+    concurrently(lambda: write_shared("t1n", encode_nifti, sample.t1n),
                  lambda: write_nifti(void_image(sample.t1n, sample.combined), path("t1n-voided")),
                  lambda: write_nifti_mask(sample.healthy, path("mask-healthy")),
-                 lambda: write_nifti_mask(sample.unhealthy, path("mask-unhealthy")),
+                 lambda: write_shared("mask-unhealthy", encode_nifti_mask, sample.unhealthy),
                  lambda: write_nifti_mask(sample.combined, path("mask")))
 
 

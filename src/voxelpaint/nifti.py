@@ -5,13 +5,17 @@ volumes (magic "n+1\\0"), datatypes uint8/int16/float32, a single frame,
 optional gzip compression chosen by the ".gz" suffix. scl_slope and
 scl_inter are applied on read when the slope is nonzero. Orientation
 and affine header fields are carried through untouched and never
-interpreted. Scans are written as float32 and masks as uint8, gzipped at
-deflate level 1.
+interpreted. Scans are written as float32 and masks as uint8; a .nii.gz
+is one gzip member deflated with zlib's run-length strategy (GZIP_LEVEL).
+``encode_nifti`` and ``encode_nifti_mask`` give a file's bytes without
+writing them, so a volume that several files hold is deflated once and
+``write_encoded`` writes its bytes to each.
 
 Voxel arrays come out of the reader in disk order ([x, y, z] indexing
 over x-fastest memory, i.e. Fortran order), and the writer copies
 nothing for an array in that order. A float32 scan's voxels are a view
-on the buffer its file was inflated into, so a read holds them once.
+on the buffer its file was read or inflated into, so a read holds them
+once.
 
 A malformed file raises NiftiError; its ``code`` is one of bad_gzip
 (truncated, corrupt or junk-trailed gzip stream), bad_header, bad_magic,
@@ -21,7 +25,8 @@ data needs) or non_finite (a NaN or infinite voxel).
 
 from __future__ import annotations
 
-import gzip
+import os
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -50,9 +55,17 @@ _OFF_MAGIC = 344
 
 _DTYPES = {2: np.dtype("u1"), 4: np.dtype("<i2"), 16: np.dtype("<f4")}
 
-# deflate level for .nii.gz output: on a 240x240x155 scan level 1 writes
-# about 13x faster than level 9 for files about 20 % larger
+# Every .nii.gz is one gzip member (RFC 1952): the fixed header below (no
+# name, mtime 0, XFL 4 for the fastest level, OS 255 unknown), so identical
+# volumes give identical bytes anywhere; a raw deflate stream with zlib's
+# run-length strategy (Z_RLE), which matches only repeats of the previous
+# byte; then the CRC-32 and length trailer. A skull-stripped scan is about
+# 81 % zero background: a 240x240x155 float32 scan deflates in 143 ms
+# against 186 ms through gzip.GzipFile at level 1, CRC included, to a file
+# 8 % larger that inflates in 97 ms against 86. Under Z_RLE every level
+# from 1 to 9 gives the same stream; 1 is the level that XFL names.
 GZIP_LEVEL = 1
+_GZIP_HEADER = bytes.fromhex("1f8b08000000000004ff")
 
 
 # compressed bytes inflated per zlib call. Small pieces let a scan's
@@ -60,30 +73,38 @@ GZIP_LEVEL = 1
 # would hold them twice, as zlib's pieces and then joined. A 240x240x155
 # float32 scan (34 MiB of voxels) then reads at a 55 MiB traced peak.
 _INFLATE_CHUNK = 1 << 16
+_NONZERO = re.compile(rb"[^\x00]")   # the end of the zero padding after a gzip member
 
 
 def _read_bytes(path: Path) -> bytearray:
     """The file's bytes, decompressed when the name ends .gz, in a writable
     buffer that the voxel array can use without a copy.
 
-    Reads as the gzip module does: members concatenated, zero padding
-    after a member skipped. Raises NiftiError bad_gzip on a truncated,
-    corrupt or junk-trailed stream.
+    A plain file is read straight into one buffer sized from its ``fstat``.
+    A gzip file reads as the gzip module reads it: members concatenated,
+    zero padding after a member skipped. One offset walks the compressed
+    bytes, so a member boundary copies none of them. Raises NiftiError
+    bad_gzip on a truncated, corrupt or junk-trailed stream.
     """
-    data = path.read_bytes()
     if not str(path).endswith(".gz"):
-        return bytearray(data)
-    out = bytearray()
-    rest = memoryview(data)
+        with open(path, "rb") as fh:
+            out = bytearray(os.fstat(fh.fileno()).st_size)
+            del out[fh.readinto(out):]   # a file that shrank since fstat
+        return out
+    data = path.read_bytes()
+    view, pos, out = memoryview(data), 0, bytearray()
     try:
-        while rest:
+        while pos < len(data):
             inflater = zlib.decompressobj(wbits=31)   # 31: gzip header and trailer
-            while rest and not inflater.eof:
-                out += inflater.decompress(rest[:_INFLATE_CHUNK])
-                rest = rest[_INFLATE_CHUNK:]
-            if not inflater.eof:
-                raise NiftiError("bad_gzip", f"{path}: compressed stream ends before its last member does")
-            rest = memoryview((inflater.unused_data + rest).lstrip(b"\x00"))
+            while not inflater.eof:
+                if pos == len(data):
+                    raise NiftiError("bad_gzip", f"{path}: compressed stream ends before its last member does")
+                piece = view[pos:pos + _INFLATE_CHUNK]
+                out += inflater.decompress(piece)
+                pos += len(piece)
+            pos -= len(inflater.unused_data)   # back to the first byte after the member
+            nonzero = _NONZERO.search(data, pos)
+            pos = nonzero.start() if nonzero else len(data)
     except zlib.error as exc:
         raise NiftiError("bad_gzip", f"{path}: not a valid gzip stream ({exc})") from exc
     return out
@@ -182,16 +203,34 @@ def read_nifti_mask(path, role: str) -> MaskVolume:
 
 def write_nifti(volume: Volume, path) -> None:
     """Serialize as float32 with identity scaling; gzip when path ends .gz."""
-    _write(path, volume.voxels, 16, volume.affine_bytes)
+    write_encoded(encode_nifti(volume, path), path)
 
 
 def write_nifti_mask(mask: MaskVolume, path) -> None:
     """Serialize as uint8 0/1 voxels; gzip when path ends .gz."""
-    _write(path, mask.bits.view(np.uint8), 2, None)   # a bool is one byte, 0 or 1
+    write_encoded(encode_nifti_mask(mask, path), path)
 
 
-def _write(path, voxels: np.ndarray, datatype: int, affine_bytes: bytes | None) -> None:
-    """Write [x, y, z] voxels as the given datatype, atomically."""
+def encode_nifti(volume: Volume, path) -> list:
+    """The buffers, in order, that ``write_nifti(volume, path)`` writes."""
+    return _encode(volume.voxels, 16, volume.affine_bytes, str(path).endswith(".gz"))
+
+
+def encode_nifti_mask(mask: MaskVolume, path) -> list:
+    """The buffers, in order, that ``write_nifti_mask(mask, path)`` writes."""
+    return _encode(mask.bits.view(np.uint8), 2, None, str(path).endswith(".gz"))   # a bool is one byte
+
+
+def write_encoded(buffers: list, path) -> None:
+    """Write a file's buffers, as ``encode_nifti`` returns them, atomically."""
+    with atomic_open(path, "wb") as out:
+        for buffer in buffers:
+            out.write(buffer)
+
+
+def _encode(voxels: np.ndarray, datatype: int, affine_bytes: bytes | None, gz: bool) -> list:
+    """[x, y, z] voxels as a file of the given datatype: the header and the
+    voxels, or, with ``gz``, one gzip member (RFC 1952) holding them."""
     dtype = _DTYPES[datatype]
     header = bytearray(VOX_OFFSET)  # the 348-byte header, then 4 zero extension bytes
     struct.pack_into("<i", header, _OFF_SIZEOF_HDR, HEADER_SIZE)
@@ -207,15 +246,10 @@ def _write(path, voxels: np.ndarray, datatype: int, affine_bytes: bytes | None) 
     header[_OFF_MAGIC:_OFF_MAGIC + 4] = MAGIC
     # x fastest on disk: no copy for an array in disk (Fortran) order
     data = np.ascontiguousarray(voxels.transpose(2, 1, 0), dtype=dtype)
-
-    with atomic_open(path, "wb") as out:
-        if str(path).endswith(".gz"):
-            # fileobj + fixed mtime: no filename or timestamp in the gzip header,
-            # so identical volumes serialize to identical bytes anywhere
-            with gzip.GzipFile(filename="", fileobj=out, mode="wb",
-                               compresslevel=GZIP_LEVEL, mtime=0) as fh:
-                fh.write(header)
-                fh.write(data)
-        else:
-            out.write(header)
-            out.write(data)
+    if not gz:
+        return [header, data]
+    deflate = zlib.compressobj(GZIP_LEVEL, zlib.DEFLATED, -15, 8, zlib.Z_RLE)   # -15: raw deflate
+    crc = zlib.crc32(data, zlib.crc32(header))
+    size = (len(header) + data.nbytes) & 0xFFFFFFFF   # ISIZE: the length modulo 2^32
+    return [_GZIP_HEADER, deflate.compress(header), deflate.compress(data), deflate.flush(),
+            struct.pack("<2I", crc, size)]

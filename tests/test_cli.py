@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import build_case, make_input_dir, write_config
-from voxelpaint import cli
+from voxelpaint import cli, nifti
 from voxelpaint.checkpoint import load_checkpoint, save_checkpoint
 from voxelpaint.dataset import (Manifest, ManifestEntry, load_manifest, read_sample, sample_dirs,
                                 sample_id, save_manifest, write_sample)
@@ -529,6 +529,36 @@ def test_prepare_again_keeps_what_no_manifest_lists(tmp_path):
     assert (out_dir / "case00-m0" / "case00-m0-t1n.nii.gz").exists()
 
 
+def test_prepare_deflates_each_case_scan_and_tumor_mask_once(tmp_path, monkeypatch):
+    # every variant's t1n and mask-unhealthy hold the first variant's bytes;
+    # they are encoded once a case, the other three files once a variant
+    input_dir = make_input_dir(tmp_path, n_cases=2, seed=478)
+    encodes = []
+    encode = nifti._encode
+    monkeypatch.setattr(nifti, "_encode", lambda *a: encodes.append(a[1]) or encode(*a))
+    assert _prepare_into(tmp_path / "out", input_dir, 3) == 0
+    assert len(encodes) == 2 * (2 + 3 * 3)
+    for case in ("case00", "case01"):
+        for component in ("t1n", "mask-unhealthy"):
+            first = (tmp_path / "out" / f"{case}-m0" / f"{case}-m0-{component}.nii.gz").read_bytes()
+            for variant in (1, 2):
+                sid = f"{case}-m{variant}"
+                assert (tmp_path / "out" / sid / f"{sid}-{component}.nii.gz").read_bytes() == first
+
+
+def test_prepare_rerun_writes_the_same_bytes(tmp_path):
+    input_dir = make_input_dir(tmp_path, n_cases=2, seed=479)
+    out_dir = tmp_path / "out"
+
+    def files():
+        return {p.relative_to(out_dir): p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+
+    assert _prepare_into(out_dir, input_dir, 2) == 0
+    first = files()
+    assert _prepare_into(out_dir, input_dir, 2) == 0
+    assert files() == first and len(first) == 2 + 4 * 5   # the manifest, the config, 4 samples
+
+
 @pytest.mark.parametrize("directory", ["../x", "..", ".", "", "a/b"])
 def test_prepare_refuses_an_old_manifest_entry_that_is_not_a_plain_name(tmp_path, capsys,
                                                                          directory):
@@ -636,6 +666,84 @@ def test_train_more_folds_than_cases_exits_3_before_reading_samples(tmp_path, ca
     assert cli.main(["train", "--config", config]) == 3
     assert "need 2 <= k <= 2 cases, got k=3" in capsys.readouterr().err
     assert log.read_bytes() == before
+
+
+def _train_files(out_dir):
+    """Each file of a train run by name, with what may differ between two
+    runs of one config left out: the paths in train_result.json and
+    resolved_config.json and the wall clock in train_log.jsonl."""
+    files = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name == "train_result.json":
+            rows = json.loads(path.read_text())
+            files[path.name] = [{**r, "checkpoint": Path(r["checkpoint"]).name} for r in rows]
+        elif path.name == "train_log.jsonl":
+            rows = [json.loads(line) for line in path.read_text().splitlines()]
+            files[path.name] = [{k: v for k, v in r.items() if k != "seconds"} for r in rows]
+        elif path.name != "resolved_config.json":
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def _three_case_dataset(tmp_path):
+    input_dir = make_input_dir(tmp_path, n_cases=3, seed=480)
+    assert _prepare_into(tmp_path / "dataset", input_dir, 1) == 0
+    return tmp_path / "dataset"
+
+
+def _train(tmp_path, dataset_dir, out_dir, **keys):
+    section = {"dataset_dir": str(dataset_dir), "out_dir": str(out_dir), "epochs": 1,
+               "folds": 2, "crop_dims": [16, 16, 16], "base_channels": 2,
+               "dropout_rate": 0.0, **keys}
+    return cli.main(["train", "--config", write_config(tmp_path / "t.json", {"train": section})])
+
+
+def test_train_rerun_gives_the_bytes_of_a_fresh_run(tmp_path):
+    # a rerun with fewer folds must not leave the earlier run's third checkpoint
+    dataset_dir = _three_case_dataset(tmp_path)
+    assert _train(tmp_path, dataset_dir, tmp_path / "run", folds=3) == 0
+    assert (tmp_path / "run" / "fold2-best.vxpt").exists()
+    assert _train(tmp_path, dataset_dir, tmp_path / "run") == 0
+    assert _train(tmp_path, dataset_dir, tmp_path / "fresh") == 0
+    files = _train_files(tmp_path / "run")
+    assert files == _train_files(tmp_path / "fresh")
+    assert sorted(files) == ["fold0-best.vxpt", "fold1-best.vxpt", "train_log.jsonl",
+                             "train_result.json"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_failed_rerun_leaves_no_file_of_the_earlier_run(cli_workspace, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train(tmp_path, cli_workspace["dataset_dir"], run) == 0
+    assert _train(tmp_path, cli_workspace["dataset_dir"], run, lr=1e30, lambda_mae=1e38) == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert sorted(p.name for p in run.iterdir()) == ["resolved_config.json", "train_log.jsonl"]
+    assert json.loads((run / "resolved_config.json").read_text())["lr"] == 1e30
+
+
+@pytest.mark.parametrize("listed", ["../elsewhere/fold0-best.vxpt", "notes.txt", "sub/fold0-best.vxpt"])
+def test_train_refuses_a_result_listing_a_file_it_did_not_write(cli_workspace, tmp_path, capsys,
+                                                                 listed):
+    run = tmp_path / "run"
+    run.mkdir()
+    target = run / listed
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text("mine")
+    (run / "train_result.json").write_text(json.dumps([{"fold": 0, "checkpoint": str(target)}]))
+    assert _train(tmp_path, cli_workspace["dataset_dir"], run) == 3
+    assert "not a checkpoint in" in capsys.readouterr().err
+    assert target.read_text() == "mine" and (run / "train_result.json").exists()
+    assert not (run / "train_log.jsonl").exists()
+
+
+@pytest.mark.parametrize("text", ["not json", '{"fold": 0}', '[{"fold": 0}]', '[{"checkpoint": 3}]'])
+def test_train_refuses_a_malformed_result(cli_workspace, tmp_path, capsys, text):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "train_result.json").write_text(text)
+    assert _train(tmp_path, cli_workspace["dataset_dir"], run) == 3
+    assert "is malformed" in capsys.readouterr().err
+    assert (run / "train_result.json").read_text() == text
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -553,3 +554,88 @@ def test_nifti_read_holds_the_voxel_bytes_once(tmp_path):
     assert back.voxels.flags.writeable and back.voxels.flags.aligned
     over = (peak - path.stat().st_size) / vox.nbytes
     assert over < 1.5, f"read held {over:.2f}x the voxel bytes beside the compressed file"
+
+
+def test_nifti_plain_read_holds_the_file_bytes_once(tmp_path):
+    # the twin of the test above for a plain .nii: the file is read straight
+    # into the buffer the voxels stay on, so it is never held twice. The
+    # finiteness check's map, one byte a voxel, is the rest of the peak.
+    vox = np.asfortranarray(np.random.default_rng(3).integers(0, 16, (96, 96, 64)).astype(np.float32))
+    path = tmp_path / "s.nii"
+    write_nifti(Volume(vox), path)
+    tracemalloc.start()
+    try:
+        back = read_nifti(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.voxels.tobytes(order="F") == vox.tobytes(order="F")
+    assert back.voxels.flags.writeable and back.voxels.flags.aligned
+    over = (peak - path.stat().st_size) / vox.nbytes
+    assert over < 0.5, f"read held {over:.2f}x the voxel bytes beside the file"
+
+
+def test_nifti_gzip_members_read_in_one_pass(tmp_path):
+    # pigz and BGZF write many small members. Noise voxels barely compress,
+    # so a copy of the compressed bytes left over at a member boundary would
+    # weigh as much as the voxels themselves.
+    vox = np.asfortranarray(np.random.default_rng(5).standard_normal((64, 64, 48), np.float32))
+    path = tmp_path / "s.nii.gz"
+    write_nifti(Volume(vox), tmp_path / "s.nii")
+    raw = (tmp_path / "s.nii").read_bytes()
+    step = 1 << 14
+    path.write_bytes(b"".join(gzip.compress(raw[i:i + step], mtime=0)
+                              for i in range(0, len(raw), step)))
+    assert path.stat().st_size > 0.9 * len(raw)
+    tracemalloc.start()
+    try:
+        back = read_nifti(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.voxels.tobytes(order="F") == vox.tobytes(order="F")
+    over = (peak - path.stat().st_size) / vox.nbytes
+    assert over < 1.5, f"read held {over:.2f}x the voxel bytes beside the compressed file"
+
+
+def _scan_and_mask(seed=48, dims=(40, 36, 28)):
+    """A scan with zero background around a noisy brain, and a mask."""
+    rng = np.random.default_rng(seed)
+    grid = np.indices(dims)
+    brain = sum((grid[i] - (d - 1) / 2) ** 2 / (0.42 * d) ** 2 for i, d in enumerate(dims)) <= 1
+    voxels = np.where(brain, np.rint(200.0 + 800.0 * rng.random(dims)), 0.0).astype(np.float32)
+    return Volume(voxels, affine_bytes=bytes(range(76))), MaskVolume(brain & (grid[0] < 20))
+
+
+@pytest.mark.parametrize("kind", ["scan", "mask"])
+def test_nifti_gzip_decodes_to_the_plain_file(tmp_path, kind):
+    # one gzip member that both the gzip module and zlib's gzip mode decode
+    # to exactly the bytes of the plain file
+    volume = _scan_and_mask()[kind == "mask"]
+    write = write_nifti if kind == "scan" else write_nifti_mask
+    write(volume, tmp_path / "v.nii")
+    write(volume, tmp_path / "v.nii.gz")
+    plain = (tmp_path / "v.nii").read_bytes()
+    blob = (tmp_path / "v.nii.gz").read_bytes()
+    assert gzip.decompress(blob) == plain
+    inflater = zlib.decompressobj(wbits=31)
+    assert inflater.decompress(blob) == plain
+    assert inflater.eof and inflater.unused_data == b""
+    encode = nifti.encode_nifti if kind == "scan" else nifti.encode_nifti_mask
+    assert b"".join(encode(volume, "x.nii.gz")) == blob
+
+
+def test_nifti_file_from_the_gzipfile_writer_still_reads(tmp_path):
+    # earlier versions deflated through gzip.GzipFile with the default strategy
+    scan, mask = _scan_and_mask()
+    for volume, write, read in ((scan, write_nifti, read_nifti),
+                                (mask, write_nifti_mask, lambda p: read_nifti_mask(p, "healthy"))):
+        write(volume, tmp_path / "v.nii")
+        with open(tmp_path / "old.nii.gz", "wb") as out, gzip.GzipFile(
+                filename="", fileobj=out, mode="wb", compresslevel=1, mtime=0) as fh:
+            fh.write((tmp_path / "v.nii").read_bytes())
+        old, new = read(tmp_path / "old.nii.gz"), read(tmp_path / "v.nii")
+        if volume is scan:
+            assert old.voxels.tobytes() == new.voxels.tobytes() and old.affine_bytes == new.affine_bytes
+        else:
+            assert np.array_equal(old.bits, new.bits)
