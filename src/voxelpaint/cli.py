@@ -3,10 +3,15 @@
 Each command reads its own section of a single JSON config file; prepare
 and train, the two that draw random numbers, also read its top-level seed.
 --out, and for those two --seed, override the file. ``util.build_record``
-builds the command's record, so an invalid value exits 3 before anything
-is written. The resolved config is then echoed to stdout and written next
-to the outputs, so a run can always be reproduced. Exit codes: 0 success,
-2 missing input, 3 invalid config or data, 4 numeric failure.
+builds the command's record from them, so an invalid value exits 3 before
+anything is written. That record is the one form of the run's config: it
+is echoed to stdout, every default included, and saved as out_dir's
+resolved_config.json once the command has checked its inputs, right
+before its first other write there, so a run can always be reproduced and
+a refused rerun leaves the config of the run whose files remain. Exit
+codes: 0 success, 2 missing input (or a directory where an input file
+should be), 3 invalid config or data (also a file that is not UTF-8 JSON,
+or an out_dir that is a file), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -84,14 +90,14 @@ class ReportSection:
     out_dir: str = ""
 
 
-def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str | None) -> tuple:
-    """The command's section record, and the resolved config to echo."""
+def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str | None):
+    """The command's section record, with the top-level seed and the flags applied."""
     cfg_path = Path(path)
     if not cfg_path.exists():
         raise FileNotFoundError(f"config file {cfg_path} does not exist")
     try:
-        payload = json.loads(cfg_path.read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(cfg_path.read_text(encoding="utf-8"))
+    except ValueError as exc:   # not JSON, or not UTF-8
         raise ConfigError(f"config {cfg_path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config root must be a JSON object")
@@ -104,31 +110,39 @@ def _load_config(path: str, command: str, seed_flag: int | None, out_flag: str |
     if "seed" in section:
         raise ConfigError(f"config key 'seed' belongs at the top level, not in {command!r}")
 
-    resolved = dict(section)
+    given = dict(section)
     if command in _SEEDED:
-        resolved["seed"] = payload.get("seed", 0) if seed_flag is None else seed_flag
+        given["seed"] = payload.get("seed", 0) if seed_flag is None else seed_flag
     if out_flag is not None:
-        resolved["out_dir"] = out_flag
-    checkpoints = resolved.get("checkpoints")  # infer also takes one path as a string
-    given = {**resolved, "checkpoints": [checkpoints]} if isinstance(checkpoints, str) else resolved
+        given["out_dir"] = out_flag
+    if isinstance(given.get("checkpoints"), str):   # infer also takes one path as a string
+        given["checkpoints"] = [given["checkpoints"]]
     try:
         record = build_record(_COMMANDS[command][0], given)
     except ValueError as exc:
         raise ConfigError(f"config {exc}") from exc
-    if command in _SEEDED:
-        resolved["seed"] = record.seed
-    return record, {**resolved, "command": command}
+    out_dir = Path(record.out_dir)
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"config key 'out_dir': {nearest} is not a directory")
+    return record
 
 
-def _echo_config(resolved: dict) -> None:
-    text = json.dumps(resolved, indent=2, sort_keys=True)
+def _echo_config(command: str, record) -> Callable[[], None]:
+    """Print the record the command runs, every default included, and return
+    the call that saves the same text as its out_dir's resolved_config.json.
+    The command makes that call once its inputs are checked, right before it
+    first writes into out_dir, so a refused rerun keeps the earlier run's."""
+    text = json.dumps({"command": command, **asdict(record)}, indent=2, sort_keys=True)
     print(text)
-    out_dir = resolved.get("out_dir")
-    if out_dir:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with atomic_open(out / "resolved_config.json") as fh:
-            fh.write(text + "\n")
+
+    def save() -> None:
+        if record.out_dir:
+            out = Path(record.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            with atomic_open(out / "resolved_config.json") as fh:
+                fh.write(text + "\n")
+    return save
 
 
 def _require_dir(path_str: str, what: str) -> Path:
@@ -141,7 +155,7 @@ def _require_dir(path_str: str, what: str) -> Path:
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_prepare(cfg: PrepareSection) -> int:
+def cmd_prepare(cfg: PrepareSection, save_config: Callable[[], None]) -> int:
     input_dir = _require_dir(cfg.input_dir, "input")
     out_dir = Path(cfg.out_dir)
 
@@ -152,6 +166,7 @@ def cmd_prepare(cfg: PrepareSection) -> int:
         raise FileNotFoundError(f"no *-t1n.nii[.gz] scans under {input_dir}")
     # prepare owns the samples that the manifest already in out_dir lists, and no other path
     old = load_manifest(out_dir).samples if (out_dir / MANIFEST_NAME).exists() else []
+    save_config()
 
     manifest = Manifest(seed=cfg.seed, samples=[])
     for case_id, paths in scans.items():
@@ -200,7 +215,7 @@ def cmd_prepare(cfg: PrepareSection) -> int:
     return 0
 
 
-def cmd_train(cfg: TrainSection) -> int:
+def cmd_train(cfg: TrainSection, save_config: Callable[[], None]) -> int:
     dataset_dir = _require_dir(cfg.dataset_dir, "dataset")
     out_dir = Path(cfg.out_dir)
 
@@ -208,13 +223,16 @@ def cmd_train(cfg: TrainSection) -> int:
     if not manifest.samples:
         raise DataError(f"manifest in {dataset_dir} lists no samples")
     folds = kfold_split(sorted({e.case_id for e in manifest.samples}), cfg.folds, cfg.seed)
-    _remove_previous_run(out_dir)
+    previous = _previous_run(out_dir)
     # each full-size sample is freed once cropped, before the next one is read
     samples = [prepare_sample(read_sample(dataset_dir / entry.directory, entry.sample_id,
                                           entry.case_id),
                               cfg.crop_dims, cfg.mae_region)
                for entry in manifest.samples]
 
+    save_config()
+    for path in previous:   # the result first: without one, out_dir holds an unfinished run
+        path.unlink(missing_ok=True)
     results = []
     with open(out_dir / "train_log.jsonl", "w") as log_fh:
         for fold, val_cases in enumerate(folds):
@@ -224,22 +242,23 @@ def cmd_train(cfg: TrainSection) -> int:
             results.append(result)
             print(f"fold {fold}: best val loss {result.best_val_loss:.6f} "
                   f"at epoch {result.best_epoch} -> {result.checkpoint_path}")
+    # absolute, so that a later run resolves them from any working directory
     payload = [{"fold": r.fold, "best_epoch": r.best_epoch, "best_val_loss": r.best_val_loss,
-                "checkpoint": r.checkpoint_path} for r in results]
+                "checkpoint": str(Path(r.checkpoint_path).resolve())} for r in results]
     with atomic_open(out_dir / "train_result.json") as fh:
         fh.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 
-def _remove_previous_run(out_dir: Path) -> None:
-    """Remove an earlier run's train_result.json and the checkpoints it lists,
-    so that out_dir never mixes two runs. train writes its result last: a
-    directory without one holds an unfinished run. A listed checkpoint that is
-    not a fold*-best.vxpt file directly in out_dir raises DataError, and
-    nothing is removed."""
+def _previous_run(out_dir: Path) -> list[Path]:
+    """An earlier run's train_result.json and the checkpoints it lists, which
+    train removes so that out_dir never mixes two runs; train writes its
+    result last, so a directory without one holds an unfinished run. A listed
+    checkpoint that is not a fold*-best.vxpt file directly in out_dir raises
+    DataError, before anything is removed."""
     result = out_dir / "train_result.json"
     if not result.exists():
-        return
+        return []
     try:
         listed = [Path(row["checkpoint"]) for row in json.loads(result.read_text())]
     except (ValueError, TypeError, KeyError) as exc:
@@ -247,17 +266,16 @@ def _remove_previous_run(out_dir: Path) -> None:
     for path in listed:
         if not path.match("fold*-best.vxpt") or path.parent.resolve() != out_dir.resolve():
             raise DataError(f"{result} lists {path}, which is not a checkpoint in {out_dir}")
-    result.unlink()
-    for path in listed:
-        path.unlink(missing_ok=True)
+    return [result, *listed]
 
 
-def cmd_infer(cfg: InferSection) -> int:
+def cmd_infer(cfg: InferSection, save_config: Callable[[], None]) -> int:
     dataset_dir = _require_dir(cfg.dataset_dir, "dataset")
     out_dir = Path(cfg.out_dir)
     models = [load_checkpoint(p)[0] for p in cfg.checkpoints]
 
     dirs = sample_dirs(dataset_dir)
+    save_config()
     for d in dirs:
         # the challenge's layout gives the voided scan; a prepared sample also has t1n
         scan = "t1n-voided" if component_path(d, d.name, "t1n-voided").exists() else "t1n"
@@ -268,7 +286,7 @@ def cmd_infer(cfg: InferSection) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: EvaluateSection) -> int:
+def cmd_evaluate(cfg: EvaluateSection, save_config: Callable[[], None]) -> int:
     pred_dir = _require_dir(cfg.pred_dir, "prediction")
     gt_dir = _require_dir(cfg.gt_dir, "ground truth")
     out_dir = Path(cfg.out_dir)
@@ -285,6 +303,7 @@ def cmd_evaluate(cfg: EvaluateSection) -> int:
         cases.append(evaluate_case(sid, pred, gt, healthy, vmax))
 
     summary = asdict(aggregate_stats(cases))
+    save_config()
     write_cases_csv(cases, out_dir / "cases.csv")
     with atomic_open(out_dir / "summary.json") as fh:
         fh.write(json.dumps(summary, indent=2) + "\n")
@@ -292,16 +311,17 @@ def cmd_evaluate(cfg: EvaluateSection) -> int:
     return 0
 
 
-def cmd_report(cfg: ReportSection) -> int:
+def cmd_report(cfg: ReportSection, save_config: Callable[[], None]) -> int:
     summary_path = Path(cfg.summary)
     if not summary_path.exists():
         raise FileNotFoundError(f"summary file {summary_path} does not exist")
     try:
-        summary = json.loads(summary_path.read_text())
-    except json.JSONDecodeError as exc:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    except ValueError as exc:   # not JSON, or not UTF-8
         raise DataError(f"summary {summary_path} is not valid JSON: {exc}") from exc
     table = render_report_table(summary)
     print(table, end="")
+    save_config()
     if cfg.out_dir:
         with atomic_open(Path(cfg.out_dir) / "report.txt") as fh:
             fh.write(table)
@@ -329,10 +349,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        record, resolved = _load_config(args.config, args.command, vars(args).get("seed"), args.out)
-        _echo_config(resolved)
-        return _COMMANDS[args.command][1](record)
-    except FileNotFoundError as exc:
+        record = _load_config(args.config, args.command, vars(args).get("seed"), args.out)
+        return _COMMANDS[args.command][1](record, _echo_config(args.command, record))
+    except (FileNotFoundError, IsADirectoryError) as exc:   # a directory where a file should be
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -149,11 +149,12 @@ def save_manifest(manifest: Manifest, dataset_dir) -> Path:
 
 
 def load_manifest(dataset_dir) -> Manifest:
-    """The manifest of a prepared dataset; a missing or malformed one (by
-    ``util.build_record``), or one that lists a sample id twice, raises DataError."""
+    """The manifest of a prepared dataset; a missing one (or a directory in its
+    place), a malformed one (by ``util.build_record``), or one that lists a
+    sample id twice, raises DataError."""
     path = Path(dataset_dir) / MANIFEST_NAME
-    if not path.exists():
-        raise DataError(f"no {MANIFEST_NAME} in {dataset_dir}")
+    if not path.is_file():
+        raise DataError(f"no manifest file {path}")
     try:
         manifest = build_record(Manifest, json.loads(path.read_text()))
     except ValueError as exc:

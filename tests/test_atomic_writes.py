@@ -56,7 +56,8 @@ def _report(v, path):
     with tempfile.TemporaryDirectory() as tmp:
         summary = Path(tmp) / "summary.json"
         summary.write_text(json.dumps(asdict(aggregate_stats([_case(0.5 + 0.1 * v)]))))
-        cli.cmd_report(cli.ReportSection(summary=str(summary), out_dir=str(path.parent)))
+        cli.cmd_report(cli.ReportSection(summary=str(summary), out_dir=str(path.parent)),
+                       save_config=lambda: None)
 
 
 # (file name, writer of version `v` of that file at the given path)
@@ -69,7 +70,8 @@ WRITERS = [
     ("manifest.json", lambda v, path: save_manifest(
         Manifest(seed=v, samples=[ManifestEntry("c0", 0, "c0-m0", "c0-m0", v)]), path.parent)),
     ("cases.csv", lambda v, path: write_cases_csv([_case(0.5 + 0.1 * v)], path)),
-    ("resolved_config.json", lambda v, path: cli._echo_config({"seed": v, "out_dir": str(path.parent)})),
+    ("resolved_config.json", lambda v, path: cli._echo_config(
+        "report", cli.ReportSection(summary=f"s{v}.json", out_dir=str(path.parent)))()),
     ("report.txt", _report),
 ]
 

@@ -6,6 +6,7 @@ import json
 import shutil
 import struct
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -277,10 +278,10 @@ def test_only_prepare_and_train_take_a_seed(tmp_path, capsys):
         "evaluate": {"pred_dir": "pred", "gt_dir": "dataset", "out_dir": "eval"},
         "report": {"summary": "eval/summary.json"}})
     for command in cli._COMMANDS:
-        record, resolved = cli._load_config(config, command, None, None)
+        record = cli._load_config(config, command, None, None)
         seeded = command in ("prepare", "train")
-        assert hasattr(record, "seed") == seeded == ("seed" in resolved), command
-        assert not seeded or record.seed == resolved["seed"] == 3
+        assert hasattr(record, "seed") == seeded, command
+        assert not seeded or record.seed == 3
     with pytest.raises(SystemExit) as exc:
         cli.main(["infer", "--config", config, "--seed", "3"])
     assert exc.value.code == 2
@@ -315,7 +316,65 @@ def test_readme_config_example_loads_for_every_command(tmp_path):
     config.write_text(example)
     assert set(json.loads(example)) == {"seed", *cli._COMMANDS}
     for command in cli._COMMANDS:
-        assert cli._load_config(str(config), command, None, None)[1]["command"] == command
+        assert isinstance(cli._load_config(str(config), command, None, None),
+                          cli._COMMANDS[command][0])
+
+
+def _saved_config(config, command, seed=None, out=None):
+    """The record _load_config builds, and the resolved_config.json its echo saves."""
+    record = cli._load_config(str(config), command, seed, out)
+    cli._echo_config(command, record)()
+    return record, json.loads((Path(record.out_dir) / "resolved_config.json").read_text())
+
+
+def test_saved_config_holds_every_field_of_the_record(tmp_path, capsys):
+    run = tmp_path / "run"
+    config = write_config(tmp_path / "c.json", {
+        "train": {"dataset_dir": str(tmp_path / "nowhere"), "out_dir": str(run)}})
+    # the echo comes first; the missing dataset refuses the run before it saves
+    assert cli.main(["train", "--config", config]) == 2
+    echoed = json.loads(capsys.readouterr().out)
+    assert not run.exists()
+    record, saved = _saved_config(config, "train")
+    assert saved == echoed == {"command": "train", **json.loads(json.dumps(asdict(record)))}
+    assert len(saved) == 16   # the 15 fields of a train record, and the command
+    assert saved["lr"] == 1e-4 and saved["beta1"] == 0.9 and saved["beta2"] == 0.999
+    assert saved["lambda_mae"] == saved["lambda_ssim"] == 1.0
+    assert saved["mae_region"] == "non_tumor"
+    assert saved["crop_dims"] == [208, 208, 144]
+    assert saved["seed"] == 0
+
+
+def test_saved_config_holds_the_flags_and_a_list_of_checkpoints(tmp_path):
+    config = write_config(tmp_path / "c.json", {
+        "seed": 3,
+        "train": {"dataset_dir": "dataset", "out_dir": str(tmp_path / "ignored")},
+        "infer": {"dataset_dir": "dataset", "checkpoints": "m.vxpt",
+                  "out_dir": str(tmp_path / "ignored")}})
+    _, saved = _saved_config(config, "train", seed=11, out=str(tmp_path / "run"))
+    assert saved["seed"] == 11 and saved["out_dir"] == str(tmp_path / "run")
+    _, saved = _saved_config(config, "infer", out=str(tmp_path / "pred"))
+    assert saved["checkpoints"] == ["m.vxpt"] and saved["out_dir"] == str(tmp_path / "pred")
+    assert not (tmp_path / "ignored").exists()
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_saved_config_rebuilds_the_record(tmp_path, command):
+    # every field in the saved form is one its section takes, in a form it accepts
+    config = write_config(tmp_path / "c.json", {
+        "seed": "7",
+        "prepare": {"input_dir": "scans", "out_dir": str(tmp_path / "dataset"), "margin": 2.0},
+        "train": {"dataset_dir": "dataset", "out_dir": str(tmp_path / "run"),
+                  "crop_dims": [16, "24", 32.0], "mae_region": "healthy_only"},
+        "infer": {"dataset_dir": "dataset", "checkpoints": "m.vxpt",
+                  "out_dir": str(tmp_path / "pred")},
+        "evaluate": {"pred_dir": "pred", "gt_dir": "dataset", "out_dir": str(tmp_path / "eval")},
+        "report": {"summary": "eval/summary.json", "out_dir": str(tmp_path / "eval")}})
+    record, saved = _saved_config(config, command)
+    assert saved.pop("command") == command
+    top = {"seed": saved.pop("seed")} if "seed" in saved else {}
+    rebuilt = write_config(tmp_path / "rebuilt.json", {**top, command: saved})
+    assert cli._load_config(rebuilt, command, None, None) == record
 
 
 def test_out_flag_overrides_out_dir(tmp_path):
@@ -574,7 +633,8 @@ def test_prepare_refuses_an_old_manifest_entry_that_is_not_a_plain_name(tmp_path
     assert _prepare_into(out_dir, input_dir, 1) == 3
     assert "plain name" in capsys.readouterr().err
     assert (out_dir / "manifest.json").read_bytes() == before
-    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json", "resolved_config.json"]
+    # refused before its first write, so not even its config is saved
+    assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
     assert (tmp_path / "x" / "a-m0-t1n.nii.gz").read_bytes() == b"not prepare's"
 
 
@@ -734,6 +794,28 @@ def test_train_refuses_a_result_listing_a_file_it_did_not_write(cli_workspace, t
     assert "not a checkpoint in" in capsys.readouterr().err
     assert target.read_text() == "mine" and (run / "train_result.json").exists()
     assert not (run / "train_log.jsonl").exists()
+
+
+def test_train_refused_rerun_keeps_the_config_of_the_earlier_run(cli_workspace, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert _train(tmp_path, cli_workspace["dataset_dir"], run) == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert _train(tmp_path, cli_workspace["dataset_dir"], run, folds=3, lr=0.5) == 3
+    assert "need 2 <= k <= 2 cases, got k=3" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_train_result_paths_resolve_from_any_working_directory(cli_workspace, tmp_path,
+                                                               monkeypatch):
+    # the same out_dir, named "run" from p4/ and then "p4/run" from p4's parent
+    (tmp_path / "p4").mkdir()
+    monkeypatch.chdir(tmp_path / "p4")
+    assert _train(tmp_path, cli_workspace["dataset_dir"], "run") == 0
+    monkeypatch.chdir(tmp_path)
+    assert _train(tmp_path, cli_workspace["dataset_dir"], "p4/run") == 0
+    rows = json.loads((tmp_path / "p4" / "run" / "train_result.json").read_text())
+    assert [row["checkpoint"] for row in rows] == [
+        str((tmp_path / "p4" / "run" / f"fold{k}-best.vxpt").resolve()) for k in range(2)]
 
 
 @pytest.mark.parametrize("text", ["not json", '{"fold": 0}', '[{"fold": 0}]', '[{"checkpoint": 3}]'])
@@ -1219,6 +1301,42 @@ def test_report_renders_summary(tmp_path, capsys):
     report_text = (out_dir / "report.txt").read_text()
     assert "0.87300897" in report_text
     assert report_text in out
+
+
+# each input of the wrong kind: a directory where a file should be, a file
+# that is not UTF-8, or an out_dir that is a file
+UNREADABLE_INPUTS = {
+    "config_directory": ("report", 2),
+    "config_not_utf8": ("report", 3),
+    "summary_directory": ("report", 2),
+    "summary_not_utf8": ("report", 3),
+    "manifest_directory": ("train", 3),
+    "checkpoint_directory": ("infer", 2),
+    "out_dir_file": ("prepare", 3),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_INPUTS))
+def test_unreadable_input_exits_with_one_error_line_naming_it(tmp_path, capsys, case):
+    command, code = UNREADABLE_INPUTS[case]
+    latin1 = '{"report": {"summary": "caf\u00e9"}}'.encode("latin-1")
+    dataset, bad = tmp_path / "dataset", tmp_path / "bad"
+    dataset.mkdir()
+    if case == "manifest_directory":
+        bad = dataset / "manifest.json"
+    if case.endswith("directory"):
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"not a directory" if case == "out_dir_file" else latin1)
+    config = str(bad) if case.startswith("config") else write_config(tmp_path / "c.json", {
+        "report": {"summary": str(bad)},
+        "train": {"dataset_dir": str(dataset), "out_dir": str(tmp_path / "run")},
+        "infer": {"dataset_dir": str(dataset), "checkpoints": [str(bad)],
+                  "out_dir": str(tmp_path / "pred")},
+        "prepare": {"input_dir": str(dataset), "out_dir": str(bad)}})
+    assert cli.main([command, "--config", config]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0], err
 
 
 def test_report_missing_summary_exits_2(tmp_path):
