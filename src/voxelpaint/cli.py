@@ -11,7 +11,8 @@ before its first other write there, so a run can always be reproduced and
 a refused rerun leaves the config of the run whose files remain. Exit
 codes: 0 success, 2 missing input (or a directory where an input file
 should be), 3 invalid config or data (also a file that is not UTF-8 JSON,
-or an out_dir that is a file), 4 numeric failure.
+an out_dir that is a file, or an output path taken by a directory), 4
+numeric failure.
 """
 
 from __future__ import annotations
@@ -295,8 +296,8 @@ def cmd_evaluate(cfg: EvaluateSection, save_config: Callable[[], None]) -> int:
     for d in sample_dirs(gt_dir):
         sid = d.name
         read_gt, *read_masks = component_reads(d, sid, ("t1n", "mask-healthy", "mask-unhealthy"))
-        # one call for all four files (a concurrently call nested in another runs
-        # inline), the two scans first so that their decoding overlaps
+        # one call for all four files, the two scans first so that their
+        # decoding overlaps
         gt, pred, healthy, unhealthy = concurrently(
             read_gt, partial(read_nifti, inpainted_path(pred_dir, sid)), *read_masks)
         vmax = region_max_intensity(gt, healthy, unhealthy)

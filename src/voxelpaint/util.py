@@ -17,12 +17,14 @@ import hashlib
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def derive_seed(*parts) -> int:
@@ -41,14 +43,19 @@ def atomic_open(path, mode: str = "w", **kwargs):
     """Open a temp sibling of path for writing; a clean exit moves it onto path.
 
     If the block raises, the file already at path stays as it was and the
-    temp file is removed, so readers never see a half-written output.
+    temp file is removed, so readers never see a half-written output. A
+    directory at path raises ConfigError naming the output: it is the
+    output that is misplaced, not an input that is missing.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **kwargs) as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except IsADirectoryError:
+            raise ConfigError(f"output {path} is a directory") from None
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -188,16 +195,31 @@ def concurrently(*calls) -> list:
     or one part of a conv walk per ``free_workers``.
     Every call finishes before this returns. Results come back in call
     order, and if calls raise, the exception of the first failing call in
-    that order is raised. A call made from inside a pool thread runs its
-    calls inline, so nested use cannot deadlock.
+    that order is raised. A call made from inside a pool thread submits its
+    calls too, then runs on its own thread each one that no idle pool thread
+    has taken, and waits only for calls already running; so nested use
+    cannot deadlock, and a file's gzip members spread over idle threads.
     """
     global _pool
-    if getattr(_in_worker, "active", False):
-        return [call() for call in calls]
+    if len(calls) == 1:   # nothing to run beside it: no pool round trip
+        return [calls[0]()]
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_usable_cpus(), thread_name_prefix="voxelpaint",
                                        initializer=_mark_worker)
     futures = [_pool.submit(call) for call in calls]
+    if getattr(_in_worker, "active", False):
+        # cancel() succeeds only on a call that no thread has started
+        futures = [_run(call) if f.cancel() else f for call, f in zip(calls, futures)]
     wait(futures)
     return [f.result() for f in futures]
+
+
+def _run(call) -> Future:
+    """``call()`` run on this thread, its result or exception in a done Future."""
+    done = Future()
+    try:
+        done.set_result(call())
+    except BaseException as exc:   # as the pool's own threads catch it
+        done.set_exception(exc)
+    return done

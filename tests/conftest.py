@@ -5,6 +5,7 @@ scans, np.rot90/np.flip compositions) so that the production code and the
 test expectations are computed by two unrelated routes.
 """
 
+import contextlib
 import json
 import math
 import struct
@@ -453,6 +454,20 @@ def split_walks(monkeypatch, workers):
 
     monkeypatch.setattr(util, "concurrently", spy)
     return parts
+
+
+@contextlib.contextmanager
+def pool_of(threads):
+    """``util.concurrently`` on a pool of its own with ``threads`` threads,
+    shut down on exit; the process's pool is put back."""
+    saved = util._pool, util._usable_cpus
+    util._pool, util._usable_cpus = None, lambda: threads
+    try:
+        yield
+    finally:
+        if util._pool is not None:
+            util._pool.shutdown()
+        util._pool, util._usable_cpus = saved
 
 
 # ---------------------------------------------------------------------------

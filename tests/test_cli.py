@@ -1432,3 +1432,17 @@ def test_whole_loop_outputs_are_pinned(tmp_path):
     # the checkpoints too, metadata block included
     assert _digest(run.glob("fold*-best.vxpt")) == (
         "628afddeedce2244eba4d4fcaf6d3dbc6d09b51c5bafccb03a9c3f979ba87930")
+
+
+def test_output_path_taken_by_a_directory_exits_3_naming_it(tmp_path, capsys):
+    summary_path = tmp_path / "summary.json"
+    summary_path.write_text(json.dumps({"case_count": 1}))
+    taken = tmp_path / "ev" / "report.txt"
+    taken.mkdir(parents=True)
+    config = write_config(tmp_path / "c.json", {
+        "report": {"summary": str(summary_path), "out_dir": str(taken.parent)}})
+    assert cli.main(["report", "--config", config]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(taken) in err[0], err
+    assert taken.is_dir() and sorted(p.name for p in taken.parent.iterdir()) == [
+        "report.txt", "resolved_config.json"]

@@ -12,12 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import build_case
-from voxelpaint import util
+from conftest import build_case, pool_of
+from voxelpaint import nifti, util
 from voxelpaint.dataset import component_path, read_sample, sample_id, write_sample
 from voxelpaint.errors import NiftiError
 from voxelpaint.masks import make_training_sample
+from voxelpaint.nifti import read_nifti, write_nifti
 from voxelpaint.util import concurrently
+from voxelpaint.volume import Volume
 
 
 def _in_thread(fn, timeout=60.0):
@@ -104,7 +106,7 @@ def test_gemm_binds_the_bundled_openblas():
     # C += A @ B on a 2x3 by 3x4 product whose rows sit in wider arrays, for both dtypes
     code = """if True:
         import numpy as np
-        from voxelpaint import util
+        from voxelpaint import nifti, util
         print(util._openblas()._name)
         for dtype in (np.float32, np.float64):
             a, b = np.arange(10, dtype=dtype).reshape(2, 5), np.arange(18, dtype=dtype).reshape(3, 6)
@@ -124,3 +126,36 @@ def test_gemm_binds_the_bundled_openblas():
 def test_gemm_is_none_for_other_dtypes():
     assert util.gemm(np.dtype(np.float16)) is None
     assert util.gemm(np.dtype(">f4")) is None
+
+
+def test_nested_calls_run_side_by_side():
+    # two calls of a nested call meet at a barrier, so each must have a
+    # thread of its own: the nesting pool thread and an idle one
+    meet = threading.Barrier(2, timeout=10)
+
+    def outer():
+        return concurrently(meet.wait, meet.wait)
+
+    with pool_of(2):
+        got = _in_thread(lambda: concurrently(outer, lambda: None))
+    assert sorted(got[0]) == [0, 1]
+
+
+def test_files_and_their_members_read_side_by_side_on_many_threads(tmp_path, monkeypatch):
+    # six files read side by side, each inflating its members side by side
+    # into one buffer, on more threads than cores and with frequent thread
+    # switches: a member lost or put in another's place changes the bytes
+    monkeypatch.setattr(nifti, "MEMBER", 4096)
+    rng = np.random.default_rng(9)
+    volumes = [Volume(rng.integers(0, 50, (24, 20, 16)).astype(np.float32)) for _ in range(6)]
+    paths = [tmp_path / f"v{i}.nii.gz" for i in range(6)]
+    for volume, path in zip(volumes, paths):
+        write_nifti(volume, path)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pool_of(8):
+            got = _in_thread(lambda: concurrently(*(partial(read_nifti, p) for p in paths)))
+    finally:
+        sys.setswitchinterval(previous)
+    assert [g.voxels.tobytes() for g in got] == [v.voxels.tobytes() for v in volumes]

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import build_case, make_input_dir, split_walks, write_config
-from voxelpaint import autodiff, cli, masks, optim, unet, util
+from conftest import build_case, make_input_dir, pool_of, split_walks, write_config
+from voxelpaint import autodiff, cli, masks, optim, unet
 from voxelpaint.checkpoint import load_checkpoint
 from voxelpaint.losses import composite_loss
 from voxelpaint.dataset import load_manifest
@@ -150,8 +150,9 @@ def test_tracer_sees_one_augment_per_placement(monkeypatch):
 
 def test_tracer_counts_every_scan_the_commands_read(monkeypatch, tmp_path):
     # the tracer patches module attributes, so a scan read through a reference
-    # taken before it installs would go uncounted. The pool is forced inline:
-    # the span stack is shared by all threads, and pooled reads would race on it.
+    # taken before it installs would go uncounted. The pool gets one thread:
+    # the span stack is shared by all threads, and reads side by side would
+    # race on it.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
     dataset, run, pred = tmp_path / "dataset", tmp_path / "run", tmp_path / "pred"
@@ -167,13 +168,13 @@ def test_tracer_counts_every_scan_the_commands_read(monkeypatch, tmp_path):
     configs = {name: write_config(tmp_path / f"{name}.json", {name: section})
                for name, section in sections.items()}
     assert cli.main(["prepare", "--config", configs["prepare"]]) == 0
-    monkeypatch.setattr(util._in_worker, "active", True, raising=False)
     tracer = spans.Tracer()
     tracer.install()
     try:
-        for name in ("train", "infer", "evaluate"):
-            with tracer.span(f"cli.{name}"):
-                assert cli.main([name, "--config", configs[name]]) == 0, name
+        with pool_of(1):
+            for name in ("train", "infer", "evaluate"):
+                with tracer.span(f"cli.{name}"):
+                    assert cli.main([name, "--config", configs[name]]) == 0, name
     finally:
         tracer.remove()
     samples = len(load_manifest(dataset).samples)

@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import evaluate_case_reference, make_nifti_bytes
+from conftest import evaluate_case_reference, make_nifti_bytes, pool_of
 from voxelpaint.errors import DataError, NiftiError, ShapeError
 from voxelpaint.masks import (MaskGenParams, generate_mask_set,
                               make_training_sample, void_image)
@@ -336,12 +336,15 @@ def test_nifti_float32_mask_with_nan_is_rejected(tmp_path):
 
 
 def test_nifti_gzip_header_is_fixed_and_fastest_level(tmp_path):
-    # magic, deflate, no flags, mtime 0, XFL 4 (fastest level), OS 255 (unknown)
-    expected = bytes.fromhex("1f8b08000000000004ff")
+    # magic, deflate, FLG.FEXTRA, mtime 0, XFL 4 (fastest level), OS 255
+    # (unknown); XLEN 8, one subfield "VP" of 4 bytes: the member's length
+    expected = bytes.fromhex("1f8b08040000000004ff" "0800" "5650" "0400")
     write_nifti(Volume(np.ones((3, 4, 5), np.float32)), tmp_path / "v.nii.gz")
     write_nifti_mask(MaskVolume(np.ones((3, 4, 5), bool)), tmp_path / "m.nii.gz")
-    assert (tmp_path / "v.nii.gz").read_bytes()[:10] == expected
-    assert (tmp_path / "m.nii.gz").read_bytes()[:10] == expected
+    for name in ("v.nii.gz", "m.nii.gz"):
+        blob = (tmp_path / name).read_bytes()   # one member
+        assert blob[:16] == expected
+        assert struct.unpack_from("<I", blob, 16) == (len(blob),)
 
 
 def test_nifti_gzip_level_leaves_voxel_bytes_unchanged(tmp_path):
@@ -639,3 +642,88 @@ def test_nifti_file_from_the_gzipfile_writer_still_reads(tmp_path):
             assert old.voxels.tobytes() == new.voxels.tobytes() and old.affine_bytes == new.affine_bytes
         else:
             assert np.array_equal(old.bits, new.bits)
+
+
+# ---------------------------------------------------------------------------
+# gzip members: the writer's layout, read side by side
+# ---------------------------------------------------------------------------
+
+def _member_starts(blob):
+    """Where each member starts, stepping by the length fields."""
+    starts, pos = [], 0
+    while pos < len(blob):
+        starts.append(pos)
+        pos += struct.unpack_from("<I", blob, pos + 16)[0]
+    assert pos == len(blob)
+    return starts
+
+
+@pytest.mark.parametrize("member", [lambda n: n + 1, lambda n: n, lambda n: n - 1, lambda n: 400],
+                         ids=["below", "at", "above", "many"])
+def test_nifti_gzip_members_decode_to_the_plain_file(tmp_path, monkeypatch, member):
+    # a file one byte shorter than MEMBER, exactly MEMBER, one byte longer,
+    # and several times longer: the gzip module reads the members in turn
+    scan = _scan_and_mask(dims=(9, 8, 7))[0]
+    write_nifti(scan, tmp_path / "v.nii")
+    plain = (tmp_path / "v.nii").read_bytes()
+    monkeypatch.setattr(nifti, "MEMBER", member(len(plain)))
+    write_nifti(scan, tmp_path / "v.nii.gz")
+    blob = (tmp_path / "v.nii.gz").read_bytes()
+    assert gzip.decompress(blob) == plain
+    assert len(_member_starts(blob)) == -(-len(plain) // nifti.MEMBER)
+    assert read_nifti(tmp_path / "v.nii.gz").voxels.tobytes() == scan.voxels.tobytes()
+
+
+def test_nifti_gzip_members_decode_at_the_real_member_size(tmp_path):
+    vox = np.zeros((128, 128, 72), np.float32)   # 4.5 MiB: two members
+    vox[20:100, 30:90, 10:60] = np.random.default_rng(6).integers(0, 900, (80, 60, 50))
+    write_nifti(Volume(vox), tmp_path / "v.nii")
+    write_nifti(Volume(vox), tmp_path / "v.nii.gz")
+    blob = (tmp_path / "v.nii.gz").read_bytes()
+    assert len(_member_starts(blob)) == 2
+    assert gzip.decompress(blob) == (tmp_path / "v.nii").read_bytes()
+    assert read_nifti(tmp_path / "v.nii.gz").voxels.tobytes() == vox.tobytes()
+
+
+def test_nifti_gzip_bytes_do_not_depend_on_the_pool(tmp_path, monkeypatch):
+    scan, mask = _scan_and_mask()
+    monkeypatch.setattr(nifti, "MEMBER", 5000)
+    blobs = []
+    for threads in (1, 2):
+        with pool_of(threads):
+            write_nifti(scan, tmp_path / f"v{threads}.nii.gz")
+            write_nifti_mask(mask, tmp_path / f"m{threads}.nii.gz")
+            blobs.append([(tmp_path / f"{k}{threads}.nii.gz").read_bytes() for k in "vm"])
+            assert read_nifti(tmp_path / f"v{threads}.nii.gz").voxels.tobytes() == scan.voxels.tobytes()
+    assert len(_member_starts(blobs[0][0])) > 20
+    assert blobs[0] == blobs[1]
+
+
+def _damaged(blob, damage):
+    """The many-member ``blob`` with one kind of damage."""
+    starts = _member_starts(blob)
+    mid, last = starts[len(starts) // 2], starts[-1]
+    crc_at = starts[len(starts) // 2 + 1] - 8
+    return {
+        "bad_crc_middle": blob[:crc_at] + bytes([blob[crc_at] ^ 1]) + blob[crc_at + 1:],
+        "cut_last": blob[:-5],
+        "cut_middle": blob[:crc_at - 3] + blob[crc_at:],
+        "length_middle": blob[:mid + 16] + struct.pack("<I", crc_at + 8 - mid + 1) + blob[mid + 20:],
+        "length_last": blob[:last + 16] + struct.pack("<I", len(blob) - last - 1) + blob[last + 20:],
+        "junk": blob + b"junk",
+    }[damage]
+
+
+@pytest.mark.parametrize("damage", ["bad_crc_middle", "cut_last", "cut_middle", "length_middle",
+                                    "length_last", "junk"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_nifti_damaged_gzip_member_raises_bad_gzip(tmp_path, monkeypatch, damage, threads):
+    monkeypatch.setattr(nifti, "MEMBER", 5000)
+    scan = _scan_and_mask()[0]
+    path = tmp_path / "v.nii.gz"
+    write_nifti(scan, path)
+    path.write_bytes(_damaged(path.read_bytes(), damage))
+    with pool_of(threads), pytest.raises(NiftiError) as exc:
+        read_nifti(path)
+    assert exc.value.code == "bad_gzip"
+    assert str(path) in str(exc.value)
