@@ -13,9 +13,16 @@ arrays the closure saved are freed once nothing downstream needs them; only
 leaves (parameters and other tensors built with requires_grad=True) keep
 their .grad. A second backward that reaches a spent node raises RuntimeError.
 
-Inside ``with no_grad():`` no graph is built: op outputs carry neither
-parents nor closures, so intermediates are freed as soon as the forward
-pass drops them.
+A closure keeps no per-voxel array that it can recompute from its operands:
+``instance_norm`` centres its input again, ``relu`` compares its input with
+zero again, and ``dropout`` keeps its draw as bools. That is safe by one
+rule: a closure reads the arrays of its operands, which the graph holds, and
+nothing writes a graph-held array before the backward pass (an op writes in
+place only into a buffer it has just made; Adam updates parameters after it).
+
+Inside ``with no_grad():`` no graph is built on that thread: op outputs
+carry neither parents nor closures, so intermediates are freed as soon as
+the forward pass drops them.
 
 Buffers are float32 by default. float64 graphs are supported so that
 finite-difference test harnesses can run the same code at full precision.
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import threading
 from functools import lru_cache, partial
 
 import numpy as np
@@ -48,18 +56,29 @@ BLOCK = 512 * 1024
 # pairs on one host (median ratio 0.895) and 10 of 12 on another (0.869);
 # train_samples_per_s lost 17 of 22 (0.926) on the first, noise on the other.
 PART_BLOCKS = 2
-_grad_enabled = True
+
+
+class _GradSwitch(threading.local):
+    """Whether ops build a graph, set apart for each thread."""
+
+    enabled = True
+
+
+_grad = _GradSwitch()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Build no graph inside the block, for forward passes nobody differentiates."""
-    global _grad_enabled
-    previous, _grad_enabled = _grad_enabled, False
+    """Build no graph inside the block, for forward passes nobody differentiates.
+
+    The switch is per thread: the block stops graph building only on the
+    thread that entered it, and its exit restores that thread's own state.
+    """
+    previous, _grad.enabled = _grad.enabled, False
     try:
         yield
     finally:
-        _grad_enabled = previous
+        _grad.enabled = previous
 
 
 class Tensor:
@@ -203,7 +222,7 @@ class Tensor:
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _grad.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -480,25 +499,31 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
     axes, dtype = (2, 3, 4), x.data.dtype
     m = int(np.prod(x.data.shape[2:]))
     mean = x.data.mean(axis=axes, dtype=np.float64)
-    xc = x.data - mean.astype(dtype).reshape(n, c, 1, 1, 1)
+    mean32 = mean.astype(dtype).reshape(n, c, 1, 1, 1)
+    xc = x.data - mean32
     # what the float32 mean cannot hold: the centred values are xc - rest
     rest = mean - mean.astype(dtype)
     var = np.einsum("ncdhw,ncdhw->nc", xc, xc, dtype=np.float64) / m - rest * rest
     inv = 1.0 / np.sqrt(var.astype(dtype) + np.asarray(eps, dtype=dtype))
     scale = inv * gamma.data
-    out = xc * scale.reshape(n, c, 1, 1, 1)
+    # scaled and shifted in place into the output: the backward centres x
+    # again rather than keep a second per-voxel array
+    out = xc
+    out *= scale.reshape(n, c, 1, 1, 1)
     out += (beta.data - rest * scale).astype(dtype).reshape(n, c, 1, 1, 1)
 
     def backward(g):
+        xc = x.data - mean32
         # per-slice sums of g and of g*xhat, xhat = (xc - rest) * inv, in float64
         sg = g.sum(axis=axes, dtype=np.float64)
         sgx = (np.einsum("ncdhw,ncdhw->nc", g, xc, dtype=np.float64) - rest * sg) * inv
         _accumulate(beta, sg.sum(axis=0).astype(dtype))
         _accumulate(gamma, sgx.sum(axis=0).astype(dtype))
         if x.requires_grad:
-            # inv*gamma * (g - mean(g) - xhat*mean(g*xhat))
+            # inv*gamma * (g - mean(g) - xhat*mean(g*xhat)), built in xc's buffer
             b = inv * sgx / m
-            gx = xc * (-b).astype(dtype).reshape(n, c, 1, 1, 1)
+            gx = xc
+            gx *= (-b).astype(dtype).reshape(n, c, 1, 1, 1)
             gx += g
             gx -= (sg / m - rest * b).astype(dtype).reshape(n, c, 1, 1, 1)
             gx *= scale.reshape(n, c, 1, 1, 1)
@@ -509,10 +534,9 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
 
 def relu(x: Tensor) -> Tensor:
     """max(x, 0); the subgradient at zero is zero."""
-    pos = x.data > 0
 
     def backward(g):
-        _accumulate(x, g * pos)
+        _accumulate(x, g * (x.data > 0))
 
     return _node(np.maximum(x.data, 0), (x,), backward)
 
@@ -555,13 +579,18 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
         return x
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
-    keep *= x.data.dtype.type(1.0 / (1.0 - rate))
+    # the draw is kept as one byte a voxel; the float factor is rebuilt where it is used
+    keep = rng.random(x.data.shape) >= rate
+
+    def factor():
+        f = keep.astype(x.data.dtype)
+        f *= x.data.dtype.type(1.0 / (1.0 - rate))
+        return f
 
     def backward(g):
-        _accumulate(x, g * keep)
+        _accumulate(x, g * factor())
 
-    return _node(x.data * keep, (x,), backward)
+    return _node(x.data * factor(), (x,), backward)
 
 
 def maxpool3d(x: Tensor) -> Tensor:

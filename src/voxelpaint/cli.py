@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
@@ -36,7 +37,7 @@ from .metrics import (aggregate_stats, evaluate_case, region_max_intensity, rend
                       write_cases_csv)
 from .nifti import read_nifti, read_nifti_mask, write_nifti
 from .trainer import (TrainConfig, check_crop_dims, infer_case, kfold_split, prepare_sample,
-                      train_fold)
+                      train_fold, train_memory_bytes)
 from .util import atomic_open, build_record, concurrently, derive_seed, make_rng
 
 
@@ -78,8 +79,8 @@ class EvaluateSection:
 
 
 def _check_out_dir(out_dir: str, key: str, walked: str) -> None:
-    """Refuse an out_dir below the directory whose every sub-directory the
-    command reads as a sample (ROADMAP item 11 would make it safe)."""
+    """Refuse an out_dir below the directory the command reads samples from:
+    without a manifest there, every sub-directory is read as a sample."""
     if Path(walked).resolve() in Path(out_dir).resolve().parents:
         raise ConfigError(f"config key 'out_dir': {out_dir} lies inside {key} {walked}, "
                           f"where every directory is read as a sample")
@@ -224,6 +225,13 @@ def cmd_train(cfg: TrainSection, save_config: Callable[[], None]) -> int:
     if not manifest.samples:
         raise DataError(f"manifest in {dataset_dir} lists no samples")
     folds = kfold_split(sorted({e.case_id for e in manifest.samples}), cfg.folds, cfg.seed)
+    need = train_memory_bytes(cfg, len(manifest.samples))
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(f"training at crop_dims {list(cfg.crop_dims)}, base_channels "
+                          f"{cfg.base_channels} and batch_size {cfg.batch_size} needs about "
+                          f"{need / 2**20:,.1f} MiB (one step and {len(manifest.samples)} held "
+                          f"samples), more than this machine's {have / 2**20:,.1f} MiB")
     previous = _previous_run(out_dir)
     # each full-size sample is freed once cropped, before the next one is read
     samples = [prepare_sample(read_sample(dataset_dir / entry.directory, entry.sample_id,

@@ -78,9 +78,14 @@ def write_sample(sample_dir, sid: str, sample: TrainingSample, shared: dict | No
 
 
 def sample_dirs(root) -> list[Path]:
-    """Every directory under ``root``, sorted: the samples infer and evaluate
-    take. A root without one raises FileNotFoundError."""
-    dirs = sorted(d for d in Path(root).iterdir() if d.is_dir())
+    """The sample directories infer and evaluate take, sorted: those that the
+    manifest in ``root`` lists, or every directory under a ``root`` without
+    one, as the challenge's layout gives it. No sample raises FileNotFoundError."""
+    root = Path(root)
+    if (root / MANIFEST_NAME).exists():
+        dirs = sorted(root / entry.directory for entry in load_manifest(root).samples)
+    else:
+        dirs = sorted(d for d in root.iterdir() if d.is_dir())
     if not dirs:
         raise FileNotFoundError(f"no sample directories under {root}")
     return dirs

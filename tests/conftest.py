@@ -218,6 +218,49 @@ def prelu_reference(x, alpha, g):
 
 
 # ---------------------------------------------------------------------------
+# Kept-array references: each op's forward and backward as they ran when the
+# closure kept a per-voxel array (the centred input, a float32 dropout
+# factor, the positive mask) rather than recomputing it. Same float
+# operations in the same order, so the engine must match them byte for byte.
+# ---------------------------------------------------------------------------
+
+def instance_norm_kept_reference(x, gamma, beta, g, eps=1e-5):
+    """(out, grad_x, grad_gamma, grad_beta), the centred input kept from the forward."""
+    n, c = x.shape[:2]
+    axes, dtype = (2, 3, 4), x.dtype
+    m = int(np.prod(x.shape[2:]))
+    mean = x.mean(axis=axes, dtype=np.float64)
+    xc = x - mean.astype(dtype).reshape(n, c, 1, 1, 1)
+    rest = mean - mean.astype(dtype)
+    var = np.einsum("ncdhw,ncdhw->nc", xc, xc, dtype=np.float64) / m - rest * rest
+    inv = 1.0 / np.sqrt(var.astype(dtype) + np.asarray(eps, dtype=dtype))
+    scale = inv * gamma
+    out = xc * scale.reshape(n, c, 1, 1, 1)
+    out += (beta - rest * scale).astype(dtype).reshape(n, c, 1, 1, 1)
+    sg = g.sum(axis=axes, dtype=np.float64)
+    sgx = (np.einsum("ncdhw,ncdhw->nc", g, xc, dtype=np.float64) - rest * sg) * inv
+    b = inv * sgx / m
+    gx = xc * (-b).astype(dtype).reshape(n, c, 1, 1, 1)
+    gx += g
+    gx -= (sg / m - rest * b).astype(dtype).reshape(n, c, 1, 1, 1)
+    gx *= scale.reshape(n, c, 1, 1, 1)
+    return out, gx, sgx.sum(axis=0).astype(dtype), sg.sum(axis=0).astype(dtype)
+
+
+def dropout_kept_reference(x, rate, rng, g):
+    """(out, grad_x), the scaled float factor kept from the forward."""
+    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
+    keep *= x.dtype.type(1.0 / (1.0 - rate))
+    return x * keep, g * keep
+
+
+def relu_kept_reference(x, g):
+    """(out, grad_x), the positive mask kept from the forward."""
+    pos = x > 0
+    return np.maximum(x, 0), g * pos
+
+
+# ---------------------------------------------------------------------------
 # Brute-force SSIM oracle
 # ---------------------------------------------------------------------------
 

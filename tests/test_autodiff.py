@@ -1,12 +1,14 @@
 """Tensor engine: forward semantics, backward correctness, primitive edge cases."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import (away_from_zero, conv3d_oracle, conv3d_vjp_oracle, gradcheck, leaf,
-                      maxpool3d_reference, prelu_reference, separated_pool_input, split_walks)
+from conftest import (away_from_zero, conv3d_oracle, conv3d_vjp_oracle, dropout_kept_reference,
+                      gradcheck, instance_norm_kept_reference, leaf, maxpool3d_reference,
+                      prelu_reference, relu_kept_reference, separated_pool_input, split_walks)
 from voxelpaint import autodiff, util
 from voxelpaint.autodiff import (
     Tensor,
@@ -55,6 +57,35 @@ def test_no_grad_drops_graph_and_restores_on_exit():
     assert z.requires_grad
     z.backward()
     assert np.array_equal(w.grad, np.full((2, 2), 2.0, np.float32))
+
+
+def test_no_grad_switches_off_graph_building_on_its_own_thread_only():
+    # one thread's block neither stops graph building on another thread nor,
+    # on its exit, switches it back on under a thread that entered later
+    w = Tensor(np.ones(2, np.float32), requires_grad=True)
+    barrier = threading.Barrier(2, timeout=10)
+    seen = {}
+
+    def first():
+        with no_grad():
+            barrier.wait()  # 1: first is inside its block
+            barrier.wait()  # 2: second has built a graph and entered its own block
+        barrier.wait()      # 3: first has left its block
+
+    def second():
+        barrier.wait()
+        seen["beside"] = (w * 2.0).requires_grad
+        with no_grad():
+            barrier.wait()
+            barrier.wait()
+            seen["after"] = (w * 2.0).requires_grad
+
+    threads = [threading.Thread(target=f) for f in (first, second)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert seen == {"beside": True, "after": False}
 
 
 def test_backward_requires_scalar():
@@ -694,6 +725,65 @@ def test_dropout_scales_survivors():
 def test_dropout_training_requires_rng():
     with pytest.raises(ValueError):
         dropout(Tensor(np.ones(3)), 0.5, training=True)
+
+
+# -- recomputed in the backward, not kept from the forward ------------------
+#
+# instance_norm centres its input again, relu compares it with zero again and
+# dropout keeps its draw as bools; outputs and gradients must match the
+# kept-array references in conftest byte for byte.
+
+def _recompute_input(case):
+    rng = np.random.default_rng(31)
+    if case == "n2":
+        data = rng.standard_normal((2, 3, 5, 6, 7)).astype(np.float32)
+        data.flat[::13] = 0.0
+        data.flat[5::17] = -0.0
+    else:  # a slice at 1000 + N(0, 1) beside a constant one
+        data = np.full((1, 2, 8, 8, 8), 1000.0, dtype=np.float32)
+        data[0, 0] += rng.standard_normal((8, 8, 8)).astype(np.float32)
+    return data, rng.standard_normal(data.shape).astype(np.float32)
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["n2", "offset_slice"])
+def test_instance_norm_matches_the_kept_centred_input_byte_for_byte(case):
+    data, g = _recompute_input(case)
+    rng = np.random.default_rng(32)
+    c = data.shape[1]
+    x = Tensor(data, requires_grad=True)
+    gamma = Tensor(rng.uniform(0.5, 1.5, c).astype(np.float32), requires_grad=True)
+    beta = Tensor(rng.standard_normal(c).astype(np.float32), requires_grad=True)
+    out = instance_norm(x, gamma, beta)
+    out._backward(g)
+    want = instance_norm_kept_reference(data, gamma.data, beta.data, g)
+    for got, ref in zip((out.data, x.grad, gamma.grad, beta.grad), want):
+        _assert_same_bytes(got, ref)
+
+
+@pytest.mark.parametrize("case", ["n2", "offset_slice"])
+def test_dropout_matches_the_kept_float_factor_byte_for_byte(case):
+    data, g = _recompute_input(case)
+    x = Tensor(data, requires_grad=True)
+    out = dropout(x, 0.3, training=True, rng=np.random.default_rng(33))
+    out._backward(g)
+    want = dropout_kept_reference(data, 0.3, np.random.default_rng(33), g)
+    for got, ref in zip((out.data, x.grad), want):
+        _assert_same_bytes(got, ref)
+
+
+@pytest.mark.parametrize("case", ["n2", "offset_slice"])
+def test_relu_matches_the_kept_positive_mask_byte_for_byte(case):
+    data, g = _recompute_input(case)
+    x = Tensor(data, requires_grad=True)
+    out = relu(x)
+    out._backward(g)
+    for got, ref in zip((out.data, x.grad), relu_kept_reference(data, g)):
+        _assert_same_bytes(got, ref)
 
 
 def test_maxpool_values_and_first_tie_routing():

@@ -3,6 +3,7 @@
 import gzip
 import hashlib
 import json
+import os
 import shutil
 import struct
 import tracemalloc
@@ -19,7 +20,7 @@ from voxelpaint.dataset import (Manifest, ManifestEntry, load_manifest, read_sam
                                 sample_id, save_manifest, write_sample)
 from voxelpaint.masks import make_training_sample
 from voxelpaint.nifti import read_nifti, read_nifti_mask, write_nifti, write_nifti_mask
-from voxelpaint.trainer import TrainConfig, prepare_sample
+from voxelpaint.trainer import TrainConfig, prepare_sample, train_memory_bytes
 from voxelpaint.unet import UNetConfig, build_unet
 from voxelpaint.util import build_record
 from voxelpaint.volume import MaskVolume, Volume
@@ -728,6 +729,31 @@ def test_train_more_folds_than_cases_exits_3_before_reading_samples(tmp_path, ca
     assert log.read_bytes() == before
 
 
+def test_train_refuses_a_step_larger_than_physical_memory_before_reading_samples(
+        tmp_path, capsys, monkeypatch):
+    dataset_dir, out_dir = _unreadable_dataset(tmp_path), tmp_path / "out"
+    section = {"dataset_dir": str(dataset_dir), "out_dir": str(out_dir),
+               "folds": 2, "crop_dims": [32, 32, 32], "base_channels": 4}
+    config = write_config(tmp_path / "c.json", {"train": section})
+    need = train_memory_bytes(TrainConfig(crop_dims=(32, 32, 32), base_channels=4), 2)
+    page, real = os.sysconf("SC_PAGE_SIZE"), os.sysconf
+
+    def memory(pages):
+        monkeypatch.setattr(os, "sysconf",
+                            lambda name: pages if name == "SC_PHYS_PAGES" else real(name))
+
+    memory(need // page // 2)
+    assert cli.main(["train", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert f"{need / 2**20:,.1f} MiB" in err and f"{need // page // 2 * page / 2**20:,.1f} MiB" in err
+    assert not out_dir.exists()
+    memory(need // page)
+    assert cli.main(["train", "--config", config]) == 3
+    # with one page more the step fits, and train goes on to read the samples
+    memory(need // page + 1)
+    assert cli.main(["train", "--config", config]) == 2
+
+
 def _train_files(out_dir):
     """Each file of a train run by name, with what may differ between two
     runs of one config left out: the paths in train_result.json and
@@ -1058,8 +1084,8 @@ def test_infer_non_finite_checkpoint_exits_3_before_writing(cli_workspace, tmp_p
 @pytest.mark.parametrize("inside", ["pred", "sub/../pred"])
 def test_out_dir_inside_the_walked_directory_exits_3(cli_workspace, tmp_path, capsys, command,
                                                      inside):
-    # every directory under dataset_dir (infer) or gt_dir (evaluate) is read
-    # as a sample, an output directory there too
+    # without a manifest, every directory under dataset_dir (infer) or gt_dir
+    # (evaluate) is read as a sample, so an output directory there is refused
     dataset_dir = tmp_path / "dataset"
     shutil.copytree(cli_workspace["dataset_dir"], dataset_dir)
     before = sorted(dataset_dir.rglob("*"))
@@ -1144,6 +1170,48 @@ def test_infer_reads_challenge_layout_without_manifest(cli_workspace, tmp_path):
     assert cli.main(["infer", "--config", config]) == 0
     assert sorted(p.name for p in out_dir.glob("*-t1n-inpainted.nii.gz")) == \
         [f"{sid}-t1n-inpainted.nii.gz" for sid in sids]
+
+
+def test_infer_and_evaluate_take_the_manifests_samples_beside_a_train_out_dir(cli_workspace,
+                                                                              tmp_path):
+    # a directory the manifest does not list, such as train's out_dir, is no sample
+    dataset_dir = tmp_path / "dataset"
+    shutil.copytree(cli_workspace["dataset_dir"], dataset_dir)
+    assert _train(tmp_path, dataset_dir, dataset_dir / "run") == 0
+    sids = sorted(e.sample_id for e in load_manifest(dataset_dir).samples)
+    assert sample_dirs(dataset_dir) == [dataset_dir / sid for sid in sids]
+    config = write_config(tmp_path / "infer.json", {
+        "infer": {"dataset_dir": str(dataset_dir),
+                  "checkpoints": [str(dataset_dir / "run" / "fold0-best.vxpt")],
+                  "out_dir": str(tmp_path / "pred"), "crop_dims": [16, 16, 16]}})
+    assert cli.main(["infer", "--config", config]) == 0
+    assert sorted(p.name for p in (tmp_path / "pred").glob("*-t1n-inpainted.nii.gz")) == \
+        [f"{sid}-t1n-inpainted.nii.gz" for sid in sids]
+    config = write_config(tmp_path / "eval.json", {
+        "evaluate": {"pred_dir": str(tmp_path / "pred"), "gt_dir": str(dataset_dir),
+                     "out_dir": str(tmp_path / "eval")}})
+    assert cli.main(["evaluate", "--config", config]) == 0
+    assert json.loads((tmp_path / "eval" / "summary.json").read_text())["case_count"] == len(sids)
+
+
+def test_infer_and_evaluate_walk_a_layout_without_manifest(cli_workspace, tmp_path):
+    # no manifest: every directory is a sample, in sorted order
+    source = cli_workspace["dataset_dir"]
+    layout = tmp_path / "cases"
+    sids = [e.sample_id for e in load_manifest(source).samples[:2]]
+    for sid in sids:
+        shutil.copytree(source / sid, layout / sid)
+    assert sample_dirs(layout) == [layout / sid for sid in sorted(sids)]
+    config = write_config(tmp_path / "infer.json", {
+        "infer": {"dataset_dir": str(layout),
+                  "checkpoints": [str(cli_workspace["train_dir"] / "fold0-best.vxpt")],
+                  "out_dir": str(tmp_path / "pred"), "crop_dims": [16, 16, 16]}})
+    assert cli.main(["infer", "--config", config]) == 0
+    config = write_config(tmp_path / "eval.json", {
+        "evaluate": {"pred_dir": str(tmp_path / "pred"), "gt_dir": str(layout),
+                     "out_dir": str(tmp_path / "eval")}})
+    assert cli.main(["evaluate", "--config", config]) == 0
+    assert json.loads((tmp_path / "eval" / "summary.json").read_text())["case_count"] == 2
 
 
 # ---------------------------------------------------------------------------

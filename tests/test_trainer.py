@@ -1,6 +1,7 @@
 """Fold planning, normalization, sample prep, training loop, inference."""
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +12,17 @@ from voxelpaint.autodiff import Tensor, no_grad
 from voxelpaint.errors import ConfigError, DataError, NumericError
 from voxelpaint.checkpoint import load_checkpoint
 from voxelpaint.masks import make_training_sample, void_image
+from voxelpaint.optim import Adam
 from voxelpaint.trainer import (
     TrainConfig,
     denormalize,
     infer_case,
     kfold_split,
     normalize_two_stage,
+    PreparedSample,
     prepare_sample,
     train_fold,
+    train_memory_bytes,
     validation_loss,
 )
 from voxelpaint.unet import UNetConfig, build_unet
@@ -412,3 +416,60 @@ def test_validation_loss_and_inference_match_graph_building_path(monkeypatch):
     assert validation_loss(models[0], samples, cfg) == loss
     assert infer_case(models, t1n, combined, (16, 16, 16)).voxels.tobytes() == \
         inpainted.voxels.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Step memory
+# ---------------------------------------------------------------------------
+
+def _crop_sample(n):
+    """One prepared n^3 crop: a random target, voided in a box at its centre."""
+    gt = np.random.default_rng(34).uniform(-1, 1, (1, 1, n, n, n)).astype(np.float32)
+    mask = np.zeros_like(gt)
+    mask[..., n // 4:n // 2, n // 4:n // 2, n // 4:n // 2] = 1.0
+    voided = np.where(mask > 0, np.float32(-1.0), gt)
+    return PreparedSample("c0", voided, mask, gt, np.ones(gt.shape, dtype=bool))
+
+
+def _traced_steps(n, base, steps, with_model):
+    """tracemalloc's peak over ``steps`` train steps at an n^3 crop, in bytes:
+    with the model and Adam built inside the trace, or before it."""
+    config = TrainConfig(crop_dims=(n, n, n), base_channels=base, dropout_rate=0.2)
+    batch = [_crop_sample(n)]
+
+    def build():
+        model = build_unet(config.unet, util.make_rng(0, "init", 0))
+        return model, Adam(model.param_tensors(), lr=1e-3)
+
+    model, opt = (None, None) if with_model else build()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        if with_model:
+            model, opt = build()
+        for step in range(steps):
+            loss = trainer._loss_for(model, batch, config, True,
+                                     util.make_rng(0, "dropout", 0, 0, step))
+            model.zero_grad()
+            loss.backward()
+            opt.step()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_train_step_keeps_no_per_voxel_copy_it_can_recompute():
+    # 32^3 base 8: 27.7 MiB, against 34.0 MiB when instance_norm kept its
+    # centred input, dropout a float32 factor and relu its positive mask
+    peak = _traced_steps(32, 8, steps=1, with_model=False)
+    assert peak <= 31 * 2**20, f"a step peaked at {peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("n", [24, 32])
+@pytest.mark.parametrize("base", [4, 8])
+def test_train_memory_estimate_matches_traced_steps(n, base):
+    # two steps, so that the second forward runs beside the first's gradients
+    peak = _traced_steps(n, base, steps=2, with_model=True)
+    config = TrainConfig(crop_dims=(n, n, n), base_channels=base)
+    assert abs(train_memory_bytes(config, 0) / peak - 1) <= 0.1
+    assert train_memory_bytes(config, 3) - train_memory_bytes(config, 0) == 3 * 13 * n ** 3
