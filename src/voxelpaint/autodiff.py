@@ -14,11 +14,13 @@ leaves (parameters and other tensors built with requires_grad=True) keep
 their .grad. A second backward that reaches a spent node raises RuntimeError.
 
 A closure keeps no per-voxel array that it can recompute from its operands:
-``instance_norm`` centres its input again, ``relu`` compares its input with
-zero again, and ``dropout`` keeps its draw as bools. That is safe by one
-rule: a closure reads the arrays of its operands, which the graph holds, and
-nothing writes a graph-held array before the backward pass (an op writes in
-place only into a buffer it has just made; Adam updates parameters after it).
+``conv3d`` pads its input again, ``upconv3d`` builds its upsampled and
+concatenated buffer again, ``instance_norm`` centres its input again,
+``relu`` compares its input with zero again, and ``dropout`` keeps its draw
+as bools. That is safe by one rule: a closure reads the arrays of its
+operands, which the graph holds, and nothing writes a graph-held array before
+the backward pass (an op writes in place only into a buffer it has just made;
+Adam updates parameters after it).
 
 Inside ``with no_grad():`` no graph is built on that thread: op outputs
 carry neither parents nor closures, so intermediates are freed as soon as
@@ -411,8 +413,7 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
     if min(x.data.shape[2:]) + 2 * p < k:
         raise ShapeError(f"conv3d input {x.shape} too small for kernel {k} with padding {p}")
 
-    xp = _pad(x.data, p)
-    out = _tap_conv(xp, weight.data)
+    out = _tap_conv(_pad(x.data, p), weight.data)
     if bias is not None:
         out += bias.data.reshape(1, cout, 1, 1, 1)
 
@@ -423,34 +424,86 @@ def conv3d(x: Tensor, weight: Tensor, bias: Tensor | None = None, padding: int =
             _accumulate(bias, g.sum(axis=(0, 2, 3, 4)))
         if weight.requires_grad:
             # padded again rather than kept from the forward, so the graph holds x once
-            xp = _pad(x.data, p)
-            n = g.shape[0]
-            _, hp, wp = xp.shape[2:]
-            (d, h, w), span, offsets = _taps(xp.shape[2:], (k, k, k))
-            # g laid out on the padded grid that the forward accumulated on
-            ggrid = np.zeros((n, cout, d, hp, wp), dtype=g.dtype)
-            ggrid[..., :h, :w] = g
-            gflat = ggrid.reshape(n, cout, -1)
-            flat = xp.reshape(n, cin, -1)
-            # [k,k,k,N,Cout,Cin], summed over N and moved to weight layout once
-            gw = np.zeros((k, k, k, n, cout, cin), dtype=g.dtype)
-            cols = _block_columns(span, n, cin, cout, g.dtype.itemsize)
-            for lo in range(0, span, cols):
-                hi = min(lo + cols, span)
-                gblock = gflat[:, :, lo:hi]
-                for tap, off in offsets:
-                    gw[tap] += np.matmul(gblock, flat[:, :, off + lo:off + hi].transpose(0, 2, 1))
-            gw = gw.sum(axis=3).transpose(3, 4, 0, 1, 2)
-            _accumulate(weight, gw)
-            # let the padded copy and the gradient grid go before the input gradient's buffers
-            del xp, flat, ggrid, gflat, gblock
+            _accumulate(weight, _weight_grad(_pad(x.data, p), g))
         if x.requires_grad:
-            q = k - 1 - p
-            gp = _pad(g, q)
-            wf = weight.data[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
-            _accumulate(x, _tap_conv(gp, wf))
+            _accumulate(x, _input_grad(g, weight.data, p))
 
     return _node(out, parents, backward)
+
+
+def _weight_grad(xp: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Weight gradient of a valid correlation of padded input ``xp`` whose output gradient is ``g``.
+
+    The padded copy, the gradient grid and the walk's buffers all go when
+    this returns, before the caller builds the input gradient's buffers.
+    """
+    n, cin = xp.shape[:2]
+    cout = g.shape[1]
+    _, hp, wp = xp.shape[2:]
+    k = xp.shape[2] - g.shape[2] + 1
+    (d, h, w), span, offsets = _taps(xp.shape[2:], (k, k, k))
+    # g laid out on the padded grid that the forward accumulated on
+    ggrid = np.zeros((n, cout, d, hp, wp), dtype=g.dtype)
+    ggrid[..., :h, :w] = g
+    gflat = ggrid.reshape(n, cout, -1)
+    flat = xp.reshape(n, cin, -1)
+    # [k,k,k,N,Cout,Cin], summed over N and moved to weight layout once
+    gw = np.zeros((k, k, k, n, cout, cin), dtype=g.dtype)
+    cols = _block_columns(span, n, cin, cout, g.dtype.itemsize)
+    for lo in range(0, span, cols):
+        hi = min(lo + cols, span)
+        gblock = gflat[:, :, lo:hi]
+        for tap, off in offsets:
+            gw[tap] += np.matmul(gblock, flat[:, :, off + lo:off + hi].transpose(0, 2, 1))
+    return gw.sum(axis=3).transpose(3, 4, 0, 1, 2)
+
+
+def _input_grad(g: np.ndarray, weight: np.ndarray, p: int) -> np.ndarray:
+    """Input gradient of a correlation padded by ``p``: the flipped kernel's correlation of g."""
+    q = weight.shape[2] - 1 - p
+    wf = weight[:, :, ::-1, ::-1, ::-1].transpose(1, 0, 2, 3, 4)
+    return _tap_conv(_pad(g, q), wf)
+
+
+def upconv3d(low: Tensor, skip: Tensor, weight: Tensor) -> Tensor:
+    """A decoder's first conv: ``conv3d(concat_channels(upsample3d_nearest(low), skip),
+    weight, padding=1)``, byte for byte, keeping neither joined array.
+
+    low: [N,Cl,D,H,W], skip: [N,Cs,2D,2H,2W], weight: [Cout,Cl+Cs,3,3,3].
+    The upsampled ``low`` and ``skip`` are written straight into the one
+    zero-padded buffer the tap walk reads, which goes once the forward is
+    done; the graph holds only the operands, which it holds anyway, and the
+    output. The backward builds that buffer again for the weight gradient
+    (as conv3d pads its input again), hands ``skip`` its channels of the
+    input gradient and ``low`` the 2x2x2 block sums of the rest.
+    """
+    _check_5d(low, "upconv3d low input")
+    _check_5d(skip, "upconv3d skip input")
+    n, cl, d, h, w = low.data.shape
+    cs = skip.data.shape[1]
+    if skip.data.shape != (n, cs, 2 * d, 2 * h, 2 * w):
+        raise ShapeError(f"upconv3d skip {skip.shape} is not twice low {low.shape} in space")
+    if weight.data.shape[1:] != (cl + cs, 3, 3, 3):
+        raise ShapeError(f"upconv3d weight must be [Cout,{cl + cs},3,3,3], got {weight.shape}")
+
+    def padded():
+        xp = np.zeros((n, cl + cs, 2 * d + 2, 2 * h + 2, 2 * w + 2),
+                      dtype=np.result_type(low.data, skip.data))
+        inner = xp[:, :, 1:-1, 1:-1, 1:-1]
+        _upsample_into(inner[:, :cl], low.data)
+        inner[:, cl:] = skip.data
+        return xp
+
+    def backward(g):
+        if weight.requires_grad:
+            _accumulate(weight, _weight_grad(padded(), g))
+        if low.requires_grad or skip.requires_grad:
+            gx = _input_grad(g, weight.data, 1)
+            _accumulate(skip, gx[:, cl:])
+            if low.requires_grad:
+                _accumulate(low, _block_sums(gx[:, :cl]))
+
+    return _node(_tap_conv(padded(), weight.data), (low, skip, weight), backward)
 
 
 def blur3d(x: Tensor, taps: np.ndarray) -> Tensor:
@@ -631,19 +684,33 @@ def upsample3d_nearest(x: Tensor) -> Tensor:
     _check_5d(x, "upsample3d input")
     n, c, d, h, w = x.data.shape
     out = np.empty((n, c, 2 * d, 2 * h, 2 * w), dtype=x.data.dtype)
-    # widen each W row once, then copy it to its four (D, H) positions
-    out.reshape(n, c, d, 2, h, 2, 2 * w)[...] = x.data.repeat(2, axis=4)[:, :, :, None, :, None]
+    _upsample_into(out, x.data)
 
     def backward(g):
-        # sum each 2x2x2 block: the D pairs of each H half, the two H halves,
-        # then the W pairs; two quarter-size buffers at most live at once
-        p = g[:, :, 0::2, 0::2] + g[:, :, 1::2, 0::2]
-        q = g[:, :, 0::2, 1::2] + g[:, :, 1::2, 1::2]
-        p += q
-        del q
-        _accumulate(x, p[..., 0::2] + p[..., 1::2])
+        _accumulate(x, _block_sums(g))
 
     return _node(out, (x,), backward)
+
+
+def _upsample_into(out: np.ndarray, x: np.ndarray) -> None:
+    """Write x, doubled on every spatial axis by replication, into the view ``out``."""
+    # widen each W row once, then copy it to its four (D, H) positions
+    wide = x.repeat(2, axis=4)
+    for a, b in np.ndindex(2, 2):
+        out[:, :, a::2, b::2] = wide
+
+
+def _block_sums(g: np.ndarray) -> np.ndarray:
+    """Sum of each 2x2x2 block of g, the gradient of a nearest doubling.
+
+    Sums the D pairs of each H half, the two H halves, then the W pairs;
+    two quarter-size buffers at most live at once.
+    """
+    p = g[:, :, 0::2, 0::2] + g[:, :, 1::2, 0::2]
+    q = g[:, :, 0::2, 1::2] + g[:, :, 1::2, 1::2]
+    p += q
+    del q
+    return p[..., 0::2] + p[..., 1::2]
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

@@ -13,6 +13,7 @@ fold, val_loss, seed), so a checkpoint alone reconstructs its model.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -25,6 +26,7 @@ from .util import atomic_open, build_record
 
 MAGIC = b"VXPT"
 VERSION = 2
+MAX_RANK = 5   # a conv weight's [Cout, Cin, k, k, k]
 
 
 def save_checkpoint(model: UNet, metadata: dict, path) -> None:
@@ -49,6 +51,8 @@ class _Reader:
         self.pos = 0
 
     def take(self, n: int) -> bytes:
+        if n < 0:
+            raise CheckpointError("mismatch", f"a record at byte {self.pos} claims {n} bytes")
         if self.pos + n > len(self.raw):
             raise CheckpointError("truncated", f"checkpoint ends {self.pos + n - len(self.raw)} bytes early")
         chunk = self.raw[self.pos:self.pos + n]
@@ -62,9 +66,10 @@ class _Reader:
 def load_checkpoint(path) -> tuple[UNet, dict]:
     """Rebuild the model described by the file and return (model, metadata).
 
-    Raises CheckpointError with code bad_magic, version, truncated,
-    mismatch (unknown, missing or repeated parameter name, or wrong record
-    shape), or non_finite (a parameter holds a NaN or infinity).
+    Raises CheckpointError with code bad_magic, version, truncated (also a
+    record whose extents need more bytes than remain), mismatch (unknown,
+    missing or repeated parameter name, a rank above MAX_RANK, or wrong
+    record shape), or non_finite (a parameter holds a NaN or infinity).
     A version 1 file loads without its channel counts and norm-cancelled conv biases.
     The returned metadata's ``config`` is the loaded model's, for either version.
     """
@@ -85,10 +90,13 @@ def load_checkpoint(path) -> tuple[UNet, dict]:
         # a name that is not UTF-8 keeps its bad bytes as \x escapes and so matches no parameter
         name = r.take(name_len).decode("utf-8", errors="backslashreplace")
         (rank,) = struct.unpack("<B", r.take(1))
+        if rank > MAX_RANK:
+            raise CheckpointError("mismatch", f"parameter {name!r} has rank {rank}, above {MAX_RANK}")
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank))
         if name in records:
             raise CheckpointError("mismatch", f"parameter {name!r} appears twice in checkpoint")
-        records[name] = np.frombuffer(r.take(4 * int(np.prod(shape))), dtype="<f4").reshape(shape)
+        # an exact count, so a product past int64 is refused as truncated, not wrapped
+        records[name] = np.frombuffer(r.take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
     try:
         fields = meta["config"]
         if version == 1:  # channels were always 2 in and 1 out; every conv had a bias

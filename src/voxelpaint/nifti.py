@@ -83,6 +83,11 @@ MEMBER = 1 << 22
 _MEMBER_HEADER = bytes.fromhex("1f8b08040000000004ff" "0800" "5650" "0400")   # then the length
 _HEADER_SIZE = len(_MEMBER_HEADER) + 4
 _TRAILER_SIZE = 8
+# deflate's largest expansion: a 258-byte match costs at least 2 bits. An
+# ISIZE above this many times its member's deflate bytes is a lie, and the
+# buffer sized from it is never allocated: such a file takes the member walk,
+# which allocates only what it inflates.
+_MAX_RATIO = 1032
 
 
 # compressed bytes inflated per zlib call. Small pieces let a member's
@@ -142,14 +147,15 @@ def _length_field(data: bytes, pos: int) -> int | None:
 def _tiled_members(data: bytes) -> list | None:
     """(start, ISIZE) of each member when the length fields step exactly
     from the start of the file to its end and no member holds more than
-    MEMBER bytes; otherwise None."""
+    MEMBER bytes or more than deflate can expand its bytes to; otherwise
+    None."""
     members, pos = [], 0
     while pos < len(data):
         length = _length_field(data, pos)
         if length is None or length < _HEADER_SIZE + _TRAILER_SIZE or pos + length > len(data):
             return None
         (size,) = struct.unpack_from("<I", data, pos + length - 4)
-        if size > MEMBER:
+        if size > min(MEMBER, _MAX_RATIO * (length - _HEADER_SIZE - _TRAILER_SIZE)):
             return None
         members.append((pos, size))
         pos += length

@@ -11,8 +11,10 @@ class Adam:
     """Keeps first/second moment buffers per parameter and a step counter.
 
     A parameter whose .grad is None is treated as having a zero gradient;
-    its moments still decay, which is ordinary Adam behavior. lr and betas
-    are taken as given: ``TrainConfig`` checks them.
+    its moments still decay, which is ordinary Adam behavior. A step
+    consumes the gradients: each parameter's .grad is None after it, so
+    they are not held through the next forward pass. lr and betas are
+    taken as given: ``TrainConfig`` checks them.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-4,
@@ -31,7 +33,7 @@ class Adam:
         c1 = 1.0 - self.beta1 ** t
         c2 = 1.0 - self.beta2 ** t
         for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
+            g, p.grad = p.grad, None
             m *= self.beta1
             v *= self.beta2
             if g is not None:

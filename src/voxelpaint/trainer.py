@@ -92,24 +92,24 @@ def train_memory_bytes(config: TrainConfig, samples: int) -> int:
     """Estimated traced peak of a ``train`` run: one step plus the samples held.
 
     A step peaks at the larger of two moments. At the end of the forward
-    pass, the graph holds about 107 bytes per crop voxel per base channel
-    plus 45 per crop voxel, for each sample of the batch, beside four
-    float32 copies of the parameters (the parameters, the previous step's
-    gradients and Adam's two moments); the U-Net has about 5,715 parameters
-    per base channel squared. In Adam's step, the activations are gone and
-    about 5.5 copies of the parameters are live. Each prepared sample holds
+    pass, the graph holds about 76 bytes per crop voxel per base channel
+    plus 87 per crop voxel, for each sample of the batch, beside three
+    float32 copies of the parameters (the parameters and Adam's two
+    moments; Adam's step drops the gradients it applied); the U-Net has
+    about 5,715 parameters per base channel squared. In Adam's step, the
+    activations are gone and about 5.25 copies of the parameters are live. Each prepared sample holds
     13 bytes per crop voxel (three float32 crops and a bool one).
 
     Fitted on tracemalloc's peak over two steps of one model (batch 1 and 2,
     crops 24^3-64^3, base 4-16, and 16^3 at base 32, dropout 0.2): every
-    estimate came within 4 % of the measured peak (48^3 base 8: 99.5 MiB
+    estimate came within 3.2 % of the measured peak (48^3 base 8: 75.9 MiB
     measured). The defaults (208x208x144, base 32, batch 1) come to about
-    20 GiB a step.
+    15 GiB a step.
     """
     voxels = int(np.prod(config.crop_dims))
     base = config.base_channels
     params = 4 * 5715 * base * base
-    step = max(voxels * config.batch_size * (107 * base + 45) + 4 * params, 11 * params // 2)
+    step = max(voxels * config.batch_size * (76 * base + 87) + 3 * params, 21 * params // 4)
     return step + 13 * voxels * samples
 
 

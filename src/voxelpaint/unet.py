@@ -3,7 +3,9 @@
 Three encoder levels, a bridge, three decoder levels. Every conv is
 3x3x3 with padding 1 followed by instance norm; encoder/decoder blocks
 activate with PReLU, the bridge with ReLU. Downsampling is 2x2x2 max
-pooling, upsampling nearest-neighbor doubling with skip concatenation.
+pooling; each decoder level doubles its input by nearest-neighbor
+replication and concatenates the skip, inside its first conv
+(``autodiff.upconv3d``), so neither joined array is kept.
 Dropout sits at the end of the bridge and of each decoder block. The
 head is a single linear 1x1x1 conv, the only conv with a bias: the norm
 after each other conv subtracts every channel's mean, cancelling a bias.
@@ -77,9 +79,14 @@ class UNet:
         p = self.params
         rate = self.config.dropout_rate
 
-        def conv_block(x, prefix, act):
+        def conv_block(x, prefix, act, skip=None):
+            # with a skip, the first conv is the decoder's upsample + concat + conv in one op
             for j in (1, 2):
-                x = ad.conv3d(x, p[f"{prefix}.conv{j}.weight"], padding=1)
+                weight = p[f"{prefix}.conv{j}.weight"]
+                if skip is not None and j == 1:
+                    x = ad.upconv3d(x, skip, weight)
+                else:
+                    x = ad.conv3d(x, weight, padding=1)
                 x = ad.instance_norm(x, p[f"{prefix}.norm{j}.gamma"], p[f"{prefix}.norm{j}.beta"])
                 if act == "prelu":
                     x = ad.prelu(x, p[f"{prefix}.act{j}.alpha"])
@@ -98,9 +105,7 @@ class UNet:
         x = ad.dropout(x, rate, training, rng)
 
         for i in reversed(range(ENCODER_LEVELS)):
-            x = ad.upsample3d_nearest(x)
-            x = ad.concat_channels(x, skips[i])
-            x = conv_block(x, f"dec{i}", "prelu")
+            x = conv_block(x, f"dec{i}", "prelu", skips[i])
             x = ad.dropout(x, rate, training, rng)
 
         return ad.conv3d(x, p["final.weight"], p["final.bias"], padding=0)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from voxelpaint import util
-from voxelpaint.autodiff import Tensor
+from voxelpaint.autodiff import Tensor, concat_channels, conv3d, upsample3d_nearest
 from voxelpaint.losses import ssim3d
 from voxelpaint.metrics import CaseMetrics
 from voxelpaint.masks import (BoxMask, MaskGenParams, _shrink_to_fraction, apply_mask_transform,
@@ -258,6 +258,15 @@ def relu_kept_reference(x, g):
     """(out, grad_x), the positive mask kept from the forward."""
     pos = x > 0
     return np.maximum(x, 0), g * pos
+
+
+def upconv3d_composition(low, skip, weight):
+    """upconv3d as the three graph ops it stands for: upsample, concatenate, convolve.
+
+    The ops keep both joined arrays in the graph, and upconv3d must give
+    the same bytes without them.
+    """
+    return conv3d(concat_channels(upsample3d_nearest(low), skip), weight, padding=1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import (away_from_zero, conv3d_oracle, conv3d_vjp_oracle, dropout_kept_reference,
                       gradcheck, instance_norm_kept_reference, leaf, maxpool3d_reference,
-                      prelu_reference, relu_kept_reference, separated_pool_input, split_walks)
+                      prelu_reference, relu_kept_reference, separated_pool_input, split_walks,
+                      upconv3d_composition)
 from voxelpaint import autodiff, util
 from voxelpaint.autodiff import (
     Tensor,
@@ -21,6 +22,7 @@ from voxelpaint.autodiff import (
     no_grad,
     prelu,
     relu,
+    upconv3d,
     upsample3d_nearest,
 )
 from voxelpaint.errors import ShapeError
@@ -307,6 +309,21 @@ def test_gradcheck_maxpool_upsample_concat():
 
     worst = gradcheck(build, [x, y], rng, n_samples=20, h=H)
     assert worst <= RTOL, f"pool/upsample/concat gradcheck rel err {worst:.3e}"
+
+
+@pytest.mark.parametrize("low_dims", [(3, 2, 3), (2, 4, 2), (1, 3, 2)])
+def test_gradcheck_upconv3d(low_dims):
+    rng = np.random.default_rng(18)
+    low = leaf(rng, (2, 3, *low_dims))
+    skip = leaf(rng, (2, 2, *(2 * e for e in low_dims)))
+    w = leaf(rng, (4, 5, 3, 3, 3), scale=0.5)
+    g = Tensor(rng.standard_normal((2, 4, *(2 * e for e in low_dims))))
+
+    def build():
+        return (upconv3d(low, skip, w) * g).mean()
+
+    worst = gradcheck(build, [low, skip, w], rng, n_samples=20, h=H)
+    assert worst <= RTOL, f"upconv3d gradcheck rel err {worst:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -786,6 +803,67 @@ def test_relu_matches_the_kept_positive_mask_byte_for_byte(case):
         _assert_same_bytes(got, ref)
 
 
+# -- the decoder's upsample + concat + conv as one op ------------------------
+
+
+def _upconv_run(op, low0, skip0, w0, g, wants):
+    """op's output and the gradients of the operands named in ``wants``, as bytes."""
+    low, skip, w = (Tensor(a.copy(), requires_grad=name in wants)
+                    for name, a in (("low", low0), ("skip", skip0), ("weight", w0)))
+    out = op(low, skip, w)
+    (out * Tensor(g)).sum().backward()
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in (low, skip, w) if t.requires_grad]
+
+
+@pytest.mark.parametrize("n,low_dims", [(1, (4, 4, 4)), (2, (3, 5, 2)), (2, (1, 1, 1))])
+@pytest.mark.parametrize("wants", [("low", "skip", "weight"), ("low", "weight"), ("skip",)],
+                         ids=["all", "no_skip", "skip_only"])
+def test_upconv3d_matches_the_composition_byte_for_byte(n, low_dims, wants):
+    rng = np.random.default_rng(36)
+    full = tuple(2 * e for e in low_dims)
+    low = rng.standard_normal((n, 6, *low_dims)).astype(np.float32)
+    skip = rng.standard_normal((n, 3, *full)).astype(np.float32)
+    w = rng.standard_normal((4, 9, 3, 3, 3)).astype(np.float32)
+    g = rng.standard_normal((n, 4, *full)).astype(np.float32)
+    got = _upconv_run(upconv3d, low, skip, w, g, wants)
+    assert got == _upconv_run(upconv3d_composition, low, skip, w, g, wants)
+    assert len(got) == 1 + len(wants)
+
+
+def test_upconv3d_keeps_no_joined_array_in_the_graph():
+    # the composition's graph also holds the upsampled and the concatenated
+    # arrays, 8 + 8 + 8 = 24 low grids against the operands' 1 + 8
+    rng = np.random.default_rng(37)
+    low = Tensor(rng.standard_normal((1, 8, 8, 8, 8)).astype(np.float32), requires_grad=True)
+    skip = Tensor(rng.standard_normal((1, 8, 16, 16, 16)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((8, 16, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    held = {}
+    for op in (upconv3d, upconv3d_composition):
+        tracemalloc.start()
+        try:
+            out = op(low, skip, w)
+            held[op] = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+            del out
+        finally:
+            tracemalloc.stop()
+    assert held[upconv3d] < 2**16
+    assert held[upconv3d_composition] > low.data.nbytes * 16
+
+
+def test_upconv3d_validation():
+    low = Tensor(np.ones((1, 2, 2, 2, 2)))
+    skip = Tensor(np.ones((1, 3, 4, 4, 4)))
+    with pytest.raises(ShapeError):
+        upconv3d(low, Tensor(np.ones((1, 3, 4, 4, 5))), Tensor(np.ones((1, 5, 3, 3, 3))))
+    with pytest.raises(ShapeError):
+        upconv3d(low, Tensor(np.ones((2, 3, 4, 4, 4))), Tensor(np.ones((1, 5, 3, 3, 3))))
+    with pytest.raises(ShapeError):
+        upconv3d(low, skip, Tensor(np.ones((1, 4, 3, 3, 3))))  # channel mismatch
+    with pytest.raises(ShapeError):
+        upconv3d(low, skip, Tensor(np.ones((1, 5, 1, 1, 1))))  # not a 3^3 kernel
+    assert upconv3d(low, skip, Tensor(np.ones((1, 5, 3, 3, 3)))).shape == (1, 1, 4, 4, 4)
+
+
 def test_maxpool_values_and_first_tie_routing():
     # All-equal window: the gradient must land on the first flattened slot,
     # which is the (0,0,0) corner of the 2x2x2 block.
@@ -965,6 +1043,24 @@ def test_adam_matches_reference_loop():
         vh = v / (1 - b2 ** t)
         ref = ref - lr * mh / (np.sqrt(vh) + eps)
         assert np.allclose(p.data, ref, atol=1e-12)
+
+
+def test_adam_step_consumes_the_gradients():
+    # the applied gradients go with the step, so the next forward pass does
+    # not run beside them; a second step without a backward moves by the
+    # decayed moments alone, as for a zero gradient
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    q = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    opt, ref = Adam([p], lr=0.1), Adam([q], lr=0.1)
+    p.grad = np.array([0.5, 0.25])
+    q.grad = p.grad.copy()
+    opt.step()
+    ref.step()
+    assert p.grad is None
+    opt.step()
+    q.grad = np.zeros(2)
+    ref.step()
+    assert p.data.tobytes() == q.data.tobytes()
 
 
 def test_adam_skips_params_without_grad():

@@ -1064,6 +1064,21 @@ def test_infer_checkpoint_with_fractional_base_channels_exits_3(cli_workspace, t
     assert "base_channels" in capsys.readouterr().err
 
 
+def test_infer_checkpoint_with_rank_100_exits_3_with_one_error_line(cli_workspace, tmp_path, capsys):
+    raw = bytearray((cli_workspace["train_dir"] / "fold0-best.vxpt").read_bytes())
+    meta_len = struct.unpack_from("<I", raw, 8)[0]
+    name_len = struct.unpack_from("<H", raw, 12 + meta_len)[0]
+    raw[12 + meta_len + 2 + name_len] = 100   # the first record's rank byte
+    checkpoint = tmp_path / "rank.vxpt"
+    checkpoint.write_bytes(bytes(raw))
+    config = write_config(tmp_path / "c.json", {
+        "infer": {"dataset_dir": str(cli_workspace["dataset_dir"]),
+                  "checkpoints": [str(checkpoint)], "out_dir": str(tmp_path / "pred")}})
+    assert cli.main(["infer", "--config", config]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "rank 100" in err[0], err
+
+
 def test_infer_non_finite_checkpoint_exits_3_before_writing(cli_workspace, tmp_path, capsys):
     model, meta = load_checkpoint(cli_workspace["train_dir"] / "fold0-best.vxpt")
     dict(model.parameters())["enc0.conv1.weight"].data.flat[0] = np.nan

@@ -9,7 +9,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import split_walks
+from conftest import split_walks, upconv3d_composition
+from voxelpaint import autodiff, checkpoint
 from voxelpaint.autodiff import Tensor
 from voxelpaint.checkpoint import load_checkpoint, save_checkpoint
 from voxelpaint.errors import CheckpointError, ConfigError, ShapeError
@@ -195,6 +196,24 @@ def test_train_step_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     (one, none), (two, split) = digests(1), digests(2)
     assert none == 0 and split > 0
     assert one == two
+
+
+def test_train_step_bytes_equal_a_unet_built_from_the_composition(monkeypatch):
+    # each decoder's upconv3d against upsample3d_nearest + concat_channels + conv3d
+    voided, mask = _inputs(n=32, seed=9)
+    gt = np.random.default_rng(10).uniform(-1, 1, voided.shape).astype(np.float32)
+    region = np.random.default_rng(11).random(voided.shape) < 0.5
+
+    def digests():
+        model = make_model(8, seed=12)
+        pred = model.forward(voided, mask, training=True, rng=np.random.default_rng(13))
+        composite_loss(pred, gt, region, 1.0, 1.0).backward()
+        arrays = [pred.data] + [t.grad for _, t in model.parameters()]
+        return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+
+    fused = digests()
+    monkeypatch.setattr(autodiff, "upconv3d", upconv3d_composition)
+    assert digests() == fused
 
 
 def _graph_nodes(root):
@@ -431,6 +450,48 @@ def test_checkpoint_non_utf8_parameter_name_is_mismatch(tmp_path):
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
     assert _code(exc) == "mismatch"
+
+
+def _first_record_header(records):
+    """Offsets of the first record's rank byte and of its first extent."""
+    rank_at = 2 + struct.unpack_from("<H", records)[0]
+    return rank_at, rank_at + 1
+
+
+def test_checkpoint_rank_above_five_is_mismatch_before_any_reshape(tmp_path):
+    # numpy refuses arrays above 64 dims with a bare ValueError; an extent of
+    # 0 makes the record's data fit, so only the rank check stands between
+    path = _saved(tmp_path)
+    version, meta, records = _split_container(path.read_bytes())
+    rank_at, _ = _first_record_header(records)
+    bad = records[:rank_at] + bytes([100]) + bytes(400) + records[rank_at + 1:]
+    path.write_bytes(_pack_container(version, meta, bad))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert _code(exc) == "mismatch" and "rank 100" in str(exc.value)
+
+
+def test_checkpoint_extents_past_int64_are_truncated(tmp_path):
+    # five extents of 2^32 - 1: their product wraps in int64, and the record
+    # must be refused by its exact size rather than read with a wrapped one
+    path = _saved(tmp_path)
+    version, meta, records = _split_container(path.read_bytes())
+    rank_at, dims_at = _first_record_header(records)
+    rank = records[rank_at]
+    bad = records[:dims_at] + struct.pack(f"<{rank}I", *[2**32 - 1] * rank) + records[dims_at + 4 * rank:]
+    path.write_bytes(_pack_container(version, meta, bad))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert _code(exc) == "truncated"
+
+
+def test_checkpoint_reader_refuses_a_negative_length():
+    reader = checkpoint._Reader(b"VXPT")
+    reader.take(2)
+    with pytest.raises(CheckpointError) as exc:
+        reader.take(-1)
+    assert _code(exc) == "mismatch"
+    assert reader.pos == 2
 
 
 def _v1_container(model, rng, in_channels=2):

@@ -727,3 +727,35 @@ def test_nifti_damaged_gzip_member_raises_bad_gzip(tmp_path, monkeypatch, damage
         read_nifti(path)
     assert exc.value.code == "bad_gzip"
     assert str(path) in str(exc.value)
+
+
+def test_nifti_gzip_member_claiming_more_than_deflate_can_hold_is_refused_unallocated(tmp_path):
+    # ten 30-byte members, each an empty deflate block whose ISIZE claims
+    # 4 MiB: sized from those fields, the buffer would be 40 MiB
+    empty = zlib.compressobj(wbits=-15)
+    block = empty.compress(b"") + empty.flush()
+    member = (nifti._MEMBER_HEADER + struct.pack("<I", 30) + block
+              + struct.pack("<II", zlib.crc32(b""), nifti.MEMBER))
+    assert len(member) == 30
+    path = tmp_path / "liar.nii.gz"
+    path.write_bytes(member * 10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NiftiError) as exc:
+            read_nifti(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == "bad_gzip"
+    assert peak < 2**20, f"refusing a 300-byte file peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_nifti_gzip_of_an_all_zero_scan_still_reads_member_by_member_side_by_side(tmp_path):
+    # zeros deflate to near deflate's largest ratio; the writer's members
+    # must still pass the ratio check and read to the same bytes
+    vox = np.zeros((128, 128, 72), np.float32)
+    write_nifti(Volume(vox), tmp_path / "z.nii.gz")
+    blob = (tmp_path / "z.nii.gz").read_bytes()
+    members = nifti._tiled_members(blob)
+    assert members is not None and len(members) == 2
+    assert read_nifti(tmp_path / "z.nii.gz").voxels.tobytes() == vox.tobytes()
