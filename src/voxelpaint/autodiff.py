@@ -16,8 +16,9 @@ their .grad. A second backward that reaches a spent node raises RuntimeError.
 A closure keeps no per-voxel array that it can recompute from its operands:
 ``conv3d`` pads its input again, ``upconv3d`` builds its upsampled and
 concatenated buffer again, ``instance_norm`` centres its input again,
-``relu`` compares its input with zero again, and ``dropout`` keeps its draw
-as bools. That is safe by one rule: a closure reads the arrays of its
+``norm_prelu`` builds its norm output again from its input, ``relu``
+compares its input with zero again, and ``dropout`` keeps its draw as
+bools. That is safe by one rule: a closure reads the arrays of its
 operands, which the graph holds, and nothing writes a graph-held array before
 the backward pass (an op writes in place only into a buffer it has just made;
 Adam updates parameters after it).
@@ -534,44 +535,62 @@ def blur3d(x: Tensor, taps: np.ndarray) -> Tensor:
     return _node(blur(x.data, taps), (x,), backward)
 
 
-def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each (sample, channel) slice over its spatial voxels.
+class _InstanceNorm:
+    """One instance norm's per-slice statistics of x, and the arithmetic on them
+    that ``instance_norm`` and ``norm_prelu`` share.
 
-    Uses the biased variance (divisor D*H*W). gamma and beta are [C].
-
-    The statistics reduce in float64 over values centred on the mean, with
-    no full-size float64 copy: the variance of a slice offset far from zero
-    keeps its precision, and the part of the mean that float32 cannot hold
-    is carried per slice instead of being left in the output.
+    Uses the biased variance (divisor D*H*W). The statistics reduce in
+    float64 over values centred on the mean, with no full-size float64
+    copy: the variance of a slice offset far from zero keeps its precision,
+    and the part of the mean that float32 cannot hold is carried per slice
+    instead of being left in the output. Only [N,C] figures are kept; every
+    per-voxel array is built again from x.
     """
-    _check_5d(x, "instance_norm input")
-    n, c = x.data.shape[:2]
-    if gamma.data.shape != (c,) or beta.data.shape != (c,):
-        raise ShapeError(f"instance_norm needs gamma/beta of shape [{c}]")
 
-    axes, dtype = (2, 3, 4), x.data.dtype
-    m = int(np.prod(x.data.shape[2:]))
-    mean = x.data.mean(axis=axes, dtype=np.float64)
-    mean32 = mean.astype(dtype).reshape(n, c, 1, 1, 1)
-    xc = x.data - mean32
-    # what the float32 mean cannot hold: the centred values are xc - rest
-    rest = mean - mean.astype(dtype)
-    var = np.einsum("ncdhw,ncdhw->nc", xc, xc, dtype=np.float64) / m - rest * rest
-    inv = 1.0 / np.sqrt(var.astype(dtype) + np.asarray(eps, dtype=dtype))
-    scale = inv * gamma.data
-    # scaled and shifted in place into the output: the backward centres x
-    # again rather than keep a second per-voxel array
-    out = xc
-    out *= scale.reshape(n, c, 1, 1, 1)
-    out += (beta.data - rest * scale).astype(dtype).reshape(n, c, 1, 1, 1)
+    def __init__(self, x: Tensor, gamma: Tensor, beta: Tensor, op: str):
+        _check_5d(x, f"{op} input")
+        c = x.data.shape[1]
+        if gamma.data.shape != (c,) or beta.data.shape != (c,):
+            raise ShapeError(f"{op} needs gamma/beta of shape [{c}]")
+        self.x, self.gamma, self.beta = x, gamma, beta
 
-    def backward(g):
-        xc = x.data - mean32
+    def forward(self, eps: float) -> np.ndarray:
+        """Take the statistics and return the output, built in the one centred copy of x."""
+        x, beta = self.x.data, self.beta.data
+        n, c, dtype = *x.shape[:2], x.dtype
+        self.m = int(np.prod(x.shape[2:]))
+        mean = x.mean(axis=(2, 3, 4), dtype=np.float64)
+        self.mean32 = mean.astype(dtype).reshape(n, c, 1, 1, 1)
+        xc = self.centred()
+        # what the float32 mean cannot hold: the centred values are xc - rest
+        self.rest = rest = mean - mean.astype(dtype)
+        var = np.einsum("ncdhw,ncdhw->nc", xc, xc, dtype=np.float64) / self.m - rest * rest
+        self.inv = 1.0 / np.sqrt(var.astype(dtype) + np.asarray(eps, dtype=dtype))
+        self.scale = (self.inv * self.gamma.data).reshape(n, c, 1, 1, 1)
+        self.shift = (beta - rest * self.scale[..., 0, 0, 0]).astype(dtype).reshape(n, c, 1, 1, 1)
+        return self.normalized(xc)
+
+    def centred(self) -> np.ndarray:
+        return self.x.data - self.mean32
+
+    def normalized(self, xc: np.ndarray | None = None) -> np.ndarray:
+        """The output, scaled and shifted in place into ``xc`` or, in the backward,
+        into x centred again: the same operations, so the same bytes."""
+        out = self.centred() if xc is None else xc
+        out *= self.scale
+        out += self.shift
+        return out
+
+    def backward(self, g: np.ndarray) -> None:
+        """Add the gradients of x, gamma and beta for the output gradient g."""
+        x, m, rest, inv = self.x, self.m, self.rest, self.inv
+        n, c, dtype = *inv.shape, x.data.dtype
+        xc = self.centred()
         # per-slice sums of g and of g*xhat, xhat = (xc - rest) * inv, in float64
-        sg = g.sum(axis=axes, dtype=np.float64)
+        sg = g.sum(axis=(2, 3, 4), dtype=np.float64)
         sgx = (np.einsum("ncdhw,ncdhw->nc", g, xc, dtype=np.float64) - rest * sg) * inv
-        _accumulate(beta, sg.sum(axis=0).astype(dtype))
-        _accumulate(gamma, sgx.sum(axis=0).astype(dtype))
+        _accumulate(self.beta, sg.sum(axis=0).astype(dtype))
+        _accumulate(self.gamma, sgx.sum(axis=0).astype(dtype))
         if x.requires_grad:
             # inv*gamma * (g - mean(g) - xhat*mean(g*xhat)), built in xc's buffer
             b = inv * sgx / m
@@ -579,10 +598,18 @@ def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> 
             gx *= (-b).astype(dtype).reshape(n, c, 1, 1, 1)
             gx += g
             gx -= (sg / m - rest * b).astype(dtype).reshape(n, c, 1, 1, 1)
-            gx *= scale.reshape(n, c, 1, 1, 1)
+            gx *= self.scale
             _accumulate(x, gx)
 
-    return _node(out, (x, gamma, beta), backward)
+
+def instance_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize each (sample, channel) slice over its spatial voxels.
+
+    gamma and beta are [C]; see ``_InstanceNorm`` for the arithmetic. The
+    backward centres x again rather than keep a second per-voxel array.
+    """
+    norm = _InstanceNorm(x, gamma, beta, "instance_norm")
+    return _node(norm.forward(eps), (x, gamma, beta), norm.backward)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -594,30 +621,57 @@ def relu(x: Tensor) -> Tensor:
     return _node(np.maximum(x.data, 0), (x,), backward)
 
 
-def prelu(x: Tensor, alpha: Tensor) -> Tensor:
-    """x for x >= 0, alpha * x otherwise; alpha is one learnable scalar."""
+def _prelu_value(y: np.ndarray, alpha: Tensor) -> np.ndarray:
     if alpha.data.size != 1:
         raise ShapeError(f"prelu alpha must hold one value, got shape {alpha.shape}")
-    a = alpha.data.reshape(())
-    out = np.minimum(x.data, 0)
-    out *= a
-    out += np.maximum(x.data, 0)
+    out = np.minimum(y, 0)
+    out *= alpha.data.reshape(())
+    out += np.maximum(y, 0)
+    return out
+
+
+def _prelu_grad(g: np.ndarray, y: np.ndarray, alpha: Tensor, gy: np.ndarray) -> np.ndarray:
+    """Add alpha's gradient for PReLU input y and output gradient g, and return
+    the input gradient, written into ``gy``, which may be y's own buffer."""
+    gn = g * (y < 0)
+    if alpha.requires_grad:
+        np.multiply(gn, y, out=gy)
+        _accumulate(alpha, np.asarray(gy.sum(), dtype=alpha.data.dtype).reshape(alpha.data.shape))
+    # g where y >= 0, a*g where y < 0
+    np.subtract(g, gn, out=gy)
+    gn *= alpha.data.reshape(())
+    gy += gn
+    return gy
+
+
+def prelu(x: Tensor, alpha: Tensor) -> Tensor:
+    """x for x >= 0, alpha * x otherwise; alpha is one learnable scalar."""
 
     def backward(g):
-        gn = g * (x.data < 0)
-        gx = np.empty_like(gn)
-        if alpha.requires_grad:
-            np.multiply(gn, x.data, out=gx)
-            _accumulate(alpha, np.asarray(gx.sum(), dtype=alpha.data.dtype).reshape(alpha.data.shape))
-        if x.requires_grad:
-            # g where x >= 0, a*g where x < 0
-            np.subtract(g, gn, out=gx)
-            gn *= a
-            gx += gn
-            del gn
-            _accumulate(x, gx)
+        _accumulate(x, _prelu_grad(g, x.data, alpha, np.empty_like(g)))
 
-    return _node(out, (x, alpha), backward)
+    return _node(_prelu_value(x.data, alpha), (x, alpha), backward)
+
+
+def norm_prelu(x: Tensor, gamma: Tensor, beta: Tensor, alpha: Tensor, eps: float = 1e-5) -> Tensor:
+    """``prelu(instance_norm(x, gamma, beta, eps), alpha)``, byte for byte, keeping
+    no norm output.
+
+    The graph holds x, which the norm's backward reads anyway, and the
+    output. The backward builds the normalized array again from x with the
+    forward's own operations, runs PReLU's gradient in that array's buffer,
+    then instance norm's gradient.
+    """
+    norm = _InstanceNorm(x, gamma, beta, "norm_prelu")
+    out = _prelu_value(norm.forward(eps), alpha)
+
+    def backward(g):
+        y = norm.normalized()
+        gy = _prelu_grad(g, y, alpha, y)
+        if x.requires_grad or gamma.requires_grad or beta.requires_grad:
+            norm.backward(gy)
+
+    return _node(out, (x, gamma, beta, alpha), backward)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

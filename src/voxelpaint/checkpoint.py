@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckpointError
-from .unet import UNet, UNetConfig, build_unet
+from .autodiff import Tensor
+from .unet import UNet, UNetConfig, param_shapes
 from .util import atomic_open, build_record
 
 MAGIC = b"VXPT"
@@ -107,16 +108,17 @@ def load_checkpoint(path) -> tuple[UNet, dict]:
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
         raise CheckpointError("mismatch", f"checkpoint metadata lacks a usable config: {exc}") from exc
 
-    model = build_unet(config, np.random.default_rng(0))
-    params = dict(model.parameters())
-    if records.keys() != params.keys():
+    # checked against the config's shapes before anything is allocated from it,
+    # so a config that claims a huge model costs nothing
+    shapes = param_shapes(config)
+    if records.keys() != shapes.keys():
         raise CheckpointError("mismatch", "checkpoint parameters unknown to the model or missing: "
-                              f"{sorted(records.keys() ^ params.keys())[:3]}")
-    for name, t in params.items():
-        if t.data.shape != records[name].shape:
+                              f"{sorted(records.keys() ^ shapes.keys())[:3]}")
+    for name, shape in shapes.items():
+        if records[name].shape != shape:
             raise CheckpointError("mismatch", f"parameter {name!r} has shape {records[name].shape}, "
-                                  f"model expects {t.data.shape}")
+                                  f"model expects {shape}")
         if not np.isfinite(records[name]).all():
             raise CheckpointError("non_finite", f"parameter {name!r} holds a NaN or infinite value")
-        t.data = records[name].astype(np.float32)
-    return model, dict(meta, config=asdict(config))
+    params = {name: Tensor(records[name].astype(np.float32), requires_grad=True) for name in shapes}
+    return UNet(config, params), dict(meta, config=asdict(config))

@@ -168,6 +168,12 @@ def cmd_prepare(cfg: PrepareSection, save_config: Callable[[], None]) -> int:
         raise FileNotFoundError(f"no *-t1n.nii[.gz] scans under {input_dir}")
     # prepare owns the samples that the manifest already in out_dir lists, and no other path
     old = load_manifest(out_dir).samples if (out_dir / MANIFEST_NAME).exists() else []
+    owned = {entry.directory for entry in old}
+    foreign = [sid for case_id in scans for sid in map(partial(sample_id, case_id), range(cfg.variants))
+               if sid not in owned and os.path.lexists(out_dir / sid)]
+    if foreign:
+        raise DataError(f"{out_dir} holds {', '.join(foreign)}, where prepare would write a sample, "
+                        "and no manifest there lists it")
     save_config()
 
     manifest = Manifest(seed=cfg.seed, samples=[])

@@ -251,12 +251,13 @@ def _scaled(path: Path, stored: np.ndarray, slope: float, inter: float) -> np.nd
     Float32 voxels are used in place, on the buffer they were read into;
     other types are converted to a new array. Raises NiftiError non_finite
     on a NaN or infinite voxel, which would poison normalization and every
-    loss downstream.
+    loss downstream; a scale that overflows float32 is reported so, not warned of.
     """
     voxels = stored.astype(np.float32, copy=False)
     if slope != 0.0:
-        voxels *= np.float32(slope)
-        voxels += np.float32(inter)
+        with np.errstate(over="ignore", invalid="ignore"):
+            voxels *= np.float32(slope)
+            voxels += np.float32(inter)
     finite = np.isfinite(voxels)
     if not finite.all():
         bad = finite.size - np.count_nonzero(finite)

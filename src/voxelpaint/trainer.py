@@ -92,8 +92,8 @@ def train_memory_bytes(config: TrainConfig, samples: int) -> int:
     """Estimated traced peak of a ``train`` run: one step plus the samples held.
 
     A step peaks at the larger of two moments. At the end of the forward
-    pass, the graph holds about 76 bytes per crop voxel per base channel
-    plus 87 per crop voxel, for each sample of the batch, beside three
+    pass, the graph holds about 61 bytes per crop voxel per base channel
+    plus 69 per crop voxel, for each sample of the batch, beside three
     float32 copies of the parameters (the parameters and Adam's two
     moments; Adam's step drops the gradients it applied); the U-Net has
     about 5,715 parameters per base channel squared. In Adam's step, the
@@ -102,14 +102,14 @@ def train_memory_bytes(config: TrainConfig, samples: int) -> int:
 
     Fitted on tracemalloc's peak over two steps of one model (batch 1 and 2,
     crops 24^3-64^3, base 4-16, and 16^3 at base 32, dropout 0.2): every
-    estimate came within 3.2 % of the measured peak (48^3 base 8: 75.9 MiB
+    estimate came within 3.4 % of the measured peak (48^3 base 8: 61.6 MiB
     measured). The defaults (208x208x144, base 32, batch 1) come to about
-    15 GiB a step.
+    11.8 GiB a step.
     """
     voxels = int(np.prod(config.crop_dims))
     base = config.base_channels
     params = 4 * 5715 * base * base
-    step = max(voxels * config.batch_size * (76 * base + 87) + 3 * params, 21 * params // 4)
+    step = max(voxels * config.batch_size * (61 * base + 69) + 3 * params, 21 * params // 4)
     return step + 13 * voxels * samples
 
 

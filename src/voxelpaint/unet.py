@@ -2,7 +2,10 @@
 
 Three encoder levels, a bridge, three decoder levels. Every conv is
 3x3x3 with padding 1 followed by instance norm; encoder/decoder blocks
-activate with PReLU, the bridge with ReLU. Downsampling is 2x2x2 max
+activate with PReLU, the bridge with ReLU. Each PReLU block runs its norm
+and activation as one op (``autodiff.norm_prelu``), so the graph keeps no
+norm output there; the bridge's norm output, at the coarsest grid, is
+kept for its ReLU. Downsampling is 2x2x2 max
 pooling; each decoder level doubles its input by nearest-neighbor
 replication and concatenates the skip, inside its first conv
 (``autodiff.upconv3d``), so neither joined array is kept.
@@ -87,11 +90,11 @@ class UNet:
                     x = ad.upconv3d(x, skip, weight)
                 else:
                     x = ad.conv3d(x, weight, padding=1)
-                x = ad.instance_norm(x, p[f"{prefix}.norm{j}.gamma"], p[f"{prefix}.norm{j}.beta"])
+                norm = p[f"{prefix}.norm{j}.gamma"], p[f"{prefix}.norm{j}.beta"]
                 if act == "prelu":
-                    x = ad.prelu(x, p[f"{prefix}.act{j}.alpha"])
+                    x = ad.norm_prelu(x, *norm, p[f"{prefix}.act{j}.alpha"])
                 else:
-                    x = ad.relu(x)
+                    x = ad.relu(ad.instance_norm(x, *norm))
             return x
 
         x = ad.concat_channels(voided, mask)
@@ -111,34 +114,16 @@ class UNet:
         return ad.conv3d(x, p["final.weight"], p["final.bias"], padding=0)
 
 
-def build_unet(config: UNetConfig, rng: np.random.Generator,
-               dtype=np.float32) -> UNet:
-    """Create a U-Net with fan-in-scaled normal conv weights.
-
-    Conv weights draw from N(0, sqrt(2 / fan_in)) with fan_in the number
-    of inputs feeding one output voxel; the head's bias and norm shifts
-    start at zero, norm scales at one, PReLU alphas at 0.25.
-    """
-    params: dict[str, Tensor] = {}
-
-    def add(name, arr):
-        params[name] = Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
-
-    def add_conv(prefix, cin, cout, k):
-        fan_in = cin * k ** 3
-        std = np.sqrt(2.0 / fan_in)
-        add(f"{prefix}.weight", rng.normal(0.0, std, size=(cout, cin, k, k, k)))
-
-    def add_norm(prefix, c):
-        add(f"{prefix}.gamma", np.ones(c))
-        add(f"{prefix}.beta", np.zeros(c))
+def param_shapes(config: UNetConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape, in model order, without allocating any."""
+    shapes: dict[str, tuple[int, ...]] = {}
 
     def add_block(prefix, cin, cout, act):
         for j, ci in ((1, cin), (2, cout)):
-            add_conv(f"{prefix}.conv{j}", ci, cout, 3)
-            add_norm(f"{prefix}.norm{j}", cout)
+            shapes[f"{prefix}.conv{j}.weight"] = (cout, ci, 3, 3, 3)
+            shapes[f"{prefix}.norm{j}.gamma"] = shapes[f"{prefix}.norm{j}.beta"] = (cout,)
             if act == "prelu":
-                add(f"{prefix}.act{j}.alpha", np.full(1, 0.25))
+                shapes[f"{prefix}.act{j}.alpha"] = (1,)
 
     enc = [config.base_channels * 2 ** i for i in range(ENCODER_LEVELS)]
     prev = 2  # the voided scan and the mask
@@ -150,7 +135,26 @@ def build_unet(config: UNetConfig, rng: np.random.Generator,
     for i in reversed(range(ENCODER_LEVELS)):
         add_block(f"dec{i}", prev + enc[i], enc[i], "prelu")
         prev = enc[i]
-    add_conv("final", prev, 1, 1)
-    add("final.bias", np.zeros(1))
+    shapes["final.weight"] = (1, prev, 1, 1, 1)
+    shapes["final.bias"] = (1,)
+    return shapes
 
+
+def build_unet(config: UNetConfig, rng: np.random.Generator,
+               dtype=np.float32) -> UNet:
+    """Create a U-Net with fan-in-scaled normal conv weights.
+
+    Conv weights draw from N(0, sqrt(2 / fan_in)) with fan_in the number
+    of inputs feeding one output voxel, in model order; the head's bias and
+    norm shifts start at zero, norm scales at one, PReLU alphas at 0.25.
+    """
+    starts = {"gamma": 1.0, "beta": 0.0, "alpha": 0.25, "bias": 0.0}
+    params: dict[str, Tensor] = {}
+    for name, shape in param_shapes(config).items():
+        kind = name.rsplit(".", 1)[1]
+        if kind == "weight":
+            arr = rng.normal(0.0, np.sqrt(2.0 / np.prod(shape[1:])), size=shape)
+        else:
+            arr = np.full(shape, starts[kind])
+        params[name] = Tensor(np.asarray(arr, dtype=dtype), requires_grad=True)
     return UNet(config, params)

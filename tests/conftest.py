@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from voxelpaint import util
-from voxelpaint.autodiff import Tensor, concat_channels, conv3d, upsample3d_nearest
+from voxelpaint.autodiff import (Tensor, concat_channels, conv3d, instance_norm, prelu,
+                                 upsample3d_nearest)
 from voxelpaint.losses import ssim3d
 from voxelpaint.metrics import CaseMetrics
 from voxelpaint.masks import (BoxMask, MaskGenParams, _shrink_to_fraction, apply_mask_transform,
@@ -267,6 +268,15 @@ def upconv3d_composition(low, skip, weight):
     the same bytes without them.
     """
     return conv3d(concat_channels(upsample3d_nearest(low), skip), weight, padding=1)
+
+
+def norm_prelu_composition(x, gamma, beta, alpha, eps=1e-5):
+    """norm_prelu as the two graph ops it stands for: instance norm, then PReLU.
+
+    The graph keeps the norm's output for PReLU's backward, and norm_prelu
+    must give the same bytes without it.
+    """
+    return prelu(instance_norm(x, gamma, beta, eps), alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ import pytest
 
 from conftest import (away_from_zero, conv3d_oracle, conv3d_vjp_oracle, dropout_kept_reference,
                       gradcheck, instance_norm_kept_reference, leaf, maxpool3d_reference,
-                      prelu_reference, relu_kept_reference, separated_pool_input, split_walks,
-                      upconv3d_composition)
+                      norm_prelu_composition, prelu_reference, relu_kept_reference,
+                      separated_pool_input, split_walks, upconv3d_composition)
 from voxelpaint import autodiff, util
 from voxelpaint.autodiff import (
     Tensor,
@@ -20,6 +20,7 @@ from voxelpaint.autodiff import (
     instance_norm,
     maxpool3d,
     no_grad,
+    norm_prelu,
     prelu,
     relu,
     upconv3d,
@@ -283,6 +284,28 @@ def test_gradcheck_relu_prelu():
 
     worst = gradcheck(build, [x, y, alpha], rng, n_samples=20, h=H)
     assert worst <= RTOL, f"relu/prelu gradcheck rel err {worst:.3e}"
+
+
+def test_gradcheck_norm_prelu():
+    # each slice is mu + s*z with z = +-[0.3, 1.2] in equal number, so every
+    # normalized value keeps clear of PReLU's kink while both signs occur
+    rng = np.random.default_rng(19)
+    mag = rng.uniform(0.3, 1.2, (2, 3, 32))
+    z = rng.permuted(np.concatenate([mag, -mag], axis=2), axis=2).reshape(2, 3, 4, 4, 4)
+    x = Tensor(rng.normal(0.0, 2.0, (2, 3, 1, 1, 1)) + rng.uniform(0.5, 2.0, (2, 3, 1, 1, 1)) * z,
+               requires_grad=True)
+    gamma = leaf(rng, (3,), scale=0.25, offset=1.0)
+    beta = leaf(rng, (3,), scale=0.05)
+    alpha = Tensor(np.array([0.25]), requires_grad=True)
+    probe = Tensor(rng.standard_normal(x.shape))
+    y = instance_norm(x, gamma, beta).data
+    assert np.min(np.abs(y)) >= 0.1 and (y < 0).any() and (y > 0).any()
+
+    def build():
+        return (norm_prelu(x, gamma, beta, alpha) * probe).mean()
+
+    worst = gradcheck(build, [x, gamma, beta, alpha], rng, n_samples=20, h=H)
+    assert worst <= RTOL, f"norm_prelu gradcheck rel err {worst:.3e}"
 
 
 def test_gradcheck_dropout_fixed_mask():
@@ -801,6 +824,63 @@ def test_relu_matches_the_kept_positive_mask_byte_for_byte(case):
     out._backward(g)
     for got, ref in zip((out.data, x.grad), relu_kept_reference(data, g)):
         _assert_same_bytes(got, ref)
+
+
+# -- a block's instance norm and PReLU as one op -----------------------------
+
+
+def _norm_prelu_run(op, data, g, wants):
+    """op's output and the gradients of the operands named in ``wants``, as bytes."""
+    rng = np.random.default_rng(38)
+    c = data.shape[1]
+    x, gamma, beta = (Tensor(a, requires_grad=name in wants) for name, a in (
+        ("x", data.copy()), ("gamma", rng.uniform(0.5, 1.5, c).astype(np.float32)),
+        ("beta", rng.standard_normal(c).astype(np.float32))))
+    alpha = Tensor(np.array([0.3], dtype=np.float32), requires_grad="alpha" in wants)
+    out = op(x, gamma, beta, alpha)
+    (out * Tensor(g)).sum().backward()
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in (x, gamma, beta, alpha)
+                                   if t.requires_grad]
+
+
+@pytest.mark.parametrize("case", ["n2", "offset_slice"])
+@pytest.mark.parametrize("wants", [("x", "gamma", "beta", "alpha"), ("alpha",), ("x", "beta"),
+                                   ("gamma", "beta")],
+                         ids=["all", "alpha_only", "no_alpha", "norm_only"])
+def test_norm_prelu_matches_the_composition_byte_for_byte(case, wants):
+    data, g = _recompute_input(case)
+    got = _norm_prelu_run(norm_prelu, data, g, wants)
+    assert got == _norm_prelu_run(norm_prelu_composition, data, g, wants)
+    assert len(got) == 1 + len(wants)
+
+
+def test_norm_prelu_keeps_no_norm_output_in_the_graph():
+    rng = np.random.default_rng(39)
+    x = Tensor(rng.standard_normal((1, 8, 16, 16, 16)).astype(np.float32), requires_grad=True)
+    gamma, beta = (Tensor(np.full(8, v, dtype=np.float32), requires_grad=True) for v in (1.0, 0.0))
+    alpha = Tensor(np.array([0.25], dtype=np.float32), requires_grad=True)
+    held = {}
+    for op in (norm_prelu, norm_prelu_composition):
+        tracemalloc.start()
+        try:
+            out = op(x, gamma, beta, alpha)
+            held[op] = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+            del out
+        finally:
+            tracemalloc.stop()
+    assert held[norm_prelu] < 2**16
+    assert held[norm_prelu_composition] >= x.data.nbytes
+
+
+def test_norm_prelu_validation():
+    x = Tensor(np.ones((1, 2, 2, 2, 2)))
+    ones, alpha = Tensor(np.ones(2)), Tensor(np.array([0.25]))
+    with pytest.raises(ShapeError):
+        norm_prelu(Tensor(np.ones((2, 2, 2, 2))), ones, ones, alpha)
+    with pytest.raises(ShapeError):
+        norm_prelu(x, Tensor(np.ones(3)), ones, alpha)
+    with pytest.raises(ShapeError):
+        norm_prelu(x, ones, ones, Tensor(np.ones(2)))
 
 
 # -- the decoder's upsample + concat + conv as one op ------------------------

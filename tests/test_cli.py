@@ -589,6 +589,29 @@ def test_prepare_again_keeps_what_no_manifest_lists(tmp_path):
     assert (out_dir / "case00-m0" / "case00-m0-t1n.nii.gz").exists()
 
 
+@pytest.mark.parametrize("earlier", [0, 1], ids=["no_manifest", "manifest_of_m0"])
+@pytest.mark.parametrize("kind", ["dir", "file"])
+def test_prepare_refuses_an_unlisted_path_under_a_sample_id_it_would_write(tmp_path, capsys,
+                                                                           earlier, kind):
+    input_dir = make_input_dir(tmp_path, n_cases=2, seed=481)
+    out_dir = tmp_path / "out"
+    if earlier:
+        assert _prepare_into(out_dir, input_dir, earlier) == 0
+    out_dir.mkdir(exist_ok=True)
+    theirs = out_dir / "case01-m1"
+    if kind == "dir":
+        theirs.mkdir()
+        theirs = theirs / "case01-m1-t1n.nii.gz"
+    theirs.write_bytes(b"not prepare's")
+    before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert _prepare_into(out_dir, input_dir, 2) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "case01-m1" in err
+    # refused before its first write
+    assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
+
+
 def test_prepare_deflates_each_case_scan_and_tumor_mask_once(tmp_path, monkeypatch):
     # every variant's t1n and mask-unhealthy hold the first variant's bytes;
     # they are encoded once a case, the other three files once a variant

@@ -9,7 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import split_walks, upconv3d_composition
+from conftest import norm_prelu_composition, split_walks, upconv3d_composition
 from voxelpaint import autodiff, checkpoint
 from voxelpaint.autodiff import Tensor
 from voxelpaint.checkpoint import load_checkpoint, save_checkpoint
@@ -198,22 +198,30 @@ def test_train_step_bytes_do_not_depend_on_the_worker_count(monkeypatch):
     assert one == two
 
 
-def test_train_step_bytes_equal_a_unet_built_from_the_composition(monkeypatch):
-    # each decoder's upconv3d against upsample3d_nearest + concat_channels + conv3d
+def _train_step_digests():
+    """sha256 of a 32^3 base-8 train step's prediction and of every parameter gradient."""
     voided, mask = _inputs(n=32, seed=9)
     gt = np.random.default_rng(10).uniform(-1, 1, voided.shape).astype(np.float32)
     region = np.random.default_rng(11).random(voided.shape) < 0.5
+    model = make_model(8, seed=12)
+    pred = model.forward(voided, mask, training=True, rng=np.random.default_rng(13))
+    composite_loss(pred, gt, region, 1.0, 1.0).backward()
+    arrays = [pred.data] + [t.grad for _, t in model.parameters()]
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
 
-    def digests():
-        model = make_model(8, seed=12)
-        pred = model.forward(voided, mask, training=True, rng=np.random.default_rng(13))
-        composite_loss(pred, gt, region, 1.0, 1.0).backward()
-        arrays = [pred.data] + [t.grad for _, t in model.parameters()]
-        return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
 
-    fused = digests()
+def test_train_step_bytes_equal_a_unet_built_from_the_composition(monkeypatch):
+    # each decoder's upconv3d against upsample3d_nearest + concat_channels + conv3d
+    fused = _train_step_digests()
     monkeypatch.setattr(autodiff, "upconv3d", upconv3d_composition)
-    assert digests() == fused
+    assert _train_step_digests() == fused
+
+
+def test_train_step_bytes_equal_a_unet_built_from_norm_and_prelu(monkeypatch):
+    # each PReLU block's norm_prelu against instance_norm + prelu
+    fused = _train_step_digests()
+    monkeypatch.setattr(autodiff, "norm_prelu", norm_prelu_composition)
+    assert _train_step_digests() == fused
 
 
 def _graph_nodes(root):
@@ -235,7 +243,10 @@ def test_backward_frees_interior_nodes_and_keeps_parameter_grads():
     nodes = _graph_nodes(loss)
     params = {id(t) for _, t in model.parameters()}
     interior = [t for t in nodes if t._backward is not None]
-    assert len(interior) > 50 and not params & {id(t) for t in interior}
+    # 12 conv3d, 12 norm_prelu, 3 upconv3d, 3 maxpool3d, 4 dropout, the bridge's two
+    # instance_norm and two relu, and the loss's multiply and mean; the inputs'
+    # concat needs no gradient
+    assert len(interior) == 40 and not params & {id(t) for t in interior}
     loss.backward()
     assert all(t.grad is None and t._backward is None and t._parents is None
                for t in interior)
@@ -377,6 +388,23 @@ def test_checkpoint_config_tamper_is_shape_mismatch(tmp_path):
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         assert _code(exc) == "mismatch", base
+
+
+def test_checkpoint_claiming_a_huge_model_is_refused_before_allocating_it(tmp_path):
+    # a base-100000 U-Net would need about 229 TB; the records are checked first
+    path = _saved(tmp_path, base=2)
+    version, meta, records = _split_container(path.read_bytes())
+    meta["config"]["base_channels"] = 100_000
+    path.write_bytes(_pack_container(version, meta, records))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _code(exc) == "mismatch"
+    assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def _walk_records(records):

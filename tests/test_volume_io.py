@@ -456,6 +456,17 @@ def test_nifti_rejects_non_finite_voxels(tmp_path, bad):
     assert exc.value.code == "non_finite"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("slope,inter", [(3e38, 0.0), (1e38, 3e38), (np.inf, 0.0), (np.nan, 0.0)])
+def test_nifti_scale_past_float32_is_non_finite_without_a_warning(tmp_path, slope, inter):
+    data = np.full((2, 2, 2), 2, dtype=np.int16)
+    path = tmp_path / "bad.nii"
+    path.write_bytes(make_nifti_bytes((2, 2, 2), datatype=4, data=data, slope=slope, inter=inter))
+    with pytest.raises(NiftiError) as exc:
+        read_nifti(path)
+    assert exc.value.code == "non_finite"
+
+
 def test_nifti_truncated_header_and_data(tmp_path):
     path = tmp_path / "short.nii"
     path.write_bytes(make_nifti_bytes()[:100])
